@@ -17,7 +17,6 @@ from .clicksim import (
 )
 from .dataset import (
     Dataset,
-    Document,
     Query,
     filter_uniform_queries,
     generate_synthetic,
@@ -42,16 +41,14 @@ from .metrics import (
     DCG,
     IDENTITY,
     RELEVANCE_THRESHOLD,
-    WeightFn,
     full_info_metric,
     ips_click_metric,
     mean_ndcg,
     ndcg_at_k,
-    weight_fn,
 )
 from .objective import (
-    ClientLossContext,
     click_gradient,
+    click_steps,
     client_loss,
     hinge_sum,
     rank_upper_bound,
@@ -62,8 +59,7 @@ from .propensity import (
     em_m_step_local,
     estimated_propensity,
     federated_em_round,
-    known_propensity,
 )
-from .ranker import LinearRanker, RankedList, rank, score
+from .ranker import LinearRanker, RankedList, rank
 
 __version__ = "0.1.0"

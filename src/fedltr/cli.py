@@ -9,7 +9,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from .dataset import (
     split,
     write_svmlight,
 )
-from .federation import FederationConfig, final_ndcg, run_experiment
+from .federation import MODES, FederationConfig, RoundMetrics, final_ndcg, run_experiment
 from .metrics import mean_ndcg
 
 WORKERS_ENV = "FEDLTR_WORKERS"
@@ -74,6 +74,9 @@ class ExperimentSpec:
             raise ValueError("repeats must be >= 1")
         if not self.modes:
             raise ValueError("modes must be nonempty")
+        for mode in self.modes:
+            if mode not in MODES:
+                raise ValueError(f"modes must be drawn from {MODES}, got {mode!r}")
         for axis in (self.sweep_gamma, self.sweep_users_per_round, self.sweep_m):
             if not axis:
                 raise ValueError("sweep lists must be nonempty")
@@ -192,24 +195,11 @@ def _sweep_points(spec: ExperimentSpec) -> list[tuple[float, int, int, str]]:
     )
 
 
-def _point_tag(gamma: float, users_per_round: int, m: int, mode: str) -> str:
-    return f"g{gamma}_u{users_per_round}_m{m}_{mode}"
-
-
-def _execute_run(args: tuple[FederationConfig, Dataset, Dataset]) -> list[tuple]:
-    cfg, train, test = args
-    trace = run_experiment(cfg, train, test)
-    return [
-        (m.round_index, m.ndcg5, m.mean_client_loss, m.total_clicks)
-        for m in trace
-        if m.ndcg5 is not None
-    ]
-
-
-def _write_csv(path: Path, rows: list[tuple]) -> None:
+def _write_csv(path: Path, trace: list[RoundMetrics]) -> None:
     lines = ["round,ndcg5,mean_client_loss,total_clicks"]
-    for round_index, ndcg5, loss, clicks in rows:
-        lines.append(f"{round_index},{ndcg5!r},{loss!r},{clicks}")
+    for m in trace:
+        if m.ndcg5 is not None:
+            lines.append(f"{m.round_index},{m.ndcg5!r},{m.mean_client_loss!r},{m.total_clicks}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -221,61 +211,47 @@ def run(spec: ExperimentSpec) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         train, test = load_experiment_data(spec)
-        points = _sweep_points(spec)
-        jobs = []
-        for sweep_index, (gamma, upr, m, mode) in enumerate(points):
-            for repeat in range(spec.repeats):
-                cfg = replace(
-                    spec.federation,
-                    gamma=gamma,
-                    users_per_round=upr,
-                    m=m,
-                    mode=mode,
-                    seed=derive_seed(spec.master_seed, sweep_index, repeat),
-                )
-                jobs.append((sweep_index, repeat, cfg))
+        points = []
+        for sweep_index, (gamma, upr, m, mode) in enumerate(_sweep_points(spec)):
+            point = replace(spec.federation, gamma=gamma, users_per_round=upr, m=m, mode=mode)
+            runs = [
+                replace(point, seed=derive_seed(spec.master_seed, sweep_index, repeat))
+                for repeat in range(spec.repeats)
+            ]
+            points.append((f"g{gamma}_u{upr}_m{m}_{mode}", point, runs))
+        jobs = [cfg for _, _, runs in points for cfg in runs]
 
         workers = int(os.environ.get(WORKERS_ENV, "1"))
         if workers > 1 and len(jobs) > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(
-                    pool.map(_execute_run, [(cfg, train, test) for _, _, cfg in jobs])
+                traces = list(
+                    pool.map(
+                        run_experiment, jobs, itertools.repeat(train), itertools.repeat(test)
+                    )
                 )
         else:
-            results = [_execute_run((cfg, train, test)) for _, _, cfg in jobs]
+            traces = [run_experiment(cfg, train, test) for cfg in jobs]
 
-        finals: dict[int, list[float]] = {}
-        for (sweep_index, repeat, cfg), rows in zip(jobs, results):
-            gamma, upr, m, mode = points[sweep_index]
-            tag = _point_tag(gamma, upr, m, mode)
-            _write_csv(out / f"run_{tag}_rep{repeat}.csv", rows)
-            finals.setdefault(sweep_index, []).append(
-                float(np.mean([r[1] for r in rows[-10:]]))
-            )
-        for sweep_index, (gamma, upr, m, mode) in enumerate(points):
-            tag = _point_tag(gamma, upr, m, mode)
+        print("sweep_point,mean_final_ndcg5,stderr,repeats")
+        remaining = iter(traces)
+        for tag, point, runs in points:
+            finals = []
+            for repeat in range(len(runs)):
+                trace = next(remaining)
+                _write_csv(out / f"run_{tag}_rep{repeat}.csv", trace)
+                finals.append(final_ndcg(trace))
             manifest = {
-                "federation": asdict(
-                    replace(spec.federation, gamma=gamma, users_per_round=upr, m=m, mode=mode)
-                ),
+                "federation": asdict(point),
                 "repeats": spec.repeats,
-                "seeds": [
-                    derive_seed(spec.master_seed, sweep_index, r)
-                    for r in range(spec.repeats)
-                ],
+                "seeds": [cfg.seed for cfg in runs],
                 "dataset": {"path": spec.dataset_path, "synthetic": spec.synthetic},
             }
             (out / f"manifest_{tag}.json").write_text(
                 json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
             )
-
-        print("sweep_point,mean_final_ndcg5,stderr,repeats")
-        for sweep_index, (gamma, upr, m, mode) in enumerate(points):
-            values = np.asarray(finals[sweep_index])
+            values = np.asarray(finals)
             stderr = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
-            print(
-                f"{_point_tag(gamma, upr, m, mode)},{values.mean():.4f},{stderr:.4f},{len(values)}"
-            )
+            print(f"{tag},{values.mean():.4f},{stderr:.4f},{len(values)}")
 
         if spec.run_lambda:
             model = train_lambda_linear(train, spec.lambda_config, spec.master_seed)

@@ -4,7 +4,7 @@ position bias, and position-based click generation over displayed results."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -27,7 +27,7 @@ class UserState:
 
     id: int
     gamma_s: float
-    query_pool: tuple[str, ...]
+    query_pool: tuple[int, ...]
     rng_stream: np.random.Generator
     capped_rounds: int = 0
     _impression_cache: dict = field(default_factory=dict, repr=False)
@@ -45,7 +45,7 @@ class ClickRecord:
     per-position click indicators, and the user's true examination
     probability at each displayed position."""
 
-    query_id: str
+    query_id: int
     displayed: np.ndarray
     clicks: np.ndarray
     propensities: np.ndarray
@@ -137,21 +137,20 @@ def sample_user_bias(gamma: float, sigma: float, rng: np.random.Generator) -> fl
             return float(draw)
 
 
-def examination_prob(position: int, gamma_s: float) -> float:
-    """Probability that a user with bias gamma_s examines this 1-based
-    display position: (1/position)^gamma_s."""
-    if position < 1:
+def examination_prob(position, gamma_s: float) -> np.ndarray:
+    """Probability that a user with bias gamma_s examines each 1-based
+    display position: (1/position)^gamma_s, elementwise."""
+    positions = np.asarray(position, dtype=np.float64)
+    if np.any(positions < 1):
         raise ValueError("position must be >= 1")
-    return float((1.0 / position) ** gamma_s)
+    return (1.0 / positions) ** gamma_s
 
 
-def click_prob(grade: int, position: int, gamma_s: float) -> float:
-    """Click probability of a displayed document: examination times 1 for
-    relevant grades, times the noise rate otherwise."""
+def click_prob(grade, position, gamma_s: float) -> np.ndarray:
+    """Click probability of displayed documents: examination times 1 for
+    relevant grades, times the noise rate otherwise, elementwise."""
     exam = examination_prob(position, gamma_s)
-    if grade >= RELEVANCE_THRESHOLD:
-        return exam
-    return NOISE_CLICK_RATE * exam
+    return np.where(np.asarray(grade) >= RELEVANCE_THRESHOLD, exam, NOISE_CLICK_RATE * exam)
 
 
 def _impression_setup(user: UserState, query: Query, policy: LoggingPolicy, k: int):
@@ -160,10 +159,9 @@ def _impression_setup(user: UserState, query: Query, policy: LoggingPolicy, k: i
     cached = user._impression_cache.get(key)
     if cached is None:
         displayed = policy.display_order(query)[:k_eff]
-        positions = np.arange(1, k_eff + 1, dtype=np.float64)
-        props = (1.0 / positions) ** user.gamma_s
-        relevant = query.labels[displayed] >= RELEVANCE_THRESHOLD
-        probs = np.where(relevant, props, NOISE_CLICK_RATE * props)
+        positions = np.arange(1, k_eff + 1)
+        props = examination_prob(positions, user.gamma_s)
+        probs = click_prob(query.labels[displayed], positions, user.gamma_s)
         cached = (displayed, props, probs)
         user._impression_cache[key] = cached
     return cached
@@ -193,7 +191,7 @@ def simulate_impression(
 
 def collect_round_clicks(
     user: UserState,
-    queries_by_id: Mapping[str, Query],
+    queries_by_id: Mapping[int, Query],
     policy: LoggingPolicy,
     k: int,
     m: int,

@@ -2,17 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Document:
-    """One query-document pair: a feature vector and a graded relevance label."""
-
-    features: np.ndarray
-    label: int
 
 
 @dataclass(frozen=True)
@@ -40,9 +33,6 @@ class Query:
     def n_docs(self) -> int:
         return self.features.shape[0]
 
-    def doc(self, i: int) -> Document:
-        return Document(features=self.features[i], label=int(self.labels[i]))
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -67,7 +57,8 @@ def load_svmlight(path: str) -> Dataset:
     file order, missing feature indices are filled with 0, and the feature
     dimension is the maximal index seen anywhere in the file.
     """
-    parsed: list[tuple[int, int, list[tuple[int, float]]]] = []
+    # Documents grouped by qid, in order of the qid's first appearance.
+    grouped: dict[int, list[tuple[int, list[tuple[int, float]]]]] = {}
     max_idx = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -97,17 +88,14 @@ def load_svmlight(path: str) -> Dataset:
                     raise ValueError(f"line {lineno}: bad feature {tok!r}") from None
                 if idx < 1:
                     raise ValueError(f"line {lineno}: feature indices are 1-based, got {idx}")
+                if not math.isfinite(val):
+                    raise ValueError(f"line {lineno}: non-finite feature {tok!r}")
                 pairs.append((idx, val))
                 max_idx = max(max_idx, idx)
-            parsed.append((label, qid, pairs))
+            grouped.setdefault(qid, []).append((label, pairs))
 
-    if not parsed:
+    if not grouped:
         raise ValueError(f"{path}: empty dataset")
-
-    # Group by qid preserving order of first appearance.
-    grouped: dict[int, list[tuple[int, list[tuple[int, float]]]]] = {}
-    for label, qid, pairs in parsed:
-        grouped.setdefault(qid, []).append((label, pairs))
 
     queries = []
     for qid, docs in grouped.items():

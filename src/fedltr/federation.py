@@ -3,7 +3,7 @@ weighted SGD, delta aggregation, and the server update."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -17,7 +17,7 @@ from .clicksim import (
 )
 from .dataset import Dataset
 from .metrics import mean_ndcg
-from .objective import ClientLossContext, PropensityProvider, click_gradient, client_loss
+from .objective import ClickStep, PropensityProvider, click_gradient, click_steps, client_loss
 from .propensity import EmEstimatorState, estimated_propensity, federated_em_round
 from .ranker import LinearRanker
 
@@ -84,6 +84,18 @@ class FederationConfig:
             raise ValueError("max_impressions_factor must be >= 1")
         if not 0.0 < self.logging_fraction <= 1.0:
             raise ValueError("logging_fraction must be in (0, 1]")
+        if self.logging_epochs < 0:
+            raise ValueError("logging_epochs must be >= 0")
+        if self.logging_lr <= 0:
+            raise ValueError("logging_lr must be positive")
+        if self.em_iters < 0 or self.em_burn_in < 0:
+            raise ValueError("em_iters and em_burn_in must be >= 0")
+        if self.em_fit_lr <= 0 or self.em_eta_f <= 0:
+            raise ValueError("em_fit_lr and em_eta_f must be positive")
+        if not 0.0 < self.em_floor < 1.0:
+            raise ValueError("em_floor must be in (0, 1)")
+        if not 0.0 <= self.em_pooling < 1.0:
+            raise ValueError("em_pooling must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -93,7 +105,6 @@ class ClientUpdate:
 
     delta: np.ndarray
     clicks_used: int
-    impressions_used: int
 
     def __post_init__(self) -> None:
         if not np.all(np.isfinite(self.delta)):
@@ -119,7 +130,6 @@ class ExperimentState:
     model: LinearRanker
     users: list
     policy: LoggingPolicy
-    train: Dataset
     test: Dataset
     queries_by_id: dict
     em: Optional[EmEstimatorState]
@@ -129,32 +139,22 @@ class ExperimentState:
 
 def client_opt(
     w_t: LinearRanker,
-    records: Sequence,
+    steps: Sequence[ClickStep],
     eta_local: float,
-    propensities: PropensityProvider,
     rng: np.random.Generator,
 ) -> ClientUpdate:
     """One local SGD pass from the broadcast weights.
 
-    Visits the round's clicked documents once each, in an order shuffled
-    from the client's own stream, stepping against click_gradient at the
+    Visits the round's click steps once each, in an order shuffled from
+    the client's own stream, stepping against click_gradient at the
     current local weights. No clicks means a zero delta.
     """
-    steps = []
-    for record, query in records:
-        for j in np.nonzero(record.clicks)[0]:
-            p = float(propensities(record, int(j) + 1))
-            if p <= 0.0:
-                raise ValueError("clicked document has non-positive propensity")
-            steps.append((query, int(record.displayed[j]), p))
     w = w_t.weights.copy()
     if steps:
         for idx in rng.permutation(len(steps)):
             query, d, p = steps[idx]
             w = w - eta_local * click_gradient(LinearRanker(w), query, d, p)
-    return ClientUpdate(
-        delta=w - w_t.weights, clicks_used=len(steps), impressions_used=len(records)
-    )
+    return ClientUpdate(delta=w - w_t.weights, clicks_used=len(steps))
 
 
 def server_opt(
@@ -211,13 +211,13 @@ def init_state(
             fit_lr=cfg.em_fit_lr,
             burn_in=cfg.em_burn_in,
             pooling=cfg.em_pooling,
+            num_users=cfg.num_users,
         )
     return ExperimentState(
         config=cfg,
         model=LinearRanker.zeros(train.feature_dim),
         users=users,
         policy=policy,
-        train=train,
         test=test,
         queries_by_id=train.by_id(),
         em=em,
@@ -254,14 +254,9 @@ def run_round(state: ExperimentState, cfg: FederationConfig) -> tuple[Experiment
     losses = []
     updates = []
     for uid in sampled:
-        provider = _propensity_provider(state, int(uid))
-        pairs = round_records[int(uid)]
-        losses.append(
-            client_loss(ClientLossContext(state.model, tuple(pairs), provider))
-        )
-        updates.append(
-            client_opt(state.model, pairs, cfg.eta_local, provider, state.users[uid].rng_stream)
-        )
+        steps = click_steps(round_records[int(uid)], _propensity_provider(state, int(uid)))
+        losses.append(client_loss(state.model, steps))
+        updates.append(client_opt(state.model, steps, cfg.eta_local, state.users[uid].rng_stream))
     new_model = server_opt(state.model, updates, cfg.eta_global)
 
     if state.em is not None:

@@ -3,7 +3,6 @@ and its inverse-propensity-scored counterpart estimated from clicks."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -16,31 +15,15 @@ from .ranker import LinearRanker, rank
 RELEVANCE_THRESHOLD = 3
 
 
-@dataclass(frozen=True)
-class WeightFn:
-    """Per-position weight g(k) for additive rank metrics.
-
-    `kind` is "identity" (g(k) = k, lower is better: average relevant rank)
-    or "dcg" (g(k) = 1 / log2(k + 1), higher is better).
-    """
-
-    kind: str
-    fn: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, ranks: np.ndarray) -> np.ndarray:
-        return self.fn(np.asarray(ranks, dtype=np.float64))
+def IDENTITY(ranks: np.ndarray) -> np.ndarray:
+    """Per-position weight g(k) = k for additive rank metrics: the average
+    relevant rank, lower is better."""
+    return np.asarray(ranks, dtype=np.float64)
 
 
-IDENTITY = WeightFn("identity", lambda k: k)
-DCG = WeightFn("dcg", lambda k: 1.0 / np.log2(k + 1.0))
-
-
-def weight_fn(kind: str) -> WeightFn:
-    if kind == "identity":
-        return IDENTITY
-    if kind == "dcg":
-        return DCG
-    raise ValueError(f"unknown weight function kind: {kind!r}")
+def DCG(ranks: np.ndarray) -> np.ndarray:
+    """Per-position weight g(k) = 1 / log2(k + 1), higher is better."""
+    return 1.0 / np.log2(np.asarray(ranks, dtype=np.float64) + 1.0)
 
 
 def dcg_at_k(labels_in_rank_order: np.ndarray, k: int) -> float:
@@ -81,7 +64,9 @@ def mean_ndcg(ranker: LinearRanker, dataset: Dataset, k: int) -> float:
     return float(np.mean(values))
 
 
-def full_info_metric(ranker: LinearRanker, query: Query, weights: WeightFn) -> float:
+def full_info_metric(
+    ranker: LinearRanker, query: Query, weights: Callable[[np.ndarray], np.ndarray]
+) -> float:
     """Sum of g(rank) over the query's relevant documents.
 
     Relevance is binarized at RELEVANCE_THRESHOLD. Needs the true labels,
@@ -99,7 +84,7 @@ def ips_click_metric(
     query: Query,
     clicked: Sequence[int],
     propensities: Sequence[float],
-    weights: WeightFn,
+    weights: Callable[[np.ndarray], np.ndarray],
 ) -> float:
     """Inverse-propensity estimate of the additive metric from clicks.
 

@@ -3,7 +3,6 @@ exact subgradients for linear rankers."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -15,15 +14,14 @@ from .ranker import LinearRanker
 # Maps (record, 1-based display position) to that click's propensity.
 PropensityProvider = Callable[[ClickRecord, int], float]
 
+# One clicked document: its query, its document index and its propensity.
+ClickStep = tuple[Query, int, float]
 
-@dataclass(frozen=True)
-class ClientLossContext:
-    """Everything needed to evaluate one client's loss on one round of
-    records: the model, (record, query) pairs, and a propensity provider."""
 
-    model: LinearRanker
-    records: tuple
-    propensity_provider: PropensityProvider
+def _margins(model: LinearRanker, query: Query, d: int) -> np.ndarray:
+    """1 - (f(d) - f(d')) for every document d' of the query, d' = d included."""
+    scores = query.features @ model.weights
+    return 1.0 - (scores[d] - scores)
 
 
 def hinge_sum(model: LinearRanker, query: Query, d: int) -> float:
@@ -32,8 +30,7 @@ def hinge_sum(model: LinearRanker, query: Query, d: int) -> float:
     The margin is f(d) - f(d'); the self pair is excluded. Zero when d
     beats every other document by at least 1.
     """
-    scores = query.features @ model.weights
-    margins = 1.0 - (scores[d] - scores)
+    margins = _margins(model, query, d)
     margins[d] = 0.0
     return float(np.sum(np.maximum(margins, 0.0)))
 
@@ -51,9 +48,7 @@ def click_gradient(
     weights. Pairs exactly at the hinge kink contribute zero."""
     if propensity <= 0.0:
         raise ValueError("propensity must be positive")
-    scores = query.features @ model.weights
-    margins = 1.0 - (scores[d] - scores)
-    active = margins > 0.0
+    active = _margins(model, query, d) > 0.0
     active[d] = False
     n_active = int(np.count_nonzero(active))
     if n_active == 0:
@@ -62,24 +57,31 @@ def click_gradient(
     return -(n_active * query.features[d] - summed) / propensity
 
 
-def client_loss(ctx: ClientLossContext) -> float:
-    """Propensity-weighted hinge loss over the round's clicked documents.
+def click_steps(
+    records: Sequence[tuple[ClickRecord, Query]], propensities: PropensityProvider
+) -> list[ClickStep]:
+    """One client's clicked documents as (query, doc, propensity) steps, in
+    record order and display order within a record. Every propensity must
+    be positive."""
+    steps = []
+    for record, query in records:
+        for j in np.nonzero(record.clicks)[0]:
+            p = float(propensities(record, int(j) + 1))
+            if p <= 0.0:
+                raise ValueError("clicked document has non-positive propensity")
+            steps.append((query, int(record.displayed[j]), p))
+    return steps
+
+
+def client_loss(model: LinearRanker, steps: Sequence[ClickStep]) -> float:
+    """Propensity-weighted hinge loss over a round's click steps.
 
     Sums hinge_sum / p over clicks, then divides by the number of distinct
     queries that received at least one click. Zero when nothing was clicked.
     """
-    total = 0.0
-    clicked_qids = set()
-    for record, query in ctx.records:
-        clicked_positions = np.nonzero(record.clicks)[0]
-        if clicked_positions.size == 0:
-            continue
-        clicked_qids.add(record.query_id)
-        for j in clicked_positions:
-            p = float(ctx.propensity_provider(record, int(j) + 1))
-            if p <= 0.0:
-                raise ValueError("clicked document has non-positive propensity")
-            total += hinge_sum(ctx.model, query, int(record.displayed[j])) / p
-    if not clicked_qids:
+    if not steps:
         return 0.0
-    return total / len(clicked_qids)
+    total = 0.0
+    for query, d, p in steps:
+        total += hinge_sum(model, query, d) / p
+    return total / len({query.qid for query, _, _ in steps})

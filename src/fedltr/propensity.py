@@ -1,5 +1,5 @@
-"""Propensity providers: the known-bias oracle and a federated
-regression-based EM estimator of per-client examination probabilities."""
+"""A federated regression-based EM estimator of per-client examination
+probabilities."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .clicksim import UserState
 from .ranker import LinearRanker
 
 # Scores are clipped before the sigmoid so relevance stays inside (0, 1).
@@ -19,46 +18,43 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -_SCORE_CLIP, _SCORE_CLIP)))
 
 
-def known_propensity(user: UserState, position: int) -> float:
-    """The oracle provider: the user's true examination probability."""
-    if position < 1:
-        raise ValueError("position must be >= 1")
-    return float((1.0 / position) ** user.gamma_s)
-
-
 @dataclass
 class EmEstimatorState:
-    """State of the federated EM estimator.
+    """State of the federated EM estimator for clients 0..num_users-1.
 
     `relevance_model` is the shared regression model whose sigmoid scores
-    play the relevance prior. `theta` holds each client's personal
+    play the relevance prior. Row u of `theta` holds client u's served
     per-position examination estimates (length k, anchored so position 1
-    is 1.0, floored at `floor`), derived from `posterior_sum` and
-    `impression_count`: running totals of examination posteriors and
+    is 1.0, floored at `floor`), derived from its rows of `posterior_sum`
+    and `impression_count`: running totals of examination posteriors and
     impressions per position. Averaging posteriors over every round a
     client has participated in, rather than trusting the latest round,
     keeps the per-position noise well below the gaps between adjacent
-    positions. Clients absent from `theta` are treated as uninformative
-    (all ones).
+    positions. `participations` counts each client's rounds: clients with
+    none are unseen and their `theta` rows stay uninformative (all ones);
+    clients with more than `burn_in` have settled.
     """
 
     relevance_model: LinearRanker
     k: int
-    theta: dict = field(default_factory=dict)
-    theta_local: dict = field(default_factory=dict)
-    posterior_sum: dict = field(default_factory=dict)
-    impression_count: dict = field(default_factory=dict)
-    participations: dict = field(default_factory=dict)
+    num_users: int
     floor: float = 0.01
     em_iters: int = 1
     fit_lr: float = 0.5
     theta_init: float = 0.5
     burn_in: int = 5
     pooling: float = 0.7
+    theta: np.ndarray = field(init=False)
+    theta_local: np.ndarray = field(init=False)
+    posterior_sum: np.ndarray = field(init=False)
+    impression_count: np.ndarray = field(init=False)
+    participations: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if self.num_users < 1:
+            raise ValueError("num_users must be >= 1")
         if not 0.0 < self.floor < 1.0:
             raise ValueError("floor must be in (0, 1)")
         if self.em_iters < 0:
@@ -69,6 +65,12 @@ class EmEstimatorState:
             raise ValueError("burn_in must be >= 0")
         if not 0.0 <= self.pooling < 1.0:
             raise ValueError("pooling must be in [0, 1)")
+        shape = (self.num_users, self.k)
+        self.theta = np.ones(shape)
+        self.theta_local = np.ones(shape)
+        self.posterior_sum = np.zeros(shape)
+        self.impression_count = np.zeros(shape)
+        self.participations = np.zeros(self.num_users, dtype=np.int64)
 
     def initial_theta(self) -> np.ndarray:
         """E-step prior for a client's first round: anchored at 1 for
@@ -80,26 +82,32 @@ class EmEstimatorState:
         return theta
 
 
-def em_e_step(click: bool, theta_k: float, rel_prob: float) -> tuple[float, float]:
-    """Posterior examination and relevance probabilities for one displayed
-    document under the position-based click model.
+def _posteriors(
+    clicks: np.ndarray, theta: np.ndarray, rel_prob: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """em_e_step without its range checks, for callers that checked once."""
+    denom = 1.0 - theta * rel_prob
+    p_exam = np.where(clicks, 1.0, theta * (1.0 - rel_prob) / denom)
+    p_rel = np.where(clicks, 1.0, rel_prob * (1.0 - theta) / denom)
+    return p_exam, p_rel
+
+
+def em_e_step(clicks, theta, rel_prob) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior examination and relevance probabilities of displayed
+    documents under the position-based click model, elementwise.
 
     A click forces both posteriors to 1. For a non-click the posteriors
-    follow from Bayes' rule with priors theta_k (examination) and rel_prob
-    (relevance).
+    follow from Bayes' rule with priors theta (examination, in (0, 1]) and
+    rel_prob (relevance, in (0, 1)); their product is below 1, so a
+    non-click always has positive probability.
     """
-    if not 0.0 < theta_k <= 1.0:
-        raise ValueError("theta_k must be in (0, 1]")
-    if not 0.0 < rel_prob < 1.0:
+    theta = np.asarray(theta, dtype=np.float64)
+    rel_prob = np.asarray(rel_prob, dtype=np.float64)
+    if np.any((theta <= 0.0) | (theta > 1.0)):
+        raise ValueError("theta must be in (0, 1]")
+    if np.any((rel_prob <= 0.0) | (rel_prob >= 1.0)):
         raise ValueError("rel_prob must be in (0, 1)")
-    if click:
-        return 1.0, 1.0
-    denom = 1.0 - theta_k * rel_prob
-    if denom <= 0.0:
-        raise ValueError("non-click with theta_k * rel_prob = 1 has probability zero")
-    p_exam = theta_k * (1.0 - rel_prob) / denom
-    p_rel = rel_prob * (1.0 - theta_k) / denom
-    return p_exam, p_rel
+    return _posteriors(np.asarray(clicks, dtype=bool), theta, rel_prob)
 
 
 def em_m_step_local(
@@ -119,6 +127,8 @@ def em_m_step_local(
     """
     if not records:
         raise ValueError("records must be nonempty")
+    if np.any((theta_prev <= 0.0) | (theta_prev > 1.0)):
+        raise ValueError("theta_prev must be in (0, 1]")
     k = len(theta_prev)
     exam_sum = np.zeros(k)
     exam_count = np.zeros(k)
@@ -128,13 +138,10 @@ def em_m_step_local(
         if n > k:
             raise ValueError("record longer than the estimator's position range")
         features = query.features[record.displayed]
+        # Clipping keeps the relevance prior inside em_e_step's range.
         rel = _sigmoid(features @ relevance_model.weights)
         rel = np.clip(rel, 1e-6, 1.0 - 1e-6)
-        theta = theta_prev[:n]
-        denom = 1.0 - theta * rel
-        clicks = record.clicks.astype(bool)
-        p_exam = np.where(clicks, 1.0, theta * (1.0 - rel) / denom)
-        p_rel = np.where(clicks, 1.0, rel * (1.0 - theta) / denom)
+        p_exam, p_rel = _posteriors(record.clicks.astype(bool), theta_prev[:n], rel)
         exam_sum[:n] += p_exam
         exam_count[:n] += 1.0
         targets.append((features, p_rel))
@@ -185,10 +192,7 @@ def federated_em_round(
         records = client_records[uid]
         if not records:
             continue
-        theta_prev = state.theta.get(uid)
-        if theta_prev is None:
-            theta_prev = state.initial_theta()
-        theta_round = theta_prev
+        theta_round = state.theta[uid] if state.participations[uid] else state.initial_theta()
         local_w = broadcast.copy()
         for _ in range(state.em_iters):
             theta_round, targets, exam_sum, exam_count = em_m_step_local(
@@ -196,28 +200,21 @@ def federated_em_round(
             )
             local_w = _fit_relevance_pass(local_w, targets, state.fit_lr)
         deltas.append(local_w - broadcast)
-        visits = state.participations.get(uid, 0) + 1
-        state.participations[uid] = visits
-        if visits <= state.burn_in:
+        state.participations[uid] += 1
+        if state.participations[uid] <= state.burn_in:
             # Burn-in: the round estimate tracks the client's prior toward
             # its fixed point but is not yet worth remembering; posteriors
             # taken under an uncommitted prior would bias the running
             # average permanently.
             theta_new = theta_round.copy()
         else:
-            total_sum = state.posterior_sum.get(uid)
-            if total_sum is None:
-                total_sum = np.zeros(state.k)
-                total_count = np.zeros(state.k)
-            else:
-                total_count = state.impression_count[uid]
-            total_sum = total_sum + exam_sum
-            total_count = total_count + exam_count
-            state.posterior_sum[uid] = total_sum
-            state.impression_count[uid] = total_count
-            seen = total_count > 0
+            total_sum = state.posterior_sum[uid]
+            total_count = state.impression_count[uid]
+            total_sum += exam_sum
+            total_count += exam_count
+            covered = total_count > 0
             theta_new = state.initial_theta()
-            theta_new[seen] = total_sum[seen] / total_count[seen]
+            theta_new[covered] = total_sum[covered] / total_count[covered]
         if theta_new[0] > state.floor:
             theta_new = theta_new / theta_new[0]
         theta_new[0] = 1.0
@@ -229,22 +226,14 @@ def federated_em_round(
     # handful of impressions per round) while clients' true curves differ
     # only mildly, so each served table shrinks toward the across-client
     # mean of the settled (post-burn-in) local estimates.
-    settled = [
-        uid for uid in sorted(state.theta_local) if uid in state.impression_count
-    ]
-    population = (
-        np.mean(np.stack([state.theta_local[uid] for uid in settled]), axis=0)
-        if settled
-        else None
-    )
-    for uid in sorted(state.theta_local):
-        local = state.theta_local[uid]
-        if population is None:
-            served = local.copy()
-        else:
-            served = (1.0 - state.pooling) * local + state.pooling * population
-        served[0] = 1.0
-        state.theta[uid] = np.clip(served, state.floor, 1.0)
+    seen = state.participations > 0
+    settled = state.participations > state.burn_in
+    served = state.theta_local[seen]
+    if np.any(settled):
+        population = np.mean(state.theta_local[settled], axis=0)
+        served = (1.0 - state.pooling) * served + state.pooling * population
+    served[:, 0] = 1.0
+    state.theta[seen] = np.clip(served, state.floor, 1.0)
     return state
 
 
@@ -255,7 +244,6 @@ def estimated_propensity(state: EmEstimatorState, client_id: int, position: int)
     """
     if not 1 <= position <= state.k:
         raise ValueError("position must be in 1..k")
-    theta = state.theta.get(client_id)
-    if theta is None:
-        return 1.0
-    return float(max(theta[position - 1], state.floor))
+    if not 0 <= client_id < state.num_users:
+        raise ValueError("client_id must be in 0..num_users-1")
+    return float(max(state.theta[client_id, position - 1], state.floor))

@@ -41,16 +41,6 @@ class RankedList:
     positions: np.ndarray
 
 
-def score(ranker: LinearRanker, features: np.ndarray) -> float:
-    """Inner product of the ranker weights with one feature vector."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.shape != ranker.weights.shape:
-        raise ValueError(
-            f"dimension mismatch: weights {ranker.weights.shape} vs features {x.shape}"
-        )
-    return float(ranker.weights @ x)
-
-
 def rank(ranker: LinearRanker, query: Query) -> RankedList:
     """Rank a query's documents by score, descending.
 

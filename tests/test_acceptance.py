@@ -309,7 +309,7 @@ def test_criterion_08_estimated_propensities_close_the_gap(capsys, bench):
         if estimated > avg and estimated < known + 0.005:
             satisfied += 1
         mono = sum(
-            bool(np.all(np.diff(theta) < 0)) for theta in state.em.theta.values()
+            bool(np.all(np.diff(theta) < 0)) for theta in state.em.theta
         )
         min_mono = min(min_mono, mono / cfg.num_users)
     passed = satisfied >= 3 and min_mono >= 0.9

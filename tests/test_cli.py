@@ -164,6 +164,17 @@ class TestMain:
         bad.write_text(json.dumps({"bogus": 1}), encoding="utf-8")
         assert main(["run", "--config", str(bad)]) == 2
 
+    @pytest.mark.parametrize(
+        "extra",
+        [{"modes": ["bogus"]}, {"federation": {"em_pooling": 5}}, {"federation": {"logging_lr": -3}}],
+    )
+    def test_bad_knobs_are_rejected_at_parse_time(self, tmp_path, capsys, extra):
+        config = _write_config(tmp_path / "spec.json", extra)
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_failed_run_leaves_marker(self, tmp_path, capsys):
         out = tmp_path / "results"
         code = main(

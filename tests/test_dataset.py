@@ -49,6 +49,12 @@ class TestLoadSvmlight:
         with pytest.raises(ValueError, match="line 2"):
             load_svmlight(path)
 
+    @pytest.mark.parametrize("token", ["1:nan", "2:inf", "1:-inf"])
+    def test_non_finite_feature_names_line(self, tmp_path, token):
+        path = _write(tmp_path, f"1 qid:1 1:0.5\n2 qid:1 {token}\n")
+        with pytest.raises(ValueError, match="line 2: non-finite"):
+            load_svmlight(path)
+
     def test_empty_file_errors(self, tmp_path):
         with pytest.raises(ValueError, match="empty"):
             load_svmlight(_write(tmp_path, "\n\n"))

@@ -16,7 +16,7 @@ from fedltr.federation import (
     run_round,
     server_opt,
 )
-from fedltr.objective import click_gradient
+from fedltr.objective import click_gradient, click_steps
 from fedltr.ranker import LinearRanker
 
 
@@ -55,10 +55,14 @@ def _small_cfg(**kwargs):
     return FederationConfig(**base)
 
 
+def _client_opt(w_t, records, eta_local, provider, rng):
+    return client_opt(w_t, click_steps(records, provider), eta_local, rng)
+
+
 class TestClientOpt:
     def test_no_clicks_gives_zero_delta(self):
         q = _query([[1.0, 0.0], [0.0, 1.0]])
-        update = client_opt(
+        update = _client_opt(
             LinearRanker.zeros(2),
             [(_record(q, [False, False]), q)],
             1e-2,
@@ -67,12 +71,11 @@ class TestClientOpt:
         )
         np.testing.assert_array_equal(update.delta, [0.0, 0.0])
         assert update.clicks_used == 0
-        assert update.impressions_used == 1
 
     def test_single_click_steps_against_gradient(self):
         q = _query([[1.0, 0.0], [0.0, 1.0]])
         w0 = LinearRanker.zeros(2)
-        update = client_opt(
+        update = _client_opt(
             w0,
             [(_record(q, [True, False]), q)],
             1e-2,
@@ -86,11 +89,11 @@ class TestClientOpt:
     def test_half_propensity_doubles_single_step(self):
         q = _query([[1.0, 0.0], [0.0, 1.0]])
         w0 = LinearRanker.zeros(2)
-        unit = client_opt(
+        unit = _client_opt(
             w0, [(_record(q, [True, False]), q)], 1e-2,
             lambda r, pos: 1.0, np.random.default_rng(0),
         )
-        half = client_opt(
+        half = _client_opt(
             w0, [(_record(q, [True, False]), q)], 1e-2,
             lambda r, pos: 0.5, np.random.default_rng(0),
         )
@@ -99,7 +102,7 @@ class TestClientOpt:
     def test_nonpositive_propensity_errors(self):
         q = _query([[1.0], [0.0]])
         with pytest.raises(ValueError, match="non-positive"):
-            client_opt(
+            _client_opt(
                 LinearRanker.zeros(1),
                 [(_record(q, [True, False]), q)],
                 1e-2,
@@ -109,15 +112,15 @@ class TestClientOpt:
 
     def test_finite_delta_enforced(self):
         with pytest.raises(ValueError, match="finite"):
-            ClientUpdate(delta=np.array([np.inf]), clicks_used=1, impressions_used=1)
+            ClientUpdate(delta=np.array([np.inf]), clicks_used=1)
 
 
 class TestServerOpt:
     def test_averages_deltas(self):
         w0 = LinearRanker.zeros(2)
         updates = [
-            ClientUpdate(np.array([1.0, 0.0]), 1, 1),
-            ClientUpdate(np.array([0.0, 1.0]), 1, 1),
+            ClientUpdate(np.array([1.0, 0.0]), 1),
+            ClientUpdate(np.array([0.0, 1.0]), 1),
         ]
         new = server_opt(w0, updates, eta_global=2.0)
         np.testing.assert_array_equal(new.weights, [1.0, 1.0])
@@ -125,12 +128,12 @@ class TestServerOpt:
     def test_single_client_unit_rate_recovers_local(self):
         w0 = LinearRanker(np.array([0.5, -0.5]))
         delta = np.array([0.25, 0.75])
-        new = server_opt(w0, [ClientUpdate(delta, 3, 2)], eta_global=1.0)
+        new = server_opt(w0, [ClientUpdate(delta, 3)], eta_global=1.0)
         np.testing.assert_array_equal(new.weights, w0.weights + delta)
 
     def test_zero_deltas_leave_weights_unchanged(self):
         w0 = LinearRanker(np.array([1.0, 2.0]))
-        updates = [ClientUpdate(np.zeros(2), 0, 1) for _ in range(3)]
+        updates = [ClientUpdate(np.zeros(2), 0) for _ in range(3)]
         new = server_opt(w0, updates, eta_global=0.5)
         np.testing.assert_array_equal(new.weights, w0.weights)
 
@@ -164,6 +167,27 @@ class TestFederationConfig:
             FederationConfig(eta_local=0.0)
         with pytest.raises(ValueError, match="gamma"):
             FederationConfig(gamma=-1.0)
+
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("em_iters", -1),
+            ("em_fit_lr", -1.0),
+            ("em_eta_f", 0.0),
+            ("em_floor", -1.0),
+            ("em_floor", 1.0),
+            ("em_burn_in", -2),
+            ("em_pooling", 5.0),
+            ("logging_epochs", -1),
+            ("logging_lr", -3.0),
+        ],
+    )
+    def test_rejects_bad_em_and_logging_knobs(self, field, value):
+        # Checked at construction in every mode, not only when EM or the
+        # logging policy first uses them.
+        with pytest.raises(ValueError, match=field):
+            FederationConfig(**{field: value})
 
 
 class TestInitState:
@@ -217,7 +241,7 @@ class TestRunRound:
         state = init_state(cfg, train, test)
         state, _ = run_round(state, cfg)
         # Every user contributed records, so the estimator tracked them all.
-        assert sorted(state.em.participations) == list(range(6))
+        np.testing.assert_array_equal(state.em.participations, np.ones(6))
 
     def test_single_client_unit_rate_matches_manual_path(self, small_split):
         # With one user, eta_global=1, the server model after a round equals
@@ -236,7 +260,7 @@ class TestRunRound:
             cfg.max_impressions_factor * cfg.m, user.rng_stream,
         )
         pairs = [(r, shadow.queries_by_id[r.query_id]) for r in records]
-        update = client_opt(
+        update = _client_opt(
             shadow.model, pairs, cfg.eta_local,
             lambda r, pos: float(r.propensities[pos - 1]), user.rng_stream,
         )

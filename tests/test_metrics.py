@@ -12,7 +12,6 @@ from fedltr.metrics import (
     ips_click_metric,
     mean_ndcg,
     ndcg_at_k,
-    weight_fn,
 )
 from fedltr.ranker import LinearRanker
 
@@ -35,14 +34,6 @@ class TestWeightFn:
 
     def test_dcg_is_log_discount(self):
         np.testing.assert_allclose(DCG(np.array([1, 3])), [1.0, 0.5])
-
-    def test_lookup_by_kind(self):
-        assert weight_fn("identity") is IDENTITY
-        assert weight_fn("dcg") is DCG
-
-    def test_unknown_kind_errors(self):
-        with pytest.raises(ValueError, match="unknown weight function"):
-            weight_fn("linear")
 
 
 class TestNdcg:

@@ -6,8 +6,8 @@ import pytest
 from fedltr.clicksim import ClickRecord
 from fedltr.dataset import Query
 from fedltr.objective import (
-    ClientLossContext,
     click_gradient,
+    click_steps,
     client_loss,
     hinge_sum,
     rank_upper_bound,
@@ -125,36 +125,38 @@ class TestClickGradient:
         np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-8)
 
 
+class TestClickSteps:
+    def test_steps_follow_record_then_display_order(self):
+        q1 = _query([[1.0], [-1.0], [0.0]], qid=1)
+        q2 = _query([[1.0], [-1.0]], qid=2)
+        records = ((_record(q1, [True, False, True]), q1), (_record(q2, [False, True]), q2))
+        steps = click_steps(records, lambda r, pos: float(r.propensities[pos - 1]))
+        assert [(q.qid, d, p) for q, d, p in steps] == [(1, 0, 1.0), (1, 2, 1.0 / 3.0), (2, 1, 0.5)]
+
+    def test_no_clicks_gives_no_steps(self):
+        q = _query([[1.0], [-1.0]])
+        assert click_steps(((_record(q, [False, False]), q),), lambda r, pos: 1.0) == []
+
+
+def _loss(model, records, provider):
+    return client_loss(model, click_steps(records, provider))
+
+
 class TestClientLoss:
     def test_single_click_unit_propensity(self):
         q = _query([[1.0], [-1.0]])
         record = _record(q, [False, True], gamma_s=0.0)
-        ctx = ClientLossContext(
-            model=LinearRanker(np.array([1.0])),
-            records=((record, q),),
-            propensity_provider=lambda r, pos: 1.0,
-        )
-        assert client_loss(ctx) == 3.0
+        assert _loss(LinearRanker(np.array([1.0])), ((record, q),), lambda r, pos: 1.0) == 3.0
 
     def test_half_propensity_doubles_loss(self):
         q = _query([[1.0], [-1.0]])
         record = _record(q, [False, True])
-        ctx = ClientLossContext(
-            model=LinearRanker(np.array([1.0])),
-            records=((record, q),),
-            propensity_provider=lambda r, pos: 0.5,
-        )
-        assert client_loss(ctx) == 6.0
+        assert _loss(LinearRanker(np.array([1.0])), ((record, q),), lambda r, pos: 0.5) == 6.0
 
     def test_no_clicks_is_zero(self):
         q = _query([[1.0], [-1.0]])
         record = _record(q, [False, False])
-        ctx = ClientLossContext(
-            model=LinearRanker(np.array([1.0])),
-            records=((record, q),),
-            propensity_provider=lambda r, pos: 1.0,
-        )
-        assert client_loss(ctx) == 0.0
+        assert _loss(LinearRanker(np.array([1.0])), ((record, q),), lambda r, pos: 1.0) == 0.0
 
     def test_normalizes_by_distinct_clicked_queries(self):
         q1 = _query([[1.0], [-1.0]], qid=1)
@@ -164,34 +166,20 @@ class TestClientLoss:
             (_record(q1, [False, True], gamma_s=0.0), q1),
             (_record(q2, [False, True], gamma_s=0.0), q2),
         )
-        ctx = ClientLossContext(
-            model=LinearRanker(np.array([1.0])),
-            records=records,
-            propensity_provider=lambda r, pos: 1.0,
-        )
         # Three clicked impressions over two distinct queries: 9 / 2.
-        assert client_loss(ctx) == 4.5
+        assert _loss(LinearRanker(np.array([1.0])), records, lambda r, pos: 1.0) == 4.5
 
     def test_homogeneous_in_inverse_propensity(self):
         rng = np.random.default_rng(31)
         q = _query(rng.normal(size=(4, 2)), qid=1)
         record = _record(q, [True, False, True, False])
         model = LinearRanker(rng.normal(size=2))
-        base = client_loss(
-            ClientLossContext(model, ((record, q),), lambda r, pos: 1.0)
-        )
-        halved = client_loss(
-            ClientLossContext(model, ((record, q),), lambda r, pos: 0.5)
-        )
+        base = _loss(model, ((record, q),), lambda r, pos: 1.0)
+        halved = _loss(model, ((record, q),), lambda r, pos: 0.5)
         assert halved == pytest.approx(2.0 * base)
 
     def test_nonpositive_propensity_errors(self):
         q = _query([[1.0], [-1.0]])
         record = _record(q, [True, False])
-        ctx = ClientLossContext(
-            model=LinearRanker(np.array([1.0])),
-            records=((record, q),),
-            propensity_provider=lambda r, pos: 0.0,
-        )
         with pytest.raises(ValueError, match="non-positive"):
-            client_loss(ctx)
+            _loss(LinearRanker(np.array([1.0])), ((record, q),), lambda r, pos: 0.0)

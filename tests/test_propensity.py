@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedltr.clicksim import ClickRecord, UserState
+from fedltr.clicksim import ClickRecord, UserState, examination_prob
 from fedltr.dataset import Query
 from fedltr.propensity import (
     EmEstimatorState,
@@ -14,7 +14,6 @@ from fedltr.propensity import (
     em_m_step_local,
     estimated_propensity,
     federated_em_round,
-    known_propensity,
 )
 from fedltr.ranker import LinearRanker
 
@@ -53,57 +52,83 @@ def _pbm_records(rng, n_records, rel, query, gamma_s=1.0, k=5):
 
 
 class TestKnownPropensity:
+    """The oracle propensity of a user is examination_prob at its bias."""
+
     def test_top_position_is_one(self):
-        assert known_propensity(_user(1.7), 1) == 1.0
+        assert examination_prob(1, _user(1.7).gamma_s) == 1.0
 
     def test_unit_bias_position_five(self):
-        assert known_propensity(_user(1.0), 5) == 0.2
+        assert examination_prob(5, _user(1.0).gamma_s) == 0.2
 
     def test_zero_bias_everywhere_one(self):
-        for pos in range(1, 11):
-            assert known_propensity(_user(0.0), pos) == 1.0
+        np.testing.assert_array_equal(
+            examination_prob(np.arange(1, 11), _user(0.0).gamma_s), np.ones(10)
+        )
 
     def test_position_must_be_positive(self):
         with pytest.raises(ValueError, match="position"):
-            known_propensity(_user(1.0), 0)
+            examination_prob(np.array([1, 0]), _user(1.0).gamma_s)
 
 
 class TestEmEStep:
     def test_click_forces_both_posteriors_to_one(self):
-        assert em_e_step(True, 0.3, 0.6) == (1.0, 1.0)
+        p_exam, p_rel = em_e_step([True, True], [0.3, 1.0], [0.6, 0.2])
+        np.testing.assert_array_equal(p_exam, [1.0, 1.0])
+        np.testing.assert_array_equal(p_rel, [1.0, 1.0])
 
     def test_no_click_under_certain_examination(self):
         # theta = 1: the document was surely examined, so no click means
         # surely not relevant.
-        p_exam, p_rel = em_e_step(False, 1.0, 0.5)
-        assert p_exam == 1.0
-        assert p_rel == 0.0
+        p_exam, p_rel = em_e_step([False], [1.0], [0.5])
+        np.testing.assert_array_equal(p_exam, [1.0])
+        np.testing.assert_array_equal(p_rel, [0.0])
 
     def test_no_click_symmetric_priors(self):
-        p_exam, p_rel = em_e_step(False, 0.5, 0.5)
-        assert p_exam == pytest.approx(1.0 / 3.0)
-        assert p_rel == pytest.approx(1.0 / 3.0)
+        p_exam, p_rel = em_e_step([False, True], [0.5, 0.5], [0.5, 0.5])
+        np.testing.assert_allclose(p_exam, [1.0 / 3.0, 1.0])
+        np.testing.assert_allclose(p_rel, [1.0 / 3.0, 1.0])
 
     @settings(max_examples=200, deadline=None)
     @given(
-        st.booleans(),
-        st.floats(min_value=1e-6, max_value=1.0),
-        st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                st.floats(min_value=1e-6, max_value=1.0),
+                st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
+            ),
+            min_size=1,
+            max_size=8,
+        )
     )
-    def test_posteriors_are_probabilities(self, click, theta_k, rel_prob):
-        p_exam, p_rel = em_e_step(click, theta_k, rel_prob)
-        assert 0.0 <= p_exam <= 1.0
-        assert 0.0 <= p_rel <= 1.0
+    def test_posteriors_are_probabilities(self, docs):
+        clicks, theta, rel_prob = zip(*docs)
+        p_exam, p_rel = em_e_step(clicks, theta, rel_prob)
+        assert p_exam.shape == p_rel.shape == (len(docs),)
+        assert np.all((0.0 <= p_exam) & (p_exam <= 1.0))
+        assert np.all((0.0 <= p_rel) & (p_rel <= 1.0))
 
     def test_domain_validation(self):
-        with pytest.raises(ValueError, match="theta_k"):
-            em_e_step(False, 0.0, 0.5)
-        with pytest.raises(ValueError, match="theta_k"):
-            em_e_step(False, 1.2, 0.5)
+        with pytest.raises(ValueError, match="theta"):
+            em_e_step([False, False], [0.5, 0.0], [0.5, 0.5])
+        with pytest.raises(ValueError, match="theta"):
+            em_e_step([False], [1.2], [0.5])
         with pytest.raises(ValueError, match="rel_prob"):
-            em_e_step(False, 0.5, 0.0)
+            em_e_step([False, False], [0.5, 0.5], [0.5, 0.0])
         with pytest.raises(ValueError, match="rel_prob"):
-            em_e_step(False, 0.5, 1.0)
+            em_e_step([False], [0.5], [1.0])
+
+    def test_m_step_posteriors_match_e_step(self):
+        # The local M-step's regression targets are em_e_step's relevance
+        # posteriors under the clipped sigmoid prior, bit for bit.
+        rng, rel, query = _exact_prior_setup(seed=4)
+        records = _pbm_records(rng, 20, rel, query)
+        theta_prev = np.array([1.0, 0.6, 0.45, 0.3, 0.2])
+        model = LinearRanker(np.ones(1))
+        _, targets, _, _ = em_m_step_local(records, theta_prev, model, 0.01)
+        for (record, _), (features, p_rel) in zip(records, targets):
+            prior = np.clip(1.0 / (1.0 + np.exp(-features @ model.weights)), 1e-6, 1.0 - 1e-6)
+            _, expected = em_e_step(record.clicks, theta_prev, prior)
+            np.testing.assert_array_equal(p_rel, expected)
 
 
 class TestEmMStepLocal:
@@ -159,7 +184,7 @@ class TestEmMStepLocal:
         rng, rel, query = _exact_prior_setup(seed=5)
         records = _pbm_records(rng, 4000, rel, query)
         model = LinearRanker(np.ones(1))
-        state = EmEstimatorState(relevance_model=model, k=5)
+        state = EmEstimatorState(relevance_model=model, k=5, num_users=50)
         theta = state.initial_theta()
         for _ in range(60):
             theta, _, _, _ = em_m_step_local(records, theta, model, state.floor)
@@ -172,17 +197,18 @@ class TestFederatedEmRound:
     def test_zero_iterations_is_identity(self):
         rng, rel, query = _exact_prior_setup(seed=6)
         state = EmEstimatorState(
-            relevance_model=LinearRanker.zeros(1), k=5, em_iters=0
+            relevance_model=LinearRanker.zeros(1), k=5, num_users=50, em_iters=0
         )
         result = federated_em_round(state, {0: _pbm_records(rng, 3, rel, query)}, 1.0)
         assert result is state
-        assert result.theta == {}
+        np.testing.assert_array_equal(result.theta, np.ones((50, 5)))
+        np.testing.assert_array_equal(result.participations, np.zeros(50))
         np.testing.assert_array_equal(result.relevance_model.weights, [0.0])
 
     def test_single_client_unit_rate_recovers_local_model(self):
         rng, rel, query = _exact_prior_setup(seed=8)
         records = _pbm_records(rng, 5, rel, query)
-        state = EmEstimatorState(relevance_model=LinearRanker.zeros(1), k=5)
+        state = EmEstimatorState(relevance_model=LinearRanker.zeros(1), k=5, num_users=50)
         broadcast = state.relevance_model.weights.copy()
         _, targets, _, _ = em_m_step_local(
             records, state.initial_theta(), state.relevance_model, state.floor
@@ -194,22 +220,22 @@ class TestFederatedEmRound:
     def test_burn_in_defers_accumulation(self):
         rng, rel, query = _exact_prior_setup(seed=9)
         state = EmEstimatorState(
-            relevance_model=LinearRanker.zeros(1), k=5, burn_in=2
+            relevance_model=LinearRanker.zeros(1), k=5, num_users=50, burn_in=2
         )
         for round_i in range(3):
             pairs = _pbm_records(rng, 4, rel, query)
             state = federated_em_round(state, {0: pairs}, eta_f=1.0)
             if round_i < 2:
-                assert 0 not in state.posterior_sum
+                assert not np.any(state.impression_count[0])
             else:
-                assert 0 in state.posterior_sum
-            assert 0 in state.theta
+                assert np.any(state.impression_count[0])
+            assert state.participations[0] == round_i + 1
         assert state.participations[0] == 3
 
     def test_pooling_shrinks_toward_population_mean(self):
         rng, rel, query = _exact_prior_setup(seed=10)
         state = EmEstimatorState(
-            relevance_model=LinearRanker.zeros(1), k=5, burn_in=0, pooling=0.7
+            relevance_model=LinearRanker.zeros(1), k=5, num_users=50, burn_in=0, pooling=0.7
         )
         client_records = {
             0: _pbm_records(rng, 6, rel, query),
@@ -231,7 +257,7 @@ class TestFederatedEmRound:
     def test_no_pooling_serves_local_table(self):
         rng, rel, query = _exact_prior_setup(seed=11)
         state = EmEstimatorState(
-            relevance_model=LinearRanker.zeros(1), k=5, burn_in=0, pooling=0.0
+            relevance_model=LinearRanker.zeros(1), k=5, num_users=50, burn_in=0, pooling=0.0
         )
         client_records = {
             0: _pbm_records(rng, 6, rel, query),
@@ -246,7 +272,7 @@ class TestFederatedEmRound:
         # estimates must order the positions and put position 2 near 1/2,
         # even though the relevance model is learned from scratch.
         rng, rel, query = _exact_prior_setup(seed=7)
-        state = EmEstimatorState(relevance_model=LinearRanker.zeros(1), k=5)
+        state = EmEstimatorState(relevance_model=LinearRanker.zeros(1), k=5, num_users=50)
         for _ in range(150):
             pairs = _pbm_records(rng, 20, rel, query)
             state = federated_em_round(state, {0: pairs}, eta_f=1.0)
@@ -256,47 +282,55 @@ class TestFederatedEmRound:
         assert abs(theta[1] - 0.5) <= 0.15
 
     def test_eta_f_must_be_positive(self):
-        state = EmEstimatorState(relevance_model=LinearRanker.zeros(1), k=5)
+        state = EmEstimatorState(relevance_model=LinearRanker.zeros(1), k=5, num_users=50)
         with pytest.raises(ValueError, match="eta_f"):
             federated_em_round(state, {}, 0.0)
 
 
 class TestEstimatedPropensity:
     def test_unseen_client_reports_one(self):
-        state = EmEstimatorState(relevance_model=LinearRanker.zeros(1), k=5)
+        state = EmEstimatorState(relevance_model=LinearRanker.zeros(1), k=5, num_users=50)
         for pos in range(1, 6):
             assert estimated_propensity(state, 42, pos) == 1.0
 
     def test_served_value_is_floored(self):
-        state = EmEstimatorState(relevance_model=LinearRanker.zeros(1), k=3)
+        state = EmEstimatorState(relevance_model=LinearRanker.zeros(1), k=3, num_users=50)
         state.theta[7] = np.array([1.0, 0.5, 0.004])
         assert estimated_propensity(state, 7, 2) == 0.5
         assert estimated_propensity(state, 7, 3) == 0.01
 
     def test_position_out_of_range_errors(self):
-        state = EmEstimatorState(relevance_model=LinearRanker.zeros(1), k=3)
+        state = EmEstimatorState(relevance_model=LinearRanker.zeros(1), k=3, num_users=50)
         with pytest.raises(ValueError, match="position"):
             estimated_propensity(state, 0, 0)
         with pytest.raises(ValueError, match="position"):
             estimated_propensity(state, 0, 4)
+
+    def test_client_out_of_range_errors(self):
+        state = EmEstimatorState(relevance_model=LinearRanker.zeros(1), k=3, num_users=50)
+        for client_id in (-1, 50):
+            with pytest.raises(ValueError, match="client_id"):
+                estimated_propensity(state, client_id, 1)
 
 
 class TestEmEstimatorStateValidation:
     def test_rejects_bad_parameters(self):
         model = LinearRanker.zeros(1)
         with pytest.raises(ValueError, match="k must be"):
-            EmEstimatorState(relevance_model=model, k=0)
+            EmEstimatorState(relevance_model=model, k=0, num_users=50)
+        with pytest.raises(ValueError, match="num_users"):
+            EmEstimatorState(relevance_model=model, k=5, num_users=0)
         with pytest.raises(ValueError, match="floor"):
-            EmEstimatorState(relevance_model=model, k=5, floor=0.0)
+            EmEstimatorState(relevance_model=model, k=5, num_users=50, floor=0.0)
         with pytest.raises(ValueError, match="em_iters"):
-            EmEstimatorState(relevance_model=model, k=5, em_iters=-1)
+            EmEstimatorState(relevance_model=model, k=5, num_users=50, em_iters=-1)
         with pytest.raises(ValueError, match="theta_init"):
-            EmEstimatorState(relevance_model=model, k=5, theta_init=1.0)
+            EmEstimatorState(relevance_model=model, k=5, num_users=50, theta_init=1.0)
         with pytest.raises(ValueError, match="burn_in"):
-            EmEstimatorState(relevance_model=model, k=5, burn_in=-1)
+            EmEstimatorState(relevance_model=model, k=5, num_users=50, burn_in=-1)
         with pytest.raises(ValueError, match="pooling"):
-            EmEstimatorState(relevance_model=model, k=5, pooling=1.0)
+            EmEstimatorState(relevance_model=model, k=5, num_users=50, pooling=1.0)
 
     def test_initial_theta_anchors_top_position(self):
-        state = EmEstimatorState(relevance_model=LinearRanker.zeros(1), k=4)
+        state = EmEstimatorState(relevance_model=LinearRanker.zeros(1), k=4, num_users=50)
         np.testing.assert_array_equal(state.initial_theta(), [1.0, 0.5, 0.5, 0.5])

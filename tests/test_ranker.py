@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedltr.dataset import Query
-from fedltr.ranker import LinearRanker, rank, score
+from fedltr.ranker import LinearRanker, rank
 
 
 def _query(features):
@@ -16,21 +16,7 @@ def _query(features):
     )
 
 
-class TestScore:
-    def test_dot_product(self):
-        assert score(LinearRanker(np.array([1.0, 2.0])), np.array([3.0, 4.0])) == 11.0
-
-    def test_zero_weights(self):
-        r = LinearRanker.zeros(3)
-        assert score(r, np.array([5.0, -2.0, 7.0])) == 0.0
-
-    def test_single_component(self):
-        assert score(LinearRanker(np.array([1.0])), np.array([-0.5])) == -0.5
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            score(LinearRanker(np.array([1.0, 2.0])), np.array([1.0]))
-
+class TestLinearRanker:
     def test_weights_must_be_finite(self):
         with pytest.raises(ValueError):
             LinearRanker(np.array([1.0, np.nan]))
