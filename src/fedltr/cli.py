@@ -8,7 +8,8 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import traceback
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from .dataset import (
     split,
     write_svmlight,
 )
-from .federation import MODES, FederationConfig, RoundMetrics, final_ndcg, run_experiment
+from .federation import FederationConfig, RoundMetrics, final_ndcg, run_experiment
 from .metrics import mean_ndcg
 
 WORKERS_ENV = "FEDLTR_WORKERS"
@@ -74,17 +75,29 @@ class ExperimentSpec:
             raise ValueError("repeats must be >= 1")
         if not self.modes:
             raise ValueError("modes must be nonempty")
-        for mode in self.modes:
-            if mode not in MODES:
-                raise ValueError(f"modes must be drawn from {MODES}, got {mode!r}")
         for axis in (self.sweep_gamma, self.sweep_users_per_round, self.sweep_m):
             if not axis:
                 raise ValueError("sweep lists must be nonempty")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must be in (0, 1)")
-        for g in self.sweep_gamma:
-            if g < 0:
-                raise ValueError("gamma must be >= 0")
+        # Building every point's config checks the sweep values and modes
+        # here, at parse time, rather than when their run starts.
+        self.sweep_points()
+
+    def sweep_points(self) -> list[tuple[str, FederationConfig]]:
+        """The (tag, config) of every point of the cross product of sweep
+        values and modes, in run order. Configs carry the base seed."""
+        points = []
+        for gamma, upr, m, mode in itertools.product(
+            self.sweep_gamma, self.sweep_users_per_round, self.sweep_m, self.modes
+        ):
+            tag = f"g{gamma}_u{upr}_m{m}_{mode}"
+            try:
+                point = replace(self.federation, gamma=gamma, users_per_round=upr, m=m, mode=mode)
+            except ValueError as exc:
+                raise ValueError(f"sweep point {tag}: {exc}") from None
+            points.append((tag, point))
+        return points
 
 
 def _check_keys(mapping: dict, allowed: set, where: str) -> None:
@@ -187,14 +200,6 @@ def derive_seed(master_seed: int, sweep_index: int, repeat_index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _sweep_points(spec: ExperimentSpec) -> list[tuple[float, int, int, str]]:
-    return list(
-        itertools.product(
-            spec.sweep_gamma, spec.sweep_users_per_round, spec.sweep_m, spec.modes
-        )
-    )
-
-
 def _write_csv(path: Path, trace: list[RoundMetrics]) -> None:
     lines = ["round,ndcg5,mean_client_loss,total_clicks"]
     for m in trace:
@@ -204,52 +209,70 @@ def _write_csv(path: Path, trace: list[RoundMetrics]) -> None:
 
 
 def run(spec: ExperimentSpec) -> int:
-    """Execute every (sweep point, repeat) run, write one CSV per run and
-    one manifest per sweep point, and print a summary table. Returns a
-    process exit status; any failure leaves a FAILED marker."""
+    """Execute every (sweep point, repeat) run, write each run's CSV as
+    soon as it finishes and one manifest per sweep point, and print a
+    summary table of the points whose runs all finished. Returns a process
+    exit status. A failed run does not stop the others: the FAILED marker
+    names it and its error, and the exit status is 1."""
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
         train, test = load_experiment_data(spec)
         points = []
-        for sweep_index, (gamma, upr, m, mode) in enumerate(_sweep_points(spec)):
-            point = replace(spec.federation, gamma=gamma, users_per_round=upr, m=m, mode=mode)
+        for sweep_index, (tag, point) in enumerate(spec.sweep_points()):
             runs = [
-                replace(point, seed=derive_seed(spec.master_seed, sweep_index, repeat))
+                (
+                    f"run_{tag}_rep{repeat}",
+                    replace(point, seed=derive_seed(spec.master_seed, sweep_index, repeat)),
+                )
                 for repeat in range(spec.repeats)
             ]
-            points.append((f"g{gamma}_u{upr}_m{m}_{mode}", point, runs))
-        jobs = [cfg for _, _, runs in points for cfg in runs]
+            points.append((tag, point, runs))
+        jobs = [job for _, _, runs in points for job in runs]
+        finals: dict[str, float] = {}
+        failures: dict[str, str] = {}
+
+        def finish(name: str, outcome) -> None:
+            try:
+                trace = outcome()
+            except Exception as exc:
+                failures[name] = f"{type(exc).__name__}: {exc}"
+                traceback.print_exc()
+                print(f"run failed: {name}: {failures[name]}", file=sys.stderr)
+                (out / "FAILED").write_text(
+                    "".join(f"{n}: {failures[n]}\n" for n, _ in jobs if n in failures),
+                    encoding="utf-8",
+                )
+                return
+            _write_csv(out / f"{name}.csv", trace)
+            finals[name] = final_ndcg(trace)
 
         workers = int(os.environ.get(WORKERS_ENV, "1"))
         if workers > 1 and len(jobs) > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                traces = list(
-                    pool.map(
-                        run_experiment, jobs, itertools.repeat(train), itertools.repeat(test)
-                    )
-                )
+                futures = {
+                    pool.submit(run_experiment, cfg, train, test): name for name, cfg in jobs
+                }
+                for future in as_completed(futures):
+                    finish(futures[future], future.result)
         else:
-            traces = [run_experiment(cfg, train, test) for cfg in jobs]
+            for name, cfg in jobs:
+                finish(name, lambda: run_experiment(cfg, train, test))
 
         print("sweep_point,mean_final_ndcg5,stderr,repeats")
-        remaining = iter(traces)
         for tag, point, runs in points:
-            finals = []
-            for repeat in range(len(runs)):
-                trace = next(remaining)
-                _write_csv(out / f"run_{tag}_rep{repeat}.csv", trace)
-                finals.append(final_ndcg(trace))
             manifest = {
                 "federation": asdict(point),
                 "repeats": spec.repeats,
-                "seeds": [cfg.seed for cfg in runs],
+                "seeds": [cfg.seed for _, cfg in runs],
                 "dataset": {"path": spec.dataset_path, "synthetic": spec.synthetic},
             }
             (out / f"manifest_{tag}.json").write_text(
                 json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
             )
-            values = np.asarray(finals)
+            if any(name in failures for name, _ in runs):
+                continue
+            values = np.asarray([finals[name] for name, _ in runs])
             stderr = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
             print(f"{tag},{values.mean():.4f},{stderr:.4f},{len(values)}")
 
@@ -266,7 +289,7 @@ def run(spec: ExperimentSpec) -> int:
                 encoding="utf-8",
             )
             print(f"lambda_linear,{lam_ndcg:.4f},0.0000,1")
-        return 0
+        return 1 if failures else 0
     except Exception as exc:  # pragma: no cover - exercised via CLI tests
         (out / "FAILED").write_text(f"{type(exc).__name__}: {exc}\n", encoding="utf-8")
         print(f"run failed: {exc}", file=sys.stderr)

@@ -52,12 +52,6 @@ class FederationConfig:
     logging_fraction: float = 0.01
     logging_epochs: int = 30
     logging_lr: float = 0.1
-    em_iters: int = 1
-    em_fit_lr: float = 0.5
-    em_eta_f: float = 1.0
-    em_floor: float = 0.01
-    em_burn_in: int = 5
-    em_pooling: float = 0.7
 
     def __post_init__(self) -> None:
         if self.num_users < 1 or self.users_per_round < 1:
@@ -88,14 +82,6 @@ class FederationConfig:
             raise ValueError("logging_epochs must be >= 0")
         if self.logging_lr <= 0:
             raise ValueError("logging_lr must be positive")
-        if self.em_iters < 0 or self.em_burn_in < 0:
-            raise ValueError("em_iters and em_burn_in must be >= 0")
-        if self.em_fit_lr <= 0 or self.em_eta_f <= 0:
-            raise ValueError("em_fit_lr and em_eta_f must be positive")
-        if not 0.0 < self.em_floor < 1.0:
-            raise ValueError("em_floor must be in (0, 1)")
-        if not 0.0 <= self.em_pooling < 1.0:
-            raise ValueError("em_pooling must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -206,11 +192,6 @@ def init_state(
         em = EmEstimatorState(
             relevance_model=LinearRanker.zeros(train.feature_dim),
             k=cfg.k,
-            floor=cfg.em_floor,
-            em_iters=cfg.em_iters,
-            fit_lr=cfg.em_fit_lr,
-            burn_in=cfg.em_burn_in,
-            pooling=cfg.em_pooling,
             num_users=cfg.num_users,
         )
     return ExperimentState(
@@ -260,7 +241,7 @@ def run_round(state: ExperimentState, cfg: FederationConfig) -> tuple[Experiment
     new_model = server_opt(state.model, updates, cfg.eta_global)
 
     if state.em is not None:
-        state.em = federated_em_round(state.em, round_records, cfg.em_eta_f)
+        state.em = federated_em_round(state.em, round_records)
 
     state.model = new_model
     state.rounds_done = round_number

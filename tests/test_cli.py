@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from fedltr.cli import _sweep_points, derive_seed, main, parse_spec
+from fedltr import cli
+from fedltr.cli import WORKERS_ENV, derive_seed, main, parse_spec
 from fedltr.dataset import generate_synthetic, load_svmlight
 
 
@@ -89,9 +90,12 @@ class TestParseSpec:
             },
         )
         spec = parse_spec(str(path), {})
-        points = _sweep_points(spec)
+        points = spec.sweep_points()
         assert len(points) == 8
         assert len(points) * spec.repeats == 24
+        tag, point = points[1]
+        assert tag == "g0.5_u4_m2_fedavg"
+        assert (point.gamma, point.users_per_round, point.m, point.mode) == (0.5, 4, 2, "fedavg")
 
     def test_derive_seed_is_pure_and_spread(self):
         assert derive_seed(0, 1, 2) == derive_seed(0, 1, 2)
@@ -165,14 +169,26 @@ class TestMain:
         assert main(["run", "--config", str(bad)]) == 2
 
     @pytest.mark.parametrize(
-        "extra",
-        [{"modes": ["bogus"]}, {"federation": {"em_pooling": 5}}, {"federation": {"logging_lr": -3}}],
+        "extra, named",
+        [
+            pytest.param({"modes": ["bogus"]}, "bogus", id="extra0"),
+            # em_pooling was removed with the other EM knobs.
+            pytest.param({"federation": {"em_pooling": 5}}, "em_pooling", id="extra1"),
+            pytest.param({"federation": {"logging_lr": -3}}, "logging_lr", id="extra2"),
+            # The spec's num_users is 8: m=0 and 50 users per round are invalid.
+            pytest.param({"sweep": {"m": [2, 0]}}, "sweep point g1.0_u4_m0_fedips", id="extra3"),
+            pytest.param(
+                {"sweep": {"users_per_round": [4, 50]}}, "sweep point g1.0_u50_m2_fedips", id="extra4"
+            ),
+        ],
     )
-    def test_bad_knobs_are_rejected_at_parse_time(self, tmp_path, capsys, extra):
+    def test_bad_knobs_are_rejected_at_parse_time(self, tmp_path, capsys, extra, named):
         config = _write_config(tmp_path / "spec.json", extra)
         out = tmp_path / "results"
         assert main(["run", "--config", str(config), "--out", str(out)]) == 2
-        assert "invalid configuration" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err
+        assert named in err
         assert not out.exists()
 
     def test_failed_run_leaves_marker(self, tmp_path, capsys):
@@ -182,6 +198,31 @@ class TestMain:
         )
         assert code == 1
         assert (out / "FAILED").exists()
+
+    def test_failed_run_keeps_the_other_runs(self, tmp_path, capsys, monkeypatch):
+        config = _write_config(tmp_path / "spec.json", {"sweep": {"m": [2, 3]}})
+        out = tmp_path / "results"
+        doomed_seed = derive_seed(0, 1, 0)
+        real_run = cli.run_experiment
+
+        def flaky_run(cfg, train, test):
+            if cfg.seed == doomed_seed:
+                raise RuntimeError("diverged")
+            return real_run(cfg, train, test)
+
+        monkeypatch.delenv(WORKERS_ENV, raising=False)
+        monkeypatch.setattr(cli, "run_experiment", flaky_run)
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+        assert (out / "FAILED").read_text(encoding="utf-8") == (
+            "run_g1.0_u4_m3_fedips_rep0: RuntimeError: diverged\n"
+        )
+        assert sorted(p.name for p in out.glob("run_*.csv")) == [
+            "run_g1.0_u4_m2_fedips_rep0.csv",
+            "run_g1.0_u4_m2_fedips_rep1.csv",
+            "run_g1.0_u4_m3_fedips_rep1.csv",
+        ]
+        summary = capsys.readouterr().out.strip().split("\n")
+        assert [line.split(",")[0] for line in summary[1:]] == ["g1.0_u4_m2_fedips"]
 
     def test_gen_data_round_trips(self, tmp_path, capsys):
         path = tmp_path / "synthetic.txt"

@@ -184,9 +184,11 @@ class TestFederationConfig:
         ],
     )
     def test_rejects_bad_em_and_logging_knobs(self, field, value):
-        # Checked at construction in every mode, not only when EM or the
-        # logging policy first uses them.
-        with pytest.raises(ValueError, match=field):
+        # Logging knobs are checked at construction in every mode, not only
+        # when the logging policy first uses them. The EM knobs are gone
+        # (the estimator is fixed), so a config naming one is rejected.
+        error = TypeError if field.startswith("em_") else ValueError
+        with pytest.raises(error, match=field):
             FederationConfig(**{field: value})
 
 

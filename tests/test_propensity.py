@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from fedltr.clicksim import ClickRecord, UserState, examination_prob
 from fedltr.dataset import Query
 from fedltr.propensity import (
+    FLOOR,
+    POOLING,
     EmEstimatorState,
     _fit_relevance_pass,
     em_e_step,
@@ -124,7 +126,7 @@ class TestEmEStep:
         records = _pbm_records(rng, 20, rel, query)
         theta_prev = np.array([1.0, 0.6, 0.45, 0.3, 0.2])
         model = LinearRanker(np.ones(1))
-        _, targets, _, _ = em_m_step_local(records, theta_prev, model, 0.01)
+        targets, _, _ = em_m_step_local(records, theta_prev, model)
         for (record, _), (features, p_rel) in zip(records, targets):
             prior = np.clip(1.0 / (1.0 + np.exp(-features @ model.weights)), 1e-6, 1.0 - 1e-6)
             _, expected = em_e_step(record.clicks, theta_prev, prior)
@@ -140,29 +142,14 @@ class TestEmMStepLocal:
             clicks=np.ones(3, dtype=bool),
             propensities=np.ones(3),
         )
-        theta, _, _, _ = em_m_step_local(
-            [(record, query)], np.array([1.0, 0.5, 0.5]), LinearRanker(np.ones(1)), 0.01
+        _, exam_sum, exam_count = em_m_step_local(
+            [(record, query)], np.array([1.0, 0.5, 0.5]), LinearRanker(np.ones(1))
         )
-        np.testing.assert_allclose(theta, [1.0, 1.0, 1.0])
-
-    def test_uncovered_position_keeps_previous_value(self):
-        _, rel, query = _exact_prior_setup(seed=2, n_docs=4)
-        record = ClickRecord(
-            query_id=1,
-            displayed=np.array([0, 1]),
-            clicks=np.array([True, False]),
-            propensities=np.ones(2),
-        )
-        theta_prev = np.array([1.0, 0.5, 0.37])
-        theta, _, _, exam_count = em_m_step_local(
-            [(record, query)], theta_prev, LinearRanker(np.ones(1)), 0.01
-        )
-        assert exam_count[2] == 0.0
-        assert theta[2] == 0.37
+        np.testing.assert_allclose(exam_sum / exam_count, [1.0, 1.0, 1.0])
 
     def test_empty_records_error(self):
         with pytest.raises(ValueError, match="nonempty"):
-            em_m_step_local([], np.array([1.0, 0.5]), LinearRanker(np.ones(1)), 0.01)
+            em_m_step_local([], np.array([1.0, 0.5]), LinearRanker(np.ones(1)))
 
     def test_record_longer_than_position_range_errors(self):
         _, rel, query = _exact_prior_setup(seed=3, n_docs=5)
@@ -173,9 +160,7 @@ class TestEmMStepLocal:
             propensities=np.ones(3),
         )
         with pytest.raises(ValueError, match="longer"):
-            em_m_step_local(
-                [(record, query)], np.array([1.0, 0.5]), LinearRanker(np.ones(1)), 0.01
-            )
+            em_m_step_local([(record, query)], np.array([1.0, 0.5]), LinearRanker(np.ones(1)))
 
     def test_fixed_point_recovers_inverse_rank_curve(self):
         # With the relevance prior exact, iterating the local EM step to its
@@ -187,85 +172,60 @@ class TestEmMStepLocal:
         state = EmEstimatorState(relevance_model=model, k=5, num_users=50)
         theta = state.initial_theta()
         for _ in range(60):
-            theta, _, _, _ = em_m_step_local(records, theta, model, state.floor)
+            _, exam_sum, exam_count = em_m_step_local(records, theta, model)
+            theta = exam_sum / exam_count
         truth = 1.0 / np.arange(1, 6, dtype=np.float64)
         assert np.all(np.diff(theta) < 0)
         assert np.max(np.abs(theta - truth)) <= 0.05
 
 
 class TestFederatedEmRound:
-    def test_zero_iterations_is_identity(self):
-        rng, rel, query = _exact_prior_setup(seed=6)
-        state = EmEstimatorState(
-            relevance_model=LinearRanker.zeros(1), k=5, num_users=50, em_iters=0
-        )
-        result = federated_em_round(state, {0: _pbm_records(rng, 3, rel, query)}, 1.0)
-        assert result is state
-        np.testing.assert_array_equal(result.theta, np.ones((50, 5)))
-        np.testing.assert_array_equal(result.participations, np.zeros(50))
-        np.testing.assert_array_equal(result.relevance_model.weights, [0.0])
-
     def test_single_client_unit_rate_recovers_local_model(self):
         rng, rel, query = _exact_prior_setup(seed=8)
         records = _pbm_records(rng, 5, rel, query)
         state = EmEstimatorState(relevance_model=LinearRanker.zeros(1), k=5, num_users=50)
         broadcast = state.relevance_model.weights.copy()
-        _, targets, _, _ = em_m_step_local(
-            records, state.initial_theta(), state.relevance_model, state.floor
-        )
-        expected = _fit_relevance_pass(broadcast, targets, state.fit_lr)
-        state = federated_em_round(state, {3: records}, eta_f=1.0)
+        targets, _, _ = em_m_step_local(records, state.initial_theta(), state.relevance_model)
+        expected = _fit_relevance_pass(broadcast, targets)
+        state = federated_em_round(state, {3: records})
         np.testing.assert_array_equal(state.relevance_model.weights, expected)
 
-    def test_burn_in_defers_accumulation(self):
+    def test_first_round_enters_running_totals(self):
+        # A client's first round, taken under initial_theta, already counts:
+        # its posteriors join the running totals whose means form its table.
         rng, rel, query = _exact_prior_setup(seed=9)
-        state = EmEstimatorState(
-            relevance_model=LinearRanker.zeros(1), k=5, num_users=50, burn_in=2
-        )
+        state = EmEstimatorState(relevance_model=LinearRanker.zeros(1), k=5, num_users=50)
+        total_sum = np.zeros(5)
+        total_count = np.zeros(5)
         for round_i in range(3):
             pairs = _pbm_records(rng, 4, rel, query)
-            state = federated_em_round(state, {0: pairs}, eta_f=1.0)
-            if round_i < 2:
-                assert not np.any(state.impression_count[0])
-            else:
-                assert np.any(state.impression_count[0])
+            prior = state.theta[0] if round_i else state.initial_theta()
+            _, exam_sum, exam_count = em_m_step_local(pairs, prior, state.relevance_model)
+            total_sum += exam_sum
+            total_count += exam_count
+            state = federated_em_round(state, {0: pairs})
+            np.testing.assert_array_equal(state.posterior_sum[0], total_sum)
+            np.testing.assert_array_equal(state.impression_count[0], total_count)
+            np.testing.assert_array_equal(
+                state.theta_local[0], np.clip(total_sum / total_count, FLOOR, 1.0)
+            )
             assert state.participations[0] == round_i + 1
-        assert state.participations[0] == 3
 
     def test_pooling_shrinks_toward_population_mean(self):
         rng, rel, query = _exact_prior_setup(seed=10)
-        state = EmEstimatorState(
-            relevance_model=LinearRanker.zeros(1), k=5, num_users=50, burn_in=0, pooling=0.7
-        )
+        state = EmEstimatorState(relevance_model=LinearRanker.zeros(1), k=5, num_users=50)
         client_records = {
             0: _pbm_records(rng, 6, rel, query),
             1: _pbm_records(rng, 6, rel, query),
         }
-        state = federated_em_round(state, client_records, eta_f=1.0)
+        state = federated_em_round(state, client_records)
         population = np.mean(
             np.stack([state.theta_local[0], state.theta_local[1]]), axis=0
         )
         for uid in (0, 1):
-            expected = (1.0 - state.pooling) * state.theta_local[uid] + (
-                state.pooling * population
-            )
-            expected[0] = 1.0
-            np.testing.assert_array_equal(
-                state.theta[uid], np.clip(expected, state.floor, 1.0)
-            )
-
-    def test_no_pooling_serves_local_table(self):
-        rng, rel, query = _exact_prior_setup(seed=11)
-        state = EmEstimatorState(
-            relevance_model=LinearRanker.zeros(1), k=5, num_users=50, burn_in=0, pooling=0.0
-        )
-        client_records = {
-            0: _pbm_records(rng, 6, rel, query),
-            1: _pbm_records(rng, 6, rel, query),
-        }
-        state = federated_em_round(state, client_records, eta_f=1.0)
-        for uid in (0, 1):
-            np.testing.assert_array_equal(state.theta[uid], state.theta_local[uid])
+            expected = (1.0 - POOLING) * state.theta_local[uid] + POOLING * population
+            assert expected[0] == 1.0
+            np.testing.assert_array_equal(state.theta[uid], np.clip(expected, FLOOR, 1.0))
 
     def test_long_run_orders_positions_correctly(self):
         # A single steady participant with unit position bias: the served
@@ -275,16 +235,11 @@ class TestFederatedEmRound:
         state = EmEstimatorState(relevance_model=LinearRanker.zeros(1), k=5, num_users=50)
         for _ in range(150):
             pairs = _pbm_records(rng, 20, rel, query)
-            state = federated_em_round(state, {0: pairs}, eta_f=1.0)
+            state = federated_em_round(state, {0: pairs})
         theta = state.theta[0]
         assert theta[0] == 1.0
         assert np.all(np.diff(theta) < 0)
         assert abs(theta[1] - 0.5) <= 0.15
-
-    def test_eta_f_must_be_positive(self):
-        state = EmEstimatorState(relevance_model=LinearRanker.zeros(1), k=5, num_users=50)
-        with pytest.raises(ValueError, match="eta_f"):
-            federated_em_round(state, {}, 0.0)
 
 
 class TestEstimatedPropensity:
@@ -297,7 +252,7 @@ class TestEstimatedPropensity:
         state = EmEstimatorState(relevance_model=LinearRanker.zeros(1), k=3, num_users=50)
         state.theta[7] = np.array([1.0, 0.5, 0.004])
         assert estimated_propensity(state, 7, 2) == 0.5
-        assert estimated_propensity(state, 7, 3) == 0.01
+        assert estimated_propensity(state, 7, 3) == FLOOR
 
     def test_position_out_of_range_errors(self):
         state = EmEstimatorState(relevance_model=LinearRanker.zeros(1), k=3, num_users=50)
@@ -320,16 +275,6 @@ class TestEmEstimatorStateValidation:
             EmEstimatorState(relevance_model=model, k=0, num_users=50)
         with pytest.raises(ValueError, match="num_users"):
             EmEstimatorState(relevance_model=model, k=5, num_users=0)
-        with pytest.raises(ValueError, match="floor"):
-            EmEstimatorState(relevance_model=model, k=5, num_users=50, floor=0.0)
-        with pytest.raises(ValueError, match="em_iters"):
-            EmEstimatorState(relevance_model=model, k=5, num_users=50, em_iters=-1)
-        with pytest.raises(ValueError, match="theta_init"):
-            EmEstimatorState(relevance_model=model, k=5, num_users=50, theta_init=1.0)
-        with pytest.raises(ValueError, match="burn_in"):
-            EmEstimatorState(relevance_model=model, k=5, num_users=50, burn_in=-1)
-        with pytest.raises(ValueError, match="pooling"):
-            EmEstimatorState(relevance_model=model, k=5, num_users=50, pooling=1.0)
 
     def test_initial_theta_anchors_top_position(self):
         state = EmEstimatorState(relevance_model=LinearRanker.zeros(1), k=4, num_users=50)
