@@ -3,20 +3,25 @@ position-biased clicks: propensity-weighted federated training, a biased
 averaging counterpart, a full-information baseline, a position-based
 click simulator, and a federated EM propensity estimator."""
 
+__version__ = "0.1.0"
+
 from .baseline import LambdaConfig, lambda_gradient, train_lambda_linear
 from .clicksim import (
     ClickRecord,
+    Displays,
     LoggingPolicy,
     UserState,
+    click_given_examination,
     click_prob,
     collect_round_clicks,
+    display_top_k,
     examination_prob,
     sample_user_bias,
-    simulate_impression,
     train_logging_policy,
 )
 from .dataset import (
     Dataset,
+    PackedQueries,
     Query,
     filter_uniform_queries,
     generate_synthetic,
@@ -26,7 +31,6 @@ from .dataset import (
     write_svmlight,
 )
 from .federation import (
-    ClientUpdate,
     ExperimentState,
     FederationConfig,
     RoundMetrics,
@@ -47,11 +51,13 @@ from .metrics import (
     ndcg_at_k,
 )
 from .objective import (
+    Clicks,
     click_gradient,
-    click_steps,
+    click_gradients,
     client_loss,
     hinge_sum,
     rank_upper_bound,
+    round_clicks,
 )
 from .propensity import (
     EmEstimatorState,
@@ -60,6 +66,4 @@ from .propensity import (
     estimated_propensity,
     federated_em_round,
 )
-from .ranker import LinearRanker, RankedList, rank
-
-__version__ = "0.1.0"
+from .ranker import LinearRanker, RankedList, rank, top_k

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .baseline import LambdaConfig, train_lambda_linear
 from .dataset import (
     Dataset,
@@ -266,6 +267,7 @@ def run(spec: ExperimentSpec) -> int:
                 "repeats": spec.repeats,
                 "seeds": [cfg.seed for _, cfg in runs],
                 "dataset": {"path": spec.dataset_path, "synthetic": spec.synthetic},
+                "versions": {"fedltr": __version__, "numpy": np.__version__},
             }
             (out / f"manifest_{tag}.json").write_text(
                 json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"

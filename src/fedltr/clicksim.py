@@ -3,14 +3,14 @@ position bias, and position-based click generation over displayed results."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .dataset import Dataset, Query
+from .dataset import Dataset
 from .metrics import RELEVANCE_THRESHOLD
-from .ranker import LinearRanker, rank
+from .ranker import LinearRanker, top_k
 
 # Probability that an examined non-relevant document is clicked anyway.
 NOISE_CLICK_RATE = 0.1
@@ -30,7 +30,6 @@ class UserState:
     query_pool: tuple[int, ...]
     rng_stream: np.random.Generator
     capped_rounds: int = 0
-    _impression_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.gamma_s < 0:
@@ -59,23 +58,44 @@ class ClickRecord:
         return int(np.count_nonzero(self.clicks))
 
 
-@dataclass
+@dataclass(frozen=True)
 class LoggingPolicy:
-    """The fixed production ranker that orders results during logging.
-
-    Per-query display orders are cached: the policy never changes after
-    training, so the order for a qid is computed once.
-    """
+    """The fixed production ranker that orders results during logging."""
 
     ranker: LinearRanker
-    _orders: dict = field(default_factory=dict, repr=False)
 
-    def display_order(self, query: Query) -> np.ndarray:
-        order = self._orders.get(query.qid)
-        if order is None:
-            order = rank(self.ranker, query).order
-            self._orders[query.qid] = order
-        return order
+
+@dataclass(frozen=True)
+class Displays:
+    """What the logging policy shows for every query of a dataset.
+
+    Row r belongs to the dataset's r-th query (`rows` maps a qid to r):
+    `docs[r, :lengths[r]]` are the displayed document indices in display
+    order, the top min(k, n_docs) of the logging ranking, and
+    `click_rates[r]` their click_given_examination. Entries past lengths[r]
+    are padding.
+    """
+
+    docs: np.ndarray
+    lengths: np.ndarray
+    click_rates: np.ndarray
+    rows: Mapping[int, int]
+
+
+def display_top_k(policy: LoggingPolicy, dataset: Dataset, k: int) -> Displays:
+    """The logging policy's top k of every query of the dataset, from one
+    product and one sort over all of them."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    packed = dataset.packed
+    docs = top_k(policy.ranker.weights, packed, k)
+    grades = np.take_along_axis(packed.padded(packed.labels, 0), docs, axis=1)
+    return Displays(
+        docs=docs,
+        lengths=np.minimum(packed.lengths, k),
+        click_rates=click_given_examination(grades),
+        rows=packed.rows,
+    )
 
 
 def train_logging_policy(
@@ -141,59 +161,26 @@ def examination_prob(position, gamma_s: float) -> np.ndarray:
     """Probability that a user with bias gamma_s examines each 1-based
     display position: (1/position)^gamma_s, elementwise."""
     positions = np.asarray(position, dtype=np.float64)
-    if np.any(positions < 1):
+    if (positions < 1).any():
         raise ValueError("position must be >= 1")
     return (1.0 / positions) ** gamma_s
 
 
+def click_given_examination(grade) -> np.ndarray:
+    """Probability that an examined document is clicked: 1 for relevant
+    grades, the noise rate otherwise, elementwise."""
+    return np.where(np.asarray(grade) >= RELEVANCE_THRESHOLD, 1.0, NOISE_CLICK_RATE)
+
+
 def click_prob(grade, position, gamma_s: float) -> np.ndarray:
-    """Click probability of displayed documents: examination times 1 for
-    relevant grades, times the noise rate otherwise, elementwise."""
-    exam = examination_prob(position, gamma_s)
-    return np.where(np.asarray(grade) >= RELEVANCE_THRESHOLD, exam, NOISE_CLICK_RATE * exam)
-
-
-def _impression_setup(user: UserState, query: Query, policy: LoggingPolicy, k: int):
-    k_eff = min(k, query.n_docs)
-    key = (query.qid, k_eff)
-    cached = user._impression_cache.get(key)
-    if cached is None:
-        displayed = policy.display_order(query)[:k_eff]
-        positions = np.arange(1, k_eff + 1)
-        props = examination_prob(positions, user.gamma_s)
-        probs = click_prob(query.labels[displayed], positions, user.gamma_s)
-        cached = (displayed, props, probs)
-        user._impression_cache[key] = cached
-    return cached
-
-
-def simulate_impression(
-    user: UserState,
-    query: Query,
-    policy: LoggingPolicy,
-    k: int,
-    rng: np.random.Generator,
-) -> ClickRecord:
-    """Show the user the top-k of the logging ranking and sample clicks.
-
-    Each displayed document is clicked independently with click_prob at its
-    display position. The record's propensities are the user's true
-    examination probabilities, regardless of clicks.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    displayed, props, probs = _impression_setup(user, query, policy, k)
-    clicks = rng.random(len(displayed)) < probs
-    return ClickRecord(
-        query_id=query.qid, displayed=displayed, clicks=clicks, propensities=props
-    )
+    """Click probability of displayed documents: examination times
+    click_given_examination, elementwise."""
+    return examination_prob(position, gamma_s) * click_given_examination(grade)
 
 
 def collect_round_clicks(
     user: UserState,
-    queries_by_id: Mapping[int, Query],
-    policy: LoggingPolicy,
-    k: int,
+    displays: Displays,
     m: int,
     max_impressions: int,
     rng: np.random.Generator,
@@ -201,18 +188,32 @@ def collect_round_clicks(
     """Simulate impressions on queries drawn uniformly from the user's pool
     until at least m clicks accumulate or max_impressions is reached.
 
-    Returns every generated record, including zero-click ones. Hitting the
-    cap before the quota increments the user's capped_rounds counter.
+    Each impression shows the query's displayed documents and clicks each
+    independently with click_prob at its display position. A record's
+    propensities are the user's true examination probabilities, regardless
+    of clicks. Returns every generated record, including zero-click ones.
+    Hitting the cap before the quota increments the user's capped_rounds
+    counter.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if max_impressions < 1:
         raise ValueError("max_impressions must be >= 1")
+    exam = examination_prob(np.arange(1, displays.docs.shape[1] + 1), user.gamma_s)
+    rows = [displays.rows[qid] for qid in user.query_pool]
+    lengths = displays.lengths[rows].tolist()
+    probs = exam * displays.click_rates[rows]
     records: list[ClickRecord] = []
     clicks_total = 0
     while clicks_total < m and len(records) < max_impressions:
-        qid = user.query_pool[int(rng.integers(len(user.query_pool)))]
-        record = simulate_impression(user, queries_by_id[qid], policy, k, rng)
+        i = int(rng.integers(len(rows)))
+        n = lengths[i]
+        record = ClickRecord(
+            query_id=user.query_pool[i],
+            displayed=displays.docs[rows[i], :n],
+            clicks=rng.random(n) < probs[i, :n],
+            propensities=exam[:n],
+        )
         records.append(record)
         clicks_total += record.n_clicks
     if clicks_total < m:

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +36,39 @@ class Query:
 
 
 @dataclass(frozen=True)
+class PackedQueries:
+    """A dataset's documents in one flat array, query after query.
+
+    Query r (the dataset's r-th query) owns rows offsets[r] to
+    offsets[r] + lengths[r] - 1 of `features` and `labels`, in document
+    order; `rows` maps a qid to r. No query is padded. `ideal_dcg` holds
+    each query's ideal DCG@k per k once metrics has computed it.
+    """
+
+    features: np.ndarray  # shape (n_total_docs, feature_dim)
+    labels: np.ndarray  # shape (n_total_docs,)
+    offsets: np.ndarray  # shape (n_queries,)
+    lengths: np.ndarray  # shape (n_queries,)
+    rows: dict[int, int]
+    ideal_dcg: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+
+    def doc_rows(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Flat row indices of the documents of `queries`, one query per
+        line padded to the longest of them, and the mask of real documents.
+        Padding entries point at the query's first document."""
+        lengths = self.lengths[queries]
+        j = np.arange(lengths.max(initial=0))
+        valid = j < lengths[:, None]
+        return self.offsets[queries][:, None] + np.where(valid, j, 0), valid
+
+    def padded(self, values: np.ndarray, fill) -> np.ndarray:
+        """Per-document `values` as a (query, document) matrix as wide as
+        the longest query, `fill` past each query's end."""
+        index, valid = self.doc_rows(np.arange(self.lengths.size))
+        return np.where(valid, values[index], fill)
+
+
+@dataclass(frozen=True)
 class Dataset:
     """An immutable collection of queries sharing one feature dimension."""
 
@@ -45,8 +79,21 @@ class Dataset:
     def n_queries(self) -> int:
         return len(self.queries)
 
-    def by_id(self) -> dict[int, Query]:
-        return {q.qid: q for q in self.queries}
+    @cached_property
+    def packed(self) -> PackedQueries:
+        """The packed layout, built on first use: datasets that are only
+        passed through loading, filtering and splitting are never packed."""
+        lengths = np.array([q.n_docs for q in self.queries], dtype=np.int64)
+        # The empty leading arrays fix shape and dtype when there is no query.
+        return PackedQueries(
+            features=np.concatenate(
+                [np.zeros((0, self.feature_dim))] + [q.features for q in self.queries]
+            ),
+            labels=np.concatenate([np.zeros(0, dtype=np.int64)] + [q.labels for q in self.queries]),
+            offsets=np.cumsum(lengths) - lengths,
+            lengths=lengths,
+            rows={q.qid: r for r, q in enumerate(self.queries)},
+        )
 
 
 def load_svmlight(path: str) -> Dataset:

@@ -3,26 +3,33 @@ weighted SGD, delta aggregation, and the server update."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .clicksim import (
-    LoggingPolicy,
+    Displays,
     UserState,
     collect_round_clicks,
+    display_top_k,
     sample_user_bias,
     train_logging_policy,
 )
-from .dataset import Dataset
+from .dataset import Dataset, PackedQueries
 from .metrics import mean_ndcg
-from .objective import ClickStep, PropensityProvider, click_gradient, click_steps, client_loss
+from .objective import Clicks, click_gradients, client_loss, round_clicks
 from .propensity import EmEstimatorState, estimated_propensity, federated_em_round
 from .ranker import LinearRanker
 
 MODES = ("fedips", "fedavg")
 PROPENSITY_MODES = ("known", "estimated")
+# Configuration fields that count something and so must be integers.
+_COUNTS = (
+    "num_users", "users_per_round", "queries_per_user", "k", "m", "rounds",
+    "eval_every", "max_impressions_factor", "logging_epochs",
+)
 
 
 @dataclass(frozen=True)
@@ -54,6 +61,10 @@ class FederationConfig:
     logging_lr: float = 0.1
 
     def __post_init__(self) -> None:
+        for name in _COUNTS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.num_users < 1 or self.users_per_round < 1:
             raise ValueError("user counts must be >= 1")
         if self.users_per_round > self.num_users:
@@ -85,19 +96,6 @@ class FederationConfig:
 
 
 @dataclass(frozen=True)
-class ClientUpdate:
-    """One client's contribution to a round: its local weight delta and
-    how much data produced it."""
-
-    delta: np.ndarray
-    clicks_used: int
-
-    def __post_init__(self) -> None:
-        if not np.all(np.isfinite(self.delta)):
-            raise ValueError("delta must be finite")
-
-
-@dataclass(frozen=True)
 class RoundMetrics:
     """Per-round trace entry. ndcg5 is None on rounds the evaluation
     cadence skips; total_clicks is cumulative over the run."""
@@ -115,9 +113,9 @@ class ExperimentState:
     config: FederationConfig
     model: LinearRanker
     users: list
-    policy: LoggingPolicy
+    displays: Displays
+    train: Dataset
     test: Dataset
-    queries_by_id: dict
     em: Optional[EmEstimatorState]
     rounds_done: int = 0
     total_clicks: int = 0
@@ -125,48 +123,46 @@ class ExperimentState:
 
 def client_opt(
     w_t: LinearRanker,
-    steps: Sequence[ClickStep],
+    corpus: PackedQueries,
+    clicks: Clicks,
     eta_local: float,
-    rng: np.random.Generator,
-) -> ClientUpdate:
-    """One local SGD pass from the broadcast weights.
+    rngs: Sequence[np.random.Generator],
+) -> np.ndarray:
+    """Every client's local SGD pass from the broadcast weights; returns
+    the clients' weight deltas, one row per client.
 
-    Visits the round's click steps once each, in an order shuffled from
-    the client's own stream, stepping against click_gradient at the
-    current local weights. No clicks means a zero delta.
+    Client i visits its clicks once each, in an order shuffled from its own
+    stream rngs[i] (drawn only when it has clicks), stepping against each
+    click's subgradient at its current local weights. No clicks means a
+    zero delta. Clients are independent within a round, so they run in
+    lockstep: step t of every client that has a t-th click is one batched
+    step, with the same result as running the clients one by one.
     """
-    w = w_t.weights.copy()
-    if steps:
-        for idx in rng.permutation(len(steps)):
-            query, d, p = steps[idx]
-            w = w - eta_local * click_gradient(LinearRanker(w), query, d, p)
-    return ClientUpdate(delta=w - w_t.weights, clicks_used=len(steps))
+    counts = np.bincount(clicks.client, minlength=clicks.n_clients)
+    first = np.cumsum(counts) - counts
+    schedule = np.zeros((clicks.n_clients, counts.max(initial=0)), dtype=np.int64)
+    for i, rng in enumerate(rngs):
+        if counts[i]:
+            schedule[i, : counts[i]] = first[i] + rng.permutation(counts[i])
+    weights = np.tile(w_t.weights, (clicks.n_clients, 1))
+    for t in range(schedule.shape[1]):
+        stepping = np.flatnonzero(counts > t)
+        step = schedule[stepping, t]
+        weights[stepping] -= eta_local * click_gradients(
+            corpus, clicks.row[step], clicks.doc[step], weights[stepping], clicks.propensity[step]
+        )
+    return weights - w_t.weights
 
 
-def server_opt(
-    w_t: LinearRanker, updates: Sequence[ClientUpdate], eta_global: float
-) -> LinearRanker:
+def server_opt(w_t: LinearRanker, deltas: np.ndarray, eta_global: float) -> LinearRanker:
     """Server step: add eta_global times the mean client delta.
 
-    The caller passes updates in ascending client-id order; the mean is
+    Rows of `deltas` are in ascending client-id order; the mean is
     accumulated in that order so results do not depend on scheduling.
     """
-    if not updates:
-        raise ValueError("updates must be nonempty")
-    deltas = np.stack([u.delta for u in updates])
+    if len(deltas) == 0:
+        raise ValueError("deltas must be nonempty")
     return LinearRanker(w_t.weights + eta_global * deltas.mean(axis=0))
-
-
-def _propensity_provider(
-    state: ExperimentState, uid: int
-) -> PropensityProvider:
-    cfg = state.config
-    if cfg.mode == "fedavg":
-        return lambda record, position: 1.0
-    if cfg.propensity_mode == "known":
-        return lambda record, position: float(record.propensities[position - 1])
-    em = state.em
-    return lambda record, position: estimated_propensity(em, uid, position)
 
 
 def init_state(
@@ -198,9 +194,9 @@ def init_state(
         config=cfg,
         model=LinearRanker.zeros(train.feature_dim),
         users=users,
-        policy=policy,
+        displays=display_top_k(policy, train, cfg.k),
+        train=train,
         test=test,
-        queries_by_id=train.by_id(),
         em=em,
     )
 
@@ -216,36 +212,52 @@ def run_round(state: ExperimentState, cfg: FederationConfig) -> tuple[Experiment
     sampled = np.sort(
         round_rng.choice(cfg.num_users, size=cfg.users_per_round, replace=False)
     )
-    round_records = {}
-    for uid in sampled:
-        user = state.users[uid]
-        records = collect_round_clicks(
-            user,
-            state.queries_by_id,
-            state.policy,
-            cfg.k,
+    records = [
+        collect_round_clicks(
+            state.users[uid],
+            state.displays,
             cfg.m,
             cfg.max_impressions_factor * cfg.m,
-            user.rng_stream,
+            state.users[uid].rng_stream,
         )
-        round_records[int(uid)] = [
-            (record, state.queries_by_id[record.query_id]) for record in records
-        ]
+        for uid in sampled
+    ]
+    clicks = round_clicks(records, state.displays.rows)
+    if cfg.mode == "fedavg":
+        clicks = replace(clicks, propensity=np.ones(clicks.row.size))
+    elif state.em is not None:
+        clicks = replace(
+            clicks,
+            propensity=estimated_propensity(state.em, sampled[clicks.client], clicks.position),
+        )
 
-    losses = []
-    updates = []
-    for uid in sampled:
-        steps = click_steps(round_records[int(uid)], _propensity_provider(state, int(uid)))
-        losses.append(client_loss(state.model, steps))
-        updates.append(client_opt(state.model, steps, cfg.eta_local, state.users[uid].rng_stream))
-    new_model = server_opt(state.model, updates, cfg.eta_global)
+    corpus = state.train.packed
+    losses = client_loss(state.model, corpus, clicks)
+    deltas = client_opt(
+        state.model, corpus, clicks, cfg.eta_local, [state.users[uid].rng_stream for uid in sampled]
+    )
+    diverged = ~np.all(np.isfinite(deltas), axis=1)
+    if np.any(diverged):
+        raise ValueError(
+            f"round {round_number}: client {sampled[np.argmax(diverged)]} "
+            "produced a non-finite weight delta"
+        )
+    new_model = server_opt(state.model, deltas, cfg.eta_global)
 
     if state.em is not None:
-        state.em = federated_em_round(state.em, round_records)
+        queries = state.train.queries
+        rows = state.displays.rows
+        state.em = federated_em_round(
+            state.em,
+            {
+                int(uid): [(record, queries[rows[record.query_id]]) for record in client]
+                for uid, client in zip(sampled, records)
+            },
+        )
 
     state.model = new_model
     state.rounds_done = round_number
-    state.total_clicks += sum(u.clicks_used for u in updates)
+    state.total_clicks += clicks.row.size
 
     evaluate = round_number % cfg.eval_every == 0 or round_number == cfg.rounds
     ndcg5 = mean_ndcg(new_model, state.test, 5) if evaluate else None

@@ -205,13 +205,16 @@ def federated_em_round(
     return state
 
 
-def estimated_propensity(state: EmEstimatorState, client_id: int, position: int) -> float:
-    """The client's current examination estimate at a display position.
+def estimated_propensity(state: EmEstimatorState, client_id, position) -> np.ndarray:
+    """The clients' current examination estimates at 1-based display
+    positions, elementwise.
 
     Clients never seen by the estimator report 1.0 everywhere.
     """
-    if not 1 <= position <= state.k:
+    client_id = np.asarray(client_id)
+    position = np.asarray(position)
+    if np.any((position < 1) | (position > state.k)):
         raise ValueError("position must be in 1..k")
-    if not 0 <= client_id < state.num_users:
+    if np.any((client_id < 0) | (client_id >= state.num_users)):
         raise ValueError("client_id must be in 0..num_users-1")
-    return float(max(state.theta[client_id, position - 1], FLOOR))
+    return np.maximum(state.theta[client_id, position - 1], FLOOR)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Query
+from .dataset import PackedQueries, Query
 
 
 @dataclass(frozen=True)
@@ -41,14 +41,29 @@ class RankedList:
     positions: np.ndarray
 
 
+def _order(scores: np.ndarray) -> np.ndarray:
+    """Document indices by descending score along the last axis; ties
+    break by ascending document index."""
+    return np.argsort(-scores, axis=-1, kind="stable")
+
+
 def rank(ranker: LinearRanker, query: Query) -> RankedList:
     """Rank a query's documents by score, descending.
 
     Ties break by ascending document index, so the permutation is
     deterministic and invariant to positive rescaling of the weights.
     """
-    scores = query.features @ ranker.weights
-    order = np.argsort(-scores, kind="stable")
+    order = _order(query.features @ ranker.weights)
     positions = np.empty(query.n_docs, dtype=np.int64)
     positions[order] = np.arange(1, query.n_docs + 1)
     return RankedList(order=order, positions=positions)
+
+
+def top_k(weights: np.ndarray, packed: PackedQueries, k: int) -> np.ndarray:
+    """The first k positions of every query's ranking, as `rank` orders
+    them, from one product and one sort over all queries.
+
+    Row r holds document indices of query r, best first, min(k, longest
+    query) of them; entries at or past a query's length are padding.
+    """
+    return _order(packed.padded(packed.features @ weights, -np.inf))[:, :k]

@@ -5,8 +5,11 @@ from __future__ import annotations
 
 import pytest
 
+import numpy as np
+
 from fedltr.dataset import (
     Dataset,
+    Query,
     filter_uniform_queries,
     generate_synthetic,
     normalize_query_level,
@@ -36,3 +39,17 @@ def bench() -> tuple[Dataset, Dataset]:
     features, filtered, query-level normalized, 80/20 query split."""
     data = prepare(generate_synthetic(500, 20, 50, seed=7, noise_sd=1.5))
     return split(data, 0.2, seed=7)
+
+
+@pytest.fixture(scope="session")
+def ragged() -> Dataset:
+    """Queries of 5 to 40 documents, four ceil(log2(length)) classes, in
+    shuffled length order: the batched kernels must neither pad every
+    query to the longest nor depend on how queries are grouped."""
+    rng = np.random.default_rng(17)
+    lengths = rng.permutation([5, 6, 8, 9, 12, 16, 17, 25, 32, 33, 40])
+    queries = tuple(
+        Query(qid=10 + i, features=rng.normal(size=(n, 6)), labels=rng.integers(0, 5, size=n))
+        for i, n in enumerate(lengths)
+    )
+    return Dataset(queries=queries, feature_dim=6)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import fedltr
 from fedltr import cli
 from fedltr.cli import WORKERS_ENV, derive_seed, main, parse_spec
 from fedltr.dataset import generate_synthetic, load_svmlight
@@ -128,6 +129,7 @@ class TestMain:
         assert manifest["repeats"] == 2
         assert len(manifest["seeds"]) == 2
         assert manifest["federation"]["rounds"] == 3
+        assert manifest["versions"] == {"fedltr": fedltr.__version__, "numpy": np.__version__}
 
         summary = capsys.readouterr().out.strip().split("\n")
         assert summary[0] == "sweep_point,mean_final_ndcg5,stderr,repeats"
@@ -179,6 +181,14 @@ class TestMain:
             pytest.param({"sweep": {"m": [2, 0]}}, "sweep point g1.0_u4_m0_fedips", id="extra3"),
             pytest.param(
                 {"sweep": {"users_per_round": [4, 50]}}, "sweep point g1.0_u50_m2_fedips", id="extra4"
+            ),
+            pytest.param(
+                {"federation": {"users_per_round": 2.5}}, "users_per_round must be an integer",
+                id="extra5",
+            ),
+            pytest.param(
+                {"sweep": {"m": [2.5]}}, "sweep point g1.0_u4_m2.5_fedips: m must be an integer",
+                id="extra6",
             ),
         ],
     )

@@ -10,12 +10,12 @@ from fedltr.clicksim import (
     UserState,
     click_prob,
     collect_round_clicks,
+    display_top_k,
     examination_prob,
     sample_user_bias,
-    simulate_impression,
     train_logging_policy,
 )
-from fedltr.dataset import Query
+from fedltr.dataset import Dataset, Query
 from fedltr.metrics import mean_ndcg
 from fedltr.ranker import LinearRanker
 
@@ -28,6 +28,16 @@ def _query(values, labels, qid=1):
         features=np.asarray(values, dtype=np.float64).reshape(-1, 1),
         labels=np.asarray(labels, dtype=np.int64),
     )
+
+
+def _displays(*queries, k):
+    """What the identity logging policy W1 shows for the queries."""
+    return display_top_k(LoggingPolicy(W1), Dataset(queries=queries, feature_dim=1), k)
+
+
+def _impression(user, query, k, rng):
+    """One impression of `query`, the only query of the user's pool."""
+    return collect_round_clicks(user, _displays(query, k=k), 1, 1, rng)[0]
 
 
 def _user(gamma_s=1.0, pool=(1,), uid=0, seed=0):
@@ -62,12 +72,18 @@ class TestTrainLoggingPolicy:
             with pytest.raises(ValueError, match="sample_fraction"):
                 train_logging_policy(small_corpus, bad, seed=5)
 
-    def test_display_order_is_cached(self):
-        q = _query([1.0, 3.0, 2.0], [0, 3, 0])
-        policy = LoggingPolicy(W1)
-        first = policy.display_order(q)
-        np.testing.assert_array_equal(first, [1, 2, 0])
-        assert policy.display_order(q) is first
+    def test_display_top_k_follows_logging_order(self):
+        q1 = _query([1.0, 3.0, 2.0], [0, 3, 0], qid=1)
+        q2 = _query([5.0, 5.0], [4, 0], qid=2)
+        displays = _displays(q1, q2, k=3)
+        assert displays.rows == {1: 0, 2: 1}
+        np.testing.assert_array_equal(displays.lengths, [3, 2])
+        np.testing.assert_array_equal(displays.docs[0], [1, 2, 0])
+        # Tied scores keep document order.
+        np.testing.assert_array_equal(displays.docs[1, :2], [0, 1])
+        np.testing.assert_array_equal(
+            displays.click_rates[0], [1.0, NOISE_CLICK_RATE, NOISE_CLICK_RATE]
+        )
 
 
 class TestSampleUserBias:
@@ -145,41 +161,35 @@ class TestClickProb:
 class TestSimulateImpression:
     def test_zero_bias_gives_unit_propensities(self):
         q = _query([3.0, 2.0, 1.0], [3, 0, 0])
-        record = simulate_impression(
-            _user(gamma_s=0.0), q, LoggingPolicy(W1), 3, np.random.default_rng(0)
-        )
+        record = _impression(_user(gamma_s=0.0), q, 3, np.random.default_rng(0))
         np.testing.assert_array_equal(record.propensities, [1.0, 1.0, 1.0])
 
     def test_displays_top_k_of_logging_order(self):
         q = _query([6.0, 5.0, 4.0, 3.0, 2.0, 1.0], [0, 0, 0, 0, 0, 3])
-        record = simulate_impression(
-            _user(), q, LoggingPolicy(W1), 5, np.random.default_rng(0)
-        )
+        record = _impression(_user(), q, 5, np.random.default_rng(0))
         np.testing.assert_array_equal(record.displayed, [0, 1, 2, 3, 4])
         # The document below the cutoff is never displayed, hence never clicked.
         assert 5 not in record.displayed
 
     def test_k_capped_at_document_count(self):
         q = _query([2.0, 1.0], [3, 0])
-        record = simulate_impression(
-            _user(), q, LoggingPolicy(W1), 5, np.random.default_rng(0)
-        )
+        record = _impression(_user(), q, 5, np.random.default_rng(0))
         assert len(record.displayed) == 2
 
     def test_k_must_be_positive(self):
         q = _query([1.0], [3])
         with pytest.raises(ValueError, match="k must be"):
-            simulate_impression(_user(), q, LoggingPolicy(W1), 0, np.random.default_rng(0))
+            _impression(_user(), q, 0, np.random.default_rng(0))
 
     def test_empirical_click_rates_match_model(self):
         q = _query([5.0, 4.0, 3.0, 2.0, 1.0], [4, 3, 0, 0, 0])
         user = _user(gamma_s=1.0)
-        policy = LoggingPolicy(W1)
+        displays = _displays(q, k=5)
         rng = np.random.default_rng(11)
         n = 20_000
         counts = np.zeros(5)
         for _ in range(n):
-            counts += simulate_impression(user, q, policy, 5, rng).clicks
+            counts += collect_round_clicks(user, displays, 1, 1, rng)[0].clicks
         expected = np.array([click_prob(g, p, 1.0) for g, p in zip([4, 3, 0, 0, 0], range(1, 6))])
         # Relevant doc at position 1 is clicked with probability exactly 1.
         assert counts[0] == n
@@ -191,9 +201,7 @@ class TestCollectRoundClicks:
     def test_guaranteed_click_stops_after_one_impression(self):
         q = _query([1.0], [4])
         user = _user(gamma_s=0.0, pool=(1,))
-        records = collect_round_clicks(
-            user, {1: q}, LoggingPolicy(W1), 1, 1, 50, np.random.default_rng(0)
-        )
+        records = collect_round_clicks(user, _displays(q, k=1), 1, 50, np.random.default_rng(0))
         assert len(records) == 1
         assert records[0].n_clicks == 1
         assert user.capped_rounds == 0
@@ -201,20 +209,19 @@ class TestCollectRoundClicks:
     def test_click_quota_is_reached(self):
         q = _query([2.0, 1.0], [4, 3], qid=1)
         records = collect_round_clicks(
-            _user(gamma_s=0.0), {1: q}, LoggingPolicy(W1), 2, 10, 500, np.random.default_rng(3)
+            _user(gamma_s=0.0), _displays(q, k=2), 10, 500, np.random.default_rng(3)
         )
         assert sum(r.n_clicks for r in records) >= 10
 
     def test_same_seed_identical_records(self):
         q1 = _query([3.0, 2.0, 1.0], [3, 0, 0], qid=1)
         q2 = _query([1.0, 2.0], [0, 4], qid=2)
-        queries = {1: q1, 2: q2}
-        policy = LoggingPolicy(W1)
+        displays = _displays(q1, q2, k=3)
         runs = []
         for _ in range(2):
             user = _user(gamma_s=1.0, pool=(1, 2))
             runs.append(
-                collect_round_clicks(user, queries, policy, 3, 5, 100, np.random.default_rng(9))
+                collect_round_clicks(user, displays, 5, 100, np.random.default_rng(9))
             )
         first, second = runs
         assert len(first) == len(second)
@@ -229,9 +236,7 @@ class TestCollectRoundClicks:
         # never reach a quota of 10.
         q = _query([2.0, 1.0], [0, 0])
         user = _user(gamma_s=1.0)
-        records = collect_round_clicks(
-            user, {1: q}, LoggingPolicy(W1), 1, 10, 3, np.random.default_rng(0)
-        )
+        records = collect_round_clicks(user, _displays(q, k=1), 10, 3, np.random.default_rng(0))
         assert len(records) == 3
         assert user.capped_rounds == 1
 
@@ -239,9 +244,9 @@ class TestCollectRoundClicks:
         q = _query([1.0], [3])
         user = _user()
         with pytest.raises(ValueError, match="m must be"):
-            collect_round_clicks(user, {1: q}, LoggingPolicy(W1), 1, 0, 5, np.random.default_rng(0))
+            collect_round_clicks(user, _displays(q, k=1), 0, 5, np.random.default_rng(0))
         with pytest.raises(ValueError, match="max_impressions"):
-            collect_round_clicks(user, {1: q}, LoggingPolicy(W1), 1, 1, 0, np.random.default_rng(0))
+            collect_round_clicks(user, _displays(q, k=1), 1, 0, np.random.default_rng(0))
 
 
 class TestStateValidation:

@@ -1,12 +1,14 @@
 """Client-side SGD, server aggregation, and the federated round loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from fedltr import federation
 from fedltr.clicksim import ClickRecord
-from fedltr.dataset import Query
+from fedltr.dataset import Dataset, Query
 from fedltr.federation import (
-    ClientUpdate,
     FederationConfig,
     RoundMetrics,
     client_opt,
@@ -16,7 +18,7 @@ from fedltr.federation import (
     run_round,
     server_opt,
 )
-from fedltr.objective import click_gradient, click_steps
+from fedltr.objective import Clicks, click_gradient, round_clicks
 from fedltr.ranker import LinearRanker
 
 
@@ -55,49 +57,60 @@ def _small_cfg(**kwargs):
     return FederationConfig(**base)
 
 
-def _client_opt(w_t, records, eta_local, provider, rng):
-    return client_opt(w_t, click_steps(records, provider), eta_local, rng)
+def _client_opt(w_t, records, eta_local, rng, propensity=None):
+    """One client's delta and click count on its (record, query) pairs,
+    weighted by the logged propensities or by one shared `propensity`."""
+    queries = tuple({query.qid: query for _, query in records}.values())
+    corpus = Dataset(queries=queries, feature_dim=queries[0].features.shape[1]).packed
+    clicks = round_clicks([[record for record, _ in records]], corpus.rows)
+    if propensity is not None:
+        clicks = replace(clicks, propensity=np.full(clicks.row.size, propensity))
+    return client_opt(w_t, corpus, clicks, eta_local, [rng])[0], clicks.row.size
+
+
+def _unbatched_gradient(w, query, d, p):
+    """The click subgradient computed for one query on its own, summing the
+    active documents' rows with np.sum: the arithmetic the batched kernel
+    must reproduce bit for bit."""
+    scores = query.features @ w
+    active = 1.0 - (scores[d] - scores) > 0.0
+    active[d] = False
+    n_active = int(np.count_nonzero(active))
+    if n_active == 0:
+        return np.zeros(query.features.shape[1])
+    return -(n_active * query.features[d] - np.sum(query.features[active], axis=0)) / p
 
 
 class TestClientOpt:
     def test_no_clicks_gives_zero_delta(self):
         q = _query([[1.0, 0.0], [0.0, 1.0]])
-        update = _client_opt(
+        delta, clicks_used = _client_opt(
             LinearRanker.zeros(2),
             [(_record(q, [False, False]), q)],
             1e-2,
-            lambda r, pos: 1.0,
             np.random.default_rng(0),
         )
-        np.testing.assert_array_equal(update.delta, [0.0, 0.0])
-        assert update.clicks_used == 0
+        np.testing.assert_array_equal(delta, [0.0, 0.0])
+        assert clicks_used == 0
 
     def test_single_click_steps_against_gradient(self):
         q = _query([[1.0, 0.0], [0.0, 1.0]])
         w0 = LinearRanker.zeros(2)
-        update = _client_opt(
-            w0,
-            [(_record(q, [True, False]), q)],
-            1e-2,
-            lambda r, pos: 1.0,
-            np.random.default_rng(0),
+        delta, clicks_used = _client_opt(
+            w0, [(_record(q, [True, False]), q)], 1e-2, np.random.default_rng(0)
         )
         expected = -1e-2 * click_gradient(w0, q, 0, 1.0)
-        np.testing.assert_allclose(update.delta, expected)
-        assert update.clicks_used == 1
+        np.testing.assert_allclose(delta, expected)
+        assert clicks_used == 1
 
     def test_half_propensity_doubles_single_step(self):
         q = _query([[1.0, 0.0], [0.0, 1.0]])
         w0 = LinearRanker.zeros(2)
-        unit = _client_opt(
-            w0, [(_record(q, [True, False]), q)], 1e-2,
-            lambda r, pos: 1.0, np.random.default_rng(0),
+        unit, _ = _client_opt(w0, [(_record(q, [True, False]), q)], 1e-2, np.random.default_rng(0))
+        half, _ = _client_opt(
+            w0, [(_record(q, [True, False]), q)], 1e-2, np.random.default_rng(0), 0.5
         )
-        half = _client_opt(
-            w0, [(_record(q, [True, False]), q)], 1e-2,
-            lambda r, pos: 0.5, np.random.default_rng(0),
-        )
-        np.testing.assert_allclose(half.delta, 2.0 * unit.delta)
+        np.testing.assert_allclose(half, 2.0 * unit)
 
     def test_nonpositive_propensity_errors(self):
         q = _query([[1.0], [0.0]])
@@ -106,40 +119,81 @@ class TestClientOpt:
                 LinearRanker.zeros(1),
                 [(_record(q, [True, False]), q)],
                 1e-2,
-                lambda r, pos: 0.0,
                 np.random.default_rng(0),
+                0.0,
             )
 
-    def test_finite_delta_enforced(self):
-        with pytest.raises(ValueError, match="finite"):
-            ClientUpdate(delta=np.array([np.inf]), clicks_used=1)
+    def test_finite_delta_enforced(self, small_split, monkeypatch):
+        # The whole round's deltas are checked at once; the error names the
+        # round and the client whose delta is not finite.
+        train, test = small_split
+        cfg = _small_cfg(num_users=4, users_per_round=4)
+        state = init_state(cfg, train, test)
+        state, _ = run_round(state, cfg)
+
+        def poisoned(w_t, corpus, clicks, eta_local, rngs):
+            deltas = np.zeros((clicks.n_clients, w_t.weights.size))
+            deltas[2, 1] = np.nan
+            return deltas
+
+        monkeypatch.setattr(federation, "client_opt", poisoned)
+        with pytest.raises(ValueError, match="round 2: client 2 produced a non-finite"):
+            run_round(state, cfg)
+
+    def test_lockstep_matches_sequential_reference(self, ragged):
+        # Clients 0-4 click 9, 0, 1, 5 and 14 times across every length
+        # class; the reference runs each client alone, one click_gradient
+        # call per click, on the same random streams.
+        rng = np.random.default_rng(3)
+        corpus = ragged.packed
+        client = np.repeat(np.arange(5), [9, 0, 1, 5, 14])
+        row = rng.integers(ragged.n_queries, size=client.size)
+        clicks = Clicks(
+            n_clients=5,
+            client=client,
+            row=row,
+            doc=rng.integers(corpus.lengths[row]),
+            position=np.ones_like(client),
+            propensity=rng.uniform(0.2, 1.0, size=client.size),
+        )
+        w_t = LinearRanker(rng.normal(size=ragged.feature_dim) * 0.1)
+        eta = 0.05
+        deltas = client_opt(
+            w_t, corpus, clicks, eta, [np.random.default_rng(100 + i) for i in range(5)]
+        )
+        for i in range(5):
+            steps = np.flatnonzero(client == i)
+            w = w_t.weights.copy()
+            if steps.size:
+                for j in steps[np.random.default_rng(100 + i).permutation(steps.size)]:
+                    query, d, p = ragged.queries[clicks.row[j]], clicks.doc[j], clicks.propensity[j]
+                    grad = click_gradient(LinearRanker(w), query, d, p)
+                    assert np.array_equal(grad, _unbatched_gradient(w, query, d, p))
+                    w = w - eta * grad
+            assert np.array_equal(deltas[i], w - w_t.weights)
+        assert np.any(deltas[0] != 0.0) and np.all(deltas[1] == 0.0)
 
 
 class TestServerOpt:
     def test_averages_deltas(self):
         w0 = LinearRanker.zeros(2)
-        updates = [
-            ClientUpdate(np.array([1.0, 0.0]), 1),
-            ClientUpdate(np.array([0.0, 1.0]), 1),
-        ]
-        new = server_opt(w0, updates, eta_global=2.0)
+        new = server_opt(w0, np.array([[1.0, 0.0], [0.0, 1.0]]), eta_global=2.0)
         np.testing.assert_array_equal(new.weights, [1.0, 1.0])
 
     def test_single_client_unit_rate_recovers_local(self):
         w0 = LinearRanker(np.array([0.5, -0.5]))
         delta = np.array([0.25, 0.75])
-        new = server_opt(w0, [ClientUpdate(delta, 3)], eta_global=1.0)
+        new = server_opt(w0, delta[None], eta_global=1.0)
         np.testing.assert_array_equal(new.weights, w0.weights + delta)
 
     def test_zero_deltas_leave_weights_unchanged(self):
         w0 = LinearRanker(np.array([1.0, 2.0]))
-        updates = [ClientUpdate(np.zeros(2), 0) for _ in range(3)]
-        new = server_opt(w0, updates, eta_global=0.5)
+        new = server_opt(w0, np.zeros((3, 2)), eta_global=0.5)
         np.testing.assert_array_equal(new.weights, w0.weights)
 
     def test_empty_updates_error(self):
         with pytest.raises(ValueError, match="nonempty"):
-            server_opt(LinearRanker.zeros(2), [], 1.0)
+            server_opt(LinearRanker.zeros(2), np.zeros((0, 2)), 1.0)
 
 
 class TestFederationConfig:
@@ -189,6 +243,18 @@ class TestFederationConfig:
         # (the estimator is fixed), so a config naming one is rejected.
         error = TypeError if field.startswith("em_") else ValueError
         with pytest.raises(error, match=field):
+            FederationConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [2.5, True])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "num_users", "users_per_round", "queries_per_user", "k", "m", "rounds",
+            "eval_every", "max_impressions_factor", "logging_epochs",
+        ],
+    )
+    def test_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
             FederationConfig(**{field: value})
 
 
@@ -258,17 +324,12 @@ class TestRunRound:
 
         user = shadow.users[0]
         records = collect_round_clicks(
-            user, shadow.queries_by_id, shadow.policy, cfg.k, cfg.m,
-            cfg.max_impressions_factor * cfg.m, user.rng_stream,
+            user, shadow.displays, cfg.m, cfg.max_impressions_factor * cfg.m, user.rng_stream
         )
-        pairs = [(r, shadow.queries_by_id[r.query_id]) for r in records]
-        update = _client_opt(
-            shadow.model, pairs, cfg.eta_local,
-            lambda r, pos: float(r.propensities[pos - 1]), user.rng_stream,
-        )
-        np.testing.assert_array_equal(
-            state.model.weights, shadow.model.weights + update.delta
-        )
+        queries = shadow.train.queries
+        pairs = [(r, queries[shadow.displays.rows[r.query_id]]) for r in records]
+        delta, _ = _client_opt(shadow.model, pairs, cfg.eta_local, user.rng_stream)
+        np.testing.assert_array_equal(state.model.weights, shadow.model.weights + delta)
 
     def test_zero_bias_makes_modes_identical(self, small_split):
         # gamma=0 with no spread means every propensity is exactly 1, so the
@@ -284,6 +345,16 @@ class TestRunRound:
             weights[mode] = state.model.weights
             assert len(trace) == cfg.rounds
         np.testing.assert_array_equal(weights["fedips"], weights["fedavg"])
+
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_diverging_round_names_round_and_client(self, small_split):
+        train, test = small_split
+        cfg = _small_cfg(eta_local=1e308)
+        state = init_state(cfg, train, test)
+        with pytest.raises(ValueError, match=r"round 1: client \d+ produced a non-finite"):
+            run_round(state, cfg)
 
 
 class TestRunExperiment:

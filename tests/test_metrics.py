@@ -28,6 +28,19 @@ def _query(values, labels, qid=1):
     )
 
 
+def _unbatched_ndcg(model, query, k):
+    """NDCG@k computed for one query on its own, with 1-d dot products: the
+    arithmetic the batched kernel must reproduce bit for bit."""
+
+    def dcg(labels):
+        labels = labels[:k]
+        return (2.0 ** labels - 1.0) @ (1.0 / np.log2(np.arange(2, labels.size + 2.0)))
+
+    labels = query.labels.astype(np.float64)
+    order = np.argsort(-(query.features @ model.weights), kind="stable")
+    return dcg(labels[order]) / dcg(np.sort(labels)[::-1])
+
+
 class TestWeightFn:
     def test_identity_is_rank(self):
         np.testing.assert_allclose(IDENTITY(np.array([1, 2, 5])), [1.0, 2.0, 5.0])
@@ -100,6 +113,23 @@ class TestMeanNdcg:
         q2 = _query([3.0, 2.0, 1.0], [0, 0, 3], qid=2)
         ds = Dataset(queries=(q1, q2), feature_dim=1)
         assert mean_ndcg(W1, ds, 3) == pytest.approx(0.75)
+
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 10])
+    def test_batched_mean_matches_per_query_mean(self, k):
+        # 300 queries of 1 to 12 documents, so some are shorter than k, and
+        # one without a relevant grade, which both skip.
+        rng = np.random.default_rng(12)
+        queries = tuple(
+            Query(qid=i, features=rng.normal(size=(n, 3)), labels=rng.integers(1, 5, size=n))
+            for i, n in enumerate(rng.integers(1, 13, size=300))
+        ) + (Query(qid=99, features=rng.normal(size=(3, 3)), labels=np.zeros(3, dtype=np.int64)),)
+        ds = Dataset(queries=queries, feature_dim=3)
+        # Zero weights tie every score, so ranks fall back to document order.
+        for model in (LinearRanker.zeros(3), LinearRanker(rng.normal(size=3))):
+            per_query = [_unbatched_ndcg(model, q, k) for q in queries[:-1]]
+            assert [ndcg_at_k(model, q, k) for q in queries[:-1]] == per_query
+            assert mean_ndcg(model, ds, k) == float(np.mean(per_query))
 
 
 class TestFullInfoMetric:

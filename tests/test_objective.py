@@ -1,16 +1,19 @@
 """Hinge rank surrogate, its subgradient, and the weighted client loss."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fedltr.clicksim import ClickRecord
-from fedltr.dataset import Query
+from fedltr.dataset import Dataset, Query
 from fedltr.objective import (
+    Clicks,
     click_gradient,
-    click_steps,
     client_loss,
     hinge_sum,
     rank_upper_bound,
+    round_clicks,
 )
 from fedltr.ranker import LinearRanker, rank
 
@@ -129,34 +132,52 @@ class TestClickSteps:
     def test_steps_follow_record_then_display_order(self):
         q1 = _query([[1.0], [-1.0], [0.0]], qid=1)
         q2 = _query([[1.0], [-1.0]], qid=2)
-        records = ((_record(q1, [True, False, True]), q1), (_record(q2, [False, True]), q2))
-        steps = click_steps(records, lambda r, pos: float(r.propensities[pos - 1]))
-        assert [(q.qid, d, p) for q, d, p in steps] == [(1, 0, 1.0), (1, 2, 1.0 / 3.0), (2, 1, 0.5)]
+        records = [
+            [_record(q1, [True, False, True]), _record(q2, [False, True])],
+            [_record(q2, [False, False])],
+            [_record(q2, [True, False])],
+        ]
+        clicks = round_clicks(records, {1: 0, 2: 1})
+        assert clicks.n_clients == 3
+        np.testing.assert_array_equal(clicks.client, [0, 0, 0, 2])
+        np.testing.assert_array_equal(clicks.row, [0, 0, 1, 1])
+        np.testing.assert_array_equal(clicks.doc, [0, 2, 1, 0])
+        np.testing.assert_array_equal(clicks.position, [1, 3, 2, 1])
+        np.testing.assert_array_equal(clicks.propensity, [1.0, 1.0 / 3.0, 0.5, 1.0])
 
     def test_no_clicks_gives_no_steps(self):
         q = _query([[1.0], [-1.0]])
-        assert click_steps(((_record(q, [False, False]), q),), lambda r, pos: 1.0) == []
+        clicks = round_clicks([[_record(q, [False, False])]], {1: 0})
+        assert clicks.n_clients == 1
+        assert clicks.row.size == 0 and clicks.propensity.size == 0
 
 
-def _loss(model, records, provider):
-    return client_loss(model, click_steps(records, provider))
+def _loss(model, records, propensity=None):
+    """One client's loss on its (record, query) pairs, weighted by the
+    logged propensities or by one shared `propensity`."""
+    queries = tuple({query.qid: query for _, query in records}.values())
+    corpus = Dataset(queries=queries, feature_dim=queries[0].features.shape[1]).packed
+    clicks = round_clicks([[record for record, _ in records]], corpus.rows)
+    if propensity is not None:
+        clicks = replace(clicks, propensity=np.full(clicks.row.size, propensity))
+    return client_loss(model, corpus, clicks)[0]
 
 
 class TestClientLoss:
     def test_single_click_unit_propensity(self):
         q = _query([[1.0], [-1.0]])
         record = _record(q, [False, True], gamma_s=0.0)
-        assert _loss(LinearRanker(np.array([1.0])), ((record, q),), lambda r, pos: 1.0) == 3.0
+        assert _loss(LinearRanker(np.array([1.0])), ((record, q),)) == 3.0
 
     def test_half_propensity_doubles_loss(self):
         q = _query([[1.0], [-1.0]])
         record = _record(q, [False, True])
-        assert _loss(LinearRanker(np.array([1.0])), ((record, q),), lambda r, pos: 0.5) == 6.0
+        assert _loss(LinearRanker(np.array([1.0])), ((record, q),), 0.5) == 6.0
 
     def test_no_clicks_is_zero(self):
         q = _query([[1.0], [-1.0]])
         record = _record(q, [False, False])
-        assert _loss(LinearRanker(np.array([1.0])), ((record, q),), lambda r, pos: 1.0) == 0.0
+        assert _loss(LinearRanker(np.array([1.0])), ((record, q),), 1.0) == 0.0
 
     def test_normalizes_by_distinct_clicked_queries(self):
         q1 = _query([[1.0], [-1.0]], qid=1)
@@ -167,19 +188,46 @@ class TestClientLoss:
             (_record(q2, [False, True], gamma_s=0.0), q2),
         )
         # Three clicked impressions over two distinct queries: 9 / 2.
-        assert _loss(LinearRanker(np.array([1.0])), records, lambda r, pos: 1.0) == 4.5
+        assert _loss(LinearRanker(np.array([1.0])), records, 1.0) == 4.5
 
     def test_homogeneous_in_inverse_propensity(self):
         rng = np.random.default_rng(31)
         q = _query(rng.normal(size=(4, 2)), qid=1)
         record = _record(q, [True, False, True, False])
         model = LinearRanker(rng.normal(size=2))
-        base = _loss(model, ((record, q),), lambda r, pos: 1.0)
-        halved = _loss(model, ((record, q),), lambda r, pos: 0.5)
+        base = _loss(model, ((record, q),), 1.0)
+        halved = _loss(model, ((record, q),), 0.5)
         assert halved == pytest.approx(2.0 * base)
 
     def test_nonpositive_propensity_errors(self):
         q = _query([[1.0], [-1.0]])
         record = _record(q, [True, False])
         with pytest.raises(ValueError, match="non-positive"):
-            _loss(LinearRanker(np.array([1.0])), ((record, q),), lambda r, pos: 0.0)
+            _loss(LinearRanker(np.array([1.0])), ((record, q),), 0.0)
+
+    def test_batched_loss_matches_per_click_hinge_sums(self, ragged):
+        # Clients 0-3 click 7, 0, 1 and 12 times across every length class.
+        rng = np.random.default_rng(5)
+        corpus = ragged.packed
+        client = np.repeat(np.arange(4), [7, 0, 1, 12])
+        row = rng.integers(ragged.n_queries, size=client.size)
+        doc = rng.integers(corpus.lengths[row])
+        clicks = Clicks(
+            n_clients=4,
+            client=client,
+            row=row,
+            doc=doc,
+            position=np.ones_like(client),
+            propensity=rng.uniform(0.1, 1.0, size=client.size),
+        )
+        model = LinearRanker(rng.normal(size=ragged.feature_dim) * 0.3)
+        expected = np.zeros(4)
+        for i in range(4):
+            mine = np.flatnonzero(client == i)
+            if mine.size:
+                total = sum(
+                    hinge_sum(model, ragged.queries[row[j]], doc[j]) / clicks.propensity[j]
+                    for j in mine
+                )
+                expected[i] = total / len(set(row[mine].tolist()))
+        np.testing.assert_allclose(client_loss(model, corpus, clicks), expected, rtol=1e-12, atol=0)
