@@ -9,6 +9,7 @@ from .baseline import LambdaConfig, lambda_gradient, train_lambda_linear
 from .clicksim import (
     ClickRecord,
     Displays,
+    Impressions,
     LoggingPolicy,
     UserState,
     click_given_examination,
@@ -16,6 +17,7 @@ from .clicksim import (
     collect_round_clicks,
     display_top_k,
     examination_prob,
+    round_impressions,
     sample_user_bias,
     train_logging_policy,
 )
@@ -65,5 +67,6 @@ from .propensity import (
     em_m_step_local,
     estimated_propensity,
     federated_em_round,
+    fit_relevance,
 )
 from .ranker import LinearRanker, RankedList, rank, top_k

@@ -11,6 +11,7 @@ import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, replace
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +73,16 @@ class ExperimentSpec:
     master_seed: int
 
     def __post_init__(self) -> None:
+        # bool("false") is True and int(2.7) is 2: wrongly typed values are
+        # rejected rather than converted.
+        for name in ("filter_uniform", "normalize", "run_lambda"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be true or false, got {value!r}")
+        for name in ("repeats", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         if not self.modes:
@@ -161,18 +172,18 @@ def parse_spec(config_path: str | None = None, overrides: dict | None = None) ->
         dataset_path=_override("dataset_path", dataset_cfg.get("path")),
         synthetic=synthetic,
         test_fraction=float(raw.get("test_fraction", 0.2)),
-        filter_uniform=bool(raw.get("filter_uniform", True)),
-        normalize=bool(raw.get("normalize", True)),
+        filter_uniform=raw.get("filter_uniform", True),
+        normalize=raw.get("normalize", True),
         federation=federation,
         modes=tuple(modes),
-        run_lambda=bool(_override("run_lambda", raw.get("run_lambda", False))),
+        run_lambda=_override("run_lambda", raw.get("run_lambda", False)),
         lambda_config=lambda_config,
         sweep_gamma=tuple(sweep.get("gamma", [federation.gamma])),
         sweep_users_per_round=tuple(sweep.get("users_per_round", [federation.users_per_round])),
         sweep_m=tuple(sweep.get("m", [federation.m])),
-        repeats=int(_override("repeats", raw.get("repeats", 1))),
+        repeats=_override("repeats", raw.get("repeats", 1)),
         out_dir=str(_override("out_dir", raw.get("out_dir", "results"))),
-        master_seed=int(_override("master_seed", raw.get("master_seed", 0))),
+        master_seed=_override("master_seed", raw.get("master_seed", 0)),
     )
 
 
@@ -209,12 +220,23 @@ def _write_csv(path: Path, trace: list[RoundMetrics]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def run(spec: ExperimentSpec) -> int:
+def _workers_from_env() -> int:
+    """The number of worker processes FEDLTR_WORKERS asks for; 1 when it
+    is unset."""
+    value = os.environ.get(WORKERS_ENV, "1")
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{WORKERS_ENV} must be an integer, got {value!r}") from None
+
+
+def run(spec: ExperimentSpec, workers: int = 1) -> int:
     """Execute every (sweep point, repeat) run, write each run's CSV as
     soon as it finishes and one manifest per sweep point, and print a
     summary table of the points whose runs all finished. Returns a process
     exit status. A failed run does not stop the others: the FAILED marker
-    names it and its error, and the exit status is 1."""
+    names it and its error, and the exit status is 1. With workers > 1
+    runs are spread over that many processes."""
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
@@ -248,7 +270,6 @@ def run(spec: ExperimentSpec) -> int:
             _write_csv(out / f"{name}.csv", trace)
             finals[name] = final_ndcg(trace)
 
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
         if workers > 1 and len(jobs) > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = {
@@ -361,10 +382,11 @@ def main(argv: list[str] | None = None) -> int:
     overrides["seed"] = overrides["master_seed"]
     try:
         spec = parse_spec(args.config, overrides)
+        workers = _workers_from_env()
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
-    return run(spec)
+    return run(spec, workers)
 
 
 if __name__ == "__main__":

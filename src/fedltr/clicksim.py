@@ -82,6 +82,59 @@ class Displays:
     rows: Mapping[int, int]
 
 
+@dataclass(frozen=True)
+class Impressions:
+    """A round's logged impressions as flat arrays, one entry per record,
+    ordered by client, then record.
+
+    `users` holds the round's user ids in ascending order and `client[r]`
+    indexes it. Record r showed `docs[r, :length[r]]`, documents of query
+    `row[r]` of the packed training set in display order; `clicked[r]` and
+    `propensity[r]` are its click indicators and logged examination
+    probabilities. Entries past length[r] are padding (False, 0).
+    """
+
+    users: np.ndarray
+    client: np.ndarray
+    row: np.ndarray
+    length: np.ndarray
+    docs: np.ndarray
+    clicked: np.ndarray
+    propensity: np.ndarray
+
+    def __post_init__(self) -> None:
+        if np.any(np.diff(self.users) <= 0):
+            raise ValueError("users must be strictly ascending")
+        if np.any(np.diff(self.client) < 0):
+            raise ValueError("records must be ordered by client")
+
+
+def round_impressions(users, records, displays: Displays) -> Impressions:
+    """The round's records as Impressions, records[i] being the records of
+    user users[i]. What each record showed is read from `displays`."""
+    flat = [record for client in records for record in client]
+    row = np.array([displays.rows[record.query_id] for record in flat], dtype=np.int64)
+    length = displays.lengths[row]
+    shown = np.arange(displays.docs.shape[1]) < length[:, None]
+    # The empty leading arrays fix the dtype when there is no record.
+    clicks = np.concatenate([np.zeros(0, dtype=bool)] + [record.clicks for record in flat])
+    if clicks.size != np.count_nonzero(shown):
+        raise ValueError("records must show their query's displayed documents")
+    clicked = np.zeros(shown.shape, dtype=bool)
+    clicked[shown] = clicks
+    propensity = np.zeros(shown.shape)
+    propensity[shown] = np.concatenate([np.zeros(0)] + [record.propensities for record in flat])
+    return Impressions(
+        users=np.asarray(users),
+        client=np.repeat(np.arange(len(records)), [len(client) for client in records]),
+        row=row,
+        length=length,
+        docs=displays.docs[row],
+        clicked=clicked,
+        propensity=propensity,
+    )
+
+
 def display_top_k(policy: LoggingPolicy, dataset: Dataset, k: int) -> Displays:
     """The logging policy's top k of every query of the dataset, from one
     product and one sort over all of them."""

@@ -14,6 +14,7 @@ from .clicksim import (
     UserState,
     collect_round_clicks,
     display_top_k,
+    round_impressions,
     sample_user_bias,
     train_logging_policy,
 )
@@ -222,7 +223,8 @@ def run_round(state: ExperimentState, cfg: FederationConfig) -> tuple[Experiment
         )
         for uid in sampled
     ]
-    clicks = round_clicks(records, state.displays.rows)
+    impressions = round_impressions(sampled, records, state.displays)
+    clicks = round_clicks(impressions)
     if cfg.mode == "fedavg":
         clicks = replace(clicks, propensity=np.ones(clicks.row.size))
     elif state.em is not None:
@@ -245,15 +247,7 @@ def run_round(state: ExperimentState, cfg: FederationConfig) -> tuple[Experiment
     new_model = server_opt(state.model, deltas, cfg.eta_global)
 
     if state.em is not None:
-        queries = state.train.queries
-        rows = state.displays.rows
-        state.em = federated_em_round(
-            state.em,
-            {
-                int(uid): [(record, queries[rows[record.query_id]]) for record in client]
-                for uid, client in zip(sampled, records)
-            },
-        )
+        state.em = federated_em_round(state.em, impressions, corpus)
 
     state.model = new_model
     state.rounds_done = round_number

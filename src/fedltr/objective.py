@@ -4,11 +4,10 @@ exact subgradients for linear rankers, batched over a round's clicks."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
-from .clicksim import ClickRecord
+from .clicksim import Impressions
 from .dataset import Dataset, PackedQueries, Query
 from .ranker import LinearRanker
 
@@ -35,24 +34,17 @@ class Clicks:
             raise ValueError("clicked document has non-positive propensity")
 
 
-def round_clicks(
-    records: Sequence[Sequence[ClickRecord]], rows: Mapping[int, int]
-) -> Clicks:
-    """The clicks of every client's records, records[i] being client i's,
-    weighted by the propensities logged with each impression. `rows` maps
-    a qid to its query's row in the packed training set."""
-    flat = [record for client in records for record in client]
-    shown = np.array([len(record.clicks) for record in flat])
-    clicked = np.concatenate([record.clicks for record in flat]).astype(bool)
-    record_client = np.repeat(np.arange(len(records)), [len(client) for client in records])
-    first = np.repeat(np.cumsum(shown) - shown, shown)
+def round_clicks(impressions: Impressions) -> Clicks:
+    """The clicks of a round's impressions, weighted by the propensities
+    logged with each impression."""
+    record, slot = np.nonzero(impressions.clicked)
     return Clicks(
-        n_clients=len(records),
-        client=np.repeat(record_client, shown)[clicked],
-        row=np.repeat([rows[record.query_id] for record in flat], shown)[clicked],
-        doc=np.concatenate([record.displayed for record in flat])[clicked],
-        position=(np.arange(clicked.size) - first + 1)[clicked],
-        propensity=np.concatenate([record.propensities for record in flat])[clicked],
+        n_clients=impressions.users.size,
+        client=impressions.client[record],
+        row=impressions.row[record],
+        doc=impressions.docs[record, slot],
+        position=slot + 1,
+        propensity=impressions.propensity[record, slot],
     )
 
 

@@ -4,10 +4,11 @@ probabilities."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
 
 import numpy as np
 
+from .clicksim import Impressions
+from .dataset import PackedQueries
 from .ranker import LinearRanker
 
 # Served examination estimates never drop below FLOOR: a click's hinge
@@ -115,87 +116,127 @@ def em_e_step(clicks, theta, rel_prob) -> tuple[np.ndarray, np.ndarray]:
     return _posteriors(np.asarray(clicks, dtype=bool), theta, rel_prob)
 
 
+def _by_length(length: np.ndarray) -> list:
+    """(n, indices) for every distinct record length n, indices ascending;
+    one slice when all lengths are equal. A stacked np.matmul over records
+    of one length computes each record's product on its own, exactly as
+    one record's `features @ w` does. Records are never zero-padded to a
+    common length: a padded product sums its terms in another order and
+    changes `features @ w` in its last bits."""
+    if np.all(length == length[:1]):
+        return [(int(length[0]), slice(None))] if length.size else []
+    return [(int(n), np.flatnonzero(length == n)) for n in np.unique(length)]
+
+
+def _features(corpus: PackedQueries, impressions: Impressions, records, n: int) -> np.ndarray:
+    """(records, n, F): the features of the n documents each record showed."""
+    first = corpus.offsets[impressions.row[records]]
+    return corpus.features[first[:, None] + impressions.docs[records, :n]]
+
+
 def em_m_step_local(
-    records: Sequence,
-    theta_prev: np.ndarray,
-    relevance_model: LinearRanker,
-) -> tuple[list, np.ndarray, np.ndarray]:
-    """One local EM pass over a client's (record, query) pairs.
+    corpus: PackedQueries,
+    impressions: Impressions,
+    theta_prior: np.ndarray,
+    weights: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One local EM pass of every client over its records: the E-step under
+    client i's prior theta_prior[i] and the relevance model `weights`.
 
-    Returns the regression targets (features, posterior relevance) for
-    every displayed document and the per-position sums of examination
-    posteriors and impression counts.
+    Returns the regression targets, one row of posterior relevance per
+    record (zero past its length), and each client's per-position sums of
+    examination posteriors and impression counts, added in record order.
     """
-    if not records:
+    if impressions.client.size == 0:
         raise ValueError("records must be nonempty")
-    if np.any((theta_prev <= 0.0) | (theta_prev > 1.0)):
-        raise ValueError("theta_prev must be in (0, 1]")
-    k = len(theta_prev)
-    exam_sum = np.zeros(k)
-    exam_count = np.zeros(k)
-    targets = []
-    for record, query in records:
-        n = len(record.displayed)
-        if n > k:
-            raise ValueError("record longer than the estimator's position range")
-        features = query.features[record.displayed]
+    n_clients, k = theta_prior.shape
+    if impressions.length.max() > k:
+        raise ValueError("record longer than the estimator's position range")
+    if np.any((theta_prior <= 0.0) | (theta_prior > 1.0)):
+        raise ValueError("theta_prior must be in (0, 1]")
+    p_exam = np.zeros((impressions.client.size, k))
+    targets = np.zeros_like(p_exam)
+    for n, group in _by_length(impressions.length):
         # Clipping keeps the relevance prior inside em_e_step's range.
-        rel = _sigmoid(features @ relevance_model.weights)
+        rel = _sigmoid(np.matmul(_features(corpus, impressions, group, n), weights))
         rel = np.clip(rel, 1e-6, 1.0 - 1e-6)
-        p_exam, p_rel = _posteriors(record.clicks.astype(bool), theta_prev[:n], rel)
-        exam_sum[:n] += p_exam
-        exam_count[:n] += 1.0
-        targets.append((features, p_rel))
-    return targets, exam_sum, exam_count
+        prior = theta_prior[impressions.client[group], :n]
+        p_exam[group, :n], targets[group, :n] = _posteriors(
+            impressions.clicked[group, :n], prior, rel
+        )
+    shown = np.arange(k) < impressions.length[:, None]
+    slot = (impressions.client[:, None] * k + np.arange(k))[shown]
+    # bincount adds each client's posteriors in record order, as a running
+    # sum does.
+    exam_sum = np.bincount(slot, weights=p_exam[shown], minlength=n_clients * k)
+    exam_count = np.bincount(slot, minlength=n_clients * k).astype(np.float64)
+    return targets, exam_sum.reshape(n_clients, k), exam_count.reshape(n_clients, k)
 
 
-def _fit_relevance_pass(weights: np.ndarray, targets: Sequence) -> np.ndarray:
-    """One squared-error SGD pass of sigmoid(F(x)) toward the posteriors,
-    one batched step per record, in record order."""
-    w = weights.copy()
-    for features, posterior in targets:
-        pred = _sigmoid(features @ w)
-        residual = (pred - posterior) * pred * (1.0 - pred)
-        w = w - FIT_LR * 2.0 * (features.T @ residual) / len(posterior)
-    return w
+def fit_relevance(
+    corpus: PackedQueries,
+    impressions: Impressions,
+    targets: np.ndarray,
+    weights: np.ndarray,
+) -> np.ndarray:
+    """Every client's squared-error SGD pass of sigmoid(F(x)) toward its
+    records' relevance posteriors, from the broadcast `weights`; returns
+    the fitted weights, one row per client.
+
+    Each record is one batched step, in record order. Clients are
+    independent, so they run in lockstep: step t of every client that has a
+    t-th record is one batched step, split by record length.
+    """
+    counts = np.bincount(impressions.client, minlength=impressions.users.size)
+    first = np.cumsum(counts) - counts
+    fitted = np.tile(weights, (counts.size, 1))
+    for t in range(counts.max(initial=0)):
+        stepping = np.flatnonzero(counts > t)
+        records = first[stepping] + t
+        for n, group in _by_length(impressions.length[records]):
+            clients, step = stepping[group], records[group]
+            features = _features(corpus, impressions, step, n)
+            pred = _sigmoid(np.matmul(features, fitted[clients][:, :, None])[:, :, 0])
+            residual = (pred - targets[step, :n]) * pred * (1.0 - pred)
+            gradient = np.matmul(features.transpose(0, 2, 1), residual[:, :, None])[:, :, 0]
+            fitted[clients] -= FIT_LR * 2.0 * gradient / n
+    return fitted
 
 
 def federated_em_round(
-    state: EmEstimatorState, client_records: Mapping[int, Sequence]
+    state: EmEstimatorState, impressions: Impressions, corpus: PackedQueries
 ) -> EmEstimatorState:
-    """One federated EM round over the participating clients.
+    """One federated EM round over the round's clients.
 
-    Each client runs one local EM pass against the broadcast relevance
-    model: an E-step under its served table (its first round uses
+    Each client with records runs one local EM pass against the broadcast
+    relevance model: an E-step under its served table (its first round uses
     `initial_theta`) and one regression pass toward the relevance
     posteriors. The server adds the clients' mean model delta, summed in
     ascending client id. Position estimates stay client-local: each
     client's posterior sums and impression counts join its running totals,
-    whose per-position means form its local table.
+    whose per-position means form its local table. Clients without records
+    change nothing.
     """
-    broadcast = state.relevance_model.weights
-    deltas = []
-    for uid in sorted(client_records):
-        records = client_records[uid]
-        if not records:
-            continue
-        theta_prior = state.theta[uid] if state.participations[uid] else state.initial_theta()
-        targets, exam_sum, exam_count = em_m_step_local(
-            records, theta_prior, state.relevance_model
-        )
-        deltas.append(_fit_relevance_pass(broadcast, targets) - broadcast)
-        state.participations[uid] += 1
-        state.posterior_sum[uid] += exam_sum
-        state.impression_count[uid] += exam_count
-        covered = state.impression_count[uid] > 0
-        theta_new = state.initial_theta()
-        theta_new[covered] = state.posterior_sum[uid, covered] / state.impression_count[uid, covered]
-        state.theta_local[uid] = np.clip(theta_new, FLOOR, 1.0)
-    if not deltas:
+    if impressions.client.size == 0:
         return state
+    users = impressions.users
+    broadcast = state.relevance_model.weights
+    returning = state.participations[users] > 0
+    prior = np.where(returning[:, None], state.theta[users], state.initial_theta())
+    targets, exam_sum, exam_count = em_m_step_local(corpus, impressions, prior, broadcast)
+    fitted = fit_relevance(corpus, impressions, targets, broadcast)
+    active = np.bincount(impressions.client, minlength=users.size) > 0
+    uids = users[active]
     state.relevance_model = LinearRanker(
-        broadcast + np.sum(np.stack(deltas), axis=0) / len(deltas)
+        broadcast + np.sum(fitted[active] - broadcast, axis=0) / uids.size
     )
+    state.participations[uids] += 1
+    state.posterior_sum[uids] += exam_sum[active]
+    state.impression_count[uids] += exam_count[active]
+    totals, counts = state.posterior_sum[uids], state.impression_count[uids]
+    theta_local = np.tile(state.initial_theta(), (uids.size, 1))
+    np.divide(totals, counts, out=theta_local, where=counts > 0)
+    state.theta_local[uids] = np.clip(theta_local, FLOOR, 1.0)
     # Partial pooling: each served table shrinks toward the across-client
     # mean of the local tables.
     seen = state.participations > 0

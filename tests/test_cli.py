@@ -190,6 +190,14 @@ class TestMain:
                 {"sweep": {"m": [2.5]}}, "sweep point g1.0_u4_m2.5_fedips: m must be an integer",
                 id="extra6",
             ),
+            # bool() of any nonempty string is True, int() truncates floats.
+            pytest.param({"normalize": "false"}, "normalize must be true or false", id="extra7"),
+            pytest.param(
+                {"filter_uniform": "no"}, "filter_uniform must be true or false", id="extra8"
+            ),
+            pytest.param({"run_lambda": "false"}, "run_lambda must be true or false", id="extra9"),
+            pytest.param({"repeats": 2.7}, "repeats must be an integer", id="extra10"),
+            pytest.param({"master_seed": 1.9}, "master_seed must be an integer", id="extra11"),
         ],
     )
     def test_bad_knobs_are_rejected_at_parse_time(self, tmp_path, capsys, extra, named):
@@ -199,6 +207,17 @@ class TestMain:
         err = capsys.readouterr().err
         assert "invalid configuration" in err
         assert named in err
+        assert not out.exists()
+
+    def test_non_integer_worker_count_is_rejected_before_running(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        config = _write_config(tmp_path / "spec.json")
+        out = tmp_path / "results"
+        monkeypatch.setenv(WORKERS_ENV, "two")
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration: FEDLTR_WORKERS must be an integer, got 'two'" in err
         assert not out.exists()
 
     def test_failed_run_leaves_marker(self, tmp_path, capsys):

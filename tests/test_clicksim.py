@@ -1,5 +1,7 @@
 """Logging policy, user bias sampling, and position-based click generation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from fedltr.clicksim import (
     collect_round_clicks,
     display_top_k,
     examination_prob,
+    round_impressions,
     sample_user_bias,
     train_logging_policy,
 )
@@ -247,6 +250,50 @@ class TestCollectRoundClicks:
             collect_round_clicks(user, _displays(q, k=1), 0, 5, np.random.default_rng(0))
         with pytest.raises(ValueError, match="max_impressions"):
             collect_round_clicks(user, _displays(q, k=1), 1, 0, np.random.default_rng(0))
+
+
+class TestRoundImpressions:
+    def test_flattens_records_by_client_then_record(self):
+        # W1 shows q1 as documents 0, 1, 2 and q2 as 1, 0.
+        q1 = _query([3.0, 2.0, 1.0], [3, 0, 0], qid=1)
+        q2 = _query([1.0, 2.0], [0, 4], qid=2)
+        displays = _displays(q1, q2, k=3)
+        records = [
+            [
+                ClickRecord(2, np.array([1, 0]), np.array([False, True]), np.array([1.0, 0.5])),
+                ClickRecord(1, np.array([0, 1, 2]), np.array([True, False, True]), np.ones(3)),
+            ],
+            [],
+            [ClickRecord(1, np.array([0, 1, 2]), np.zeros(3, dtype=bool), np.full(3, 0.25))],
+        ]
+        impressions = round_impressions([3, 5, 8], records, displays)
+        np.testing.assert_array_equal(impressions.users, [3, 5, 8])
+        np.testing.assert_array_equal(impressions.client, [0, 0, 2])
+        np.testing.assert_array_equal(impressions.row, [1, 0, 0])
+        np.testing.assert_array_equal(impressions.length, [2, 3, 3])
+        np.testing.assert_array_equal(impressions.docs[:, :2], [[1, 0], [0, 1], [0, 1]])
+        np.testing.assert_array_equal(
+            impressions.clicked,
+            [[False, True, False], [True, False, True], [False, False, False]],
+        )
+        np.testing.assert_array_equal(
+            impressions.propensity, [[1.0, 0.5, 0.0], [1.0, 1.0, 1.0], [0.25, 0.25, 0.25]]
+        )
+
+    def test_rejects_records_that_disagree_with_the_displays(self):
+        q = _query([2.0, 1.0], [3, 0])
+        record = ClickRecord(1, np.array([0]), np.array([True]), np.ones(1))
+        with pytest.raises(ValueError, match="displayed documents"):
+            round_impressions([0], [[record]], _displays(q, k=2))
+
+    def test_rejects_unordered_users_and_records(self):
+        q = _query([2.0, 1.0], [3, 0])
+        record = ClickRecord(1, np.array([0, 1]), np.array([True, False]), np.ones(2))
+        with pytest.raises(ValueError, match="ascending"):
+            round_impressions([4, 2], [[record], [record]], _displays(q, k=2))
+        impressions = round_impressions([2, 4], [[record], [record]], _displays(q, k=2))
+        with pytest.raises(ValueError, match="ordered by client"):
+            replace(impressions, client=np.array([1, 0]))
 
 
 class TestStateValidation:

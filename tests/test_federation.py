@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fedltr import federation
-from fedltr.clicksim import ClickRecord
+from fedltr.clicksim import ClickRecord, LoggingPolicy, display_top_k, round_impressions
 from fedltr.dataset import Dataset, Query
 from fedltr.federation import (
     FederationConfig,
@@ -61,8 +61,15 @@ def _client_opt(w_t, records, eta_local, rng, propensity=None):
     """One client's delta and click count on its (record, query) pairs,
     weighted by the logged propensities or by one shared `propensity`."""
     queries = tuple({query.qid: query for _, query in records}.values())
-    corpus = Dataset(queries=queries, feature_dim=queries[0].features.shape[1]).packed
-    clicks = round_clicks([[record for record, _ in records]], corpus.rows)
+    dataset = Dataset(queries=queries, feature_dim=queries[0].features.shape[1])
+    # A zero-weight logging policy shows every query in document order.
+    displays = display_top_k(
+        LoggingPolicy(LinearRanker.zeros(dataset.feature_dim)),
+        dataset,
+        max(q.n_docs for q in queries),
+    )
+    corpus = dataset.packed
+    clicks = round_clicks(round_impressions([0], [[record for record, _ in records]], displays))
     if propensity is not None:
         clicks = replace(clicks, propensity=np.full(clicks.row.size, propensity))
     return client_opt(w_t, corpus, clicks, eta_local, [rng])[0], clicks.row.size
@@ -326,9 +333,10 @@ class TestRunRound:
         records = collect_round_clicks(
             user, shadow.displays, cfg.m, cfg.max_impressions_factor * cfg.m, user.rng_stream
         )
-        queries = shadow.train.queries
-        pairs = [(r, queries[shadow.displays.rows[r.query_id]]) for r in records]
-        delta, _ = _client_opt(shadow.model, pairs, cfg.eta_local, user.rng_stream)
+        clicks = round_clicks(round_impressions([0], [records], shadow.displays))
+        delta = client_opt(
+            shadow.model, shadow.train.packed, clicks, cfg.eta_local, [user.rng_stream]
+        )[0]
         np.testing.assert_array_equal(state.model.weights, shadow.model.weights + delta)
 
     def test_zero_bias_makes_modes_identical(self, small_split):

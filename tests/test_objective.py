@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedltr.clicksim import ClickRecord
+from fedltr.clicksim import ClickRecord, LoggingPolicy, display_top_k, round_impressions
 from fedltr.dataset import Dataset, Query
 from fedltr.objective import (
     Clicks,
@@ -128,6 +128,15 @@ class TestClickGradient:
         np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-8)
 
 
+def _round_clicks(records, queries):
+    """round_clicks of records[i], client i's records, shown in document
+    order (the order a zero-weight logging policy gives)."""
+    dataset = Dataset(queries=tuple(queries), feature_dim=queries[0].features.shape[1])
+    k = max(q.n_docs for q in queries)
+    displays = display_top_k(LoggingPolicy(LinearRanker.zeros(dataset.feature_dim)), dataset, k)
+    return round_clicks(round_impressions(np.arange(len(records)), records, displays))
+
+
 class TestClickSteps:
     def test_steps_follow_record_then_display_order(self):
         q1 = _query([[1.0], [-1.0], [0.0]], qid=1)
@@ -137,7 +146,7 @@ class TestClickSteps:
             [_record(q2, [False, False])],
             [_record(q2, [True, False])],
         ]
-        clicks = round_clicks(records, {1: 0, 2: 1})
+        clicks = _round_clicks(records, (q1, q2))
         assert clicks.n_clients == 3
         np.testing.assert_array_equal(clicks.client, [0, 0, 0, 2])
         np.testing.assert_array_equal(clicks.row, [0, 0, 1, 1])
@@ -147,7 +156,7 @@ class TestClickSteps:
 
     def test_no_clicks_gives_no_steps(self):
         q = _query([[1.0], [-1.0]])
-        clicks = round_clicks([[_record(q, [False, False])]], {1: 0})
+        clicks = _round_clicks([[_record(q, [False, False])]], (q,))
         assert clicks.n_clients == 1
         assert clicks.row.size == 0 and clicks.propensity.size == 0
 
@@ -157,7 +166,7 @@ def _loss(model, records, propensity=None):
     logged propensities or by one shared `propensity`."""
     queries = tuple({query.qid: query for _, query in records}.values())
     corpus = Dataset(queries=queries, feature_dim=queries[0].features.shape[1]).packed
-    clicks = round_clicks([[record for record, _ in records]], corpus.rows)
+    clicks = _round_clicks([[record for record, _ in records]], queries)
     if propensity is not None:
         clicks = replace(clicks, propensity=np.full(clicks.row.size, propensity))
     return client_loss(model, corpus, clicks)[0]

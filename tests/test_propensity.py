@@ -1,21 +1,32 @@
 """Oracle propensities and the federated EM examination estimator."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedltr.clicksim import ClickRecord, UserState, examination_prob
-from fedltr.dataset import Query
+from fedltr.clicksim import (
+    ClickRecord,
+    Impressions,
+    LoggingPolicy,
+    UserState,
+    display_top_k,
+    examination_prob,
+    round_impressions,
+)
+from fedltr.dataset import Dataset, Query
 from fedltr.propensity import (
+    FIT_LR,
     FLOOR,
     POOLING,
     EmEstimatorState,
-    _fit_relevance_pass,
     em_e_step,
     em_m_step_local,
     estimated_propensity,
     federated_em_round,
+    fit_relevance,
 )
 from fedltr.ranker import LinearRanker
 
@@ -36,21 +47,41 @@ def _exact_prior_setup(seed, n_docs=12):
     return rng, rel, query
 
 
-def _pbm_records(rng, n_records, rel, query, gamma_s=1.0, k=5):
-    """Pure position-model impressions: click = examined and relevant."""
+def _corpus(query):
+    return Dataset(queries=(query,), feature_dim=query.features.shape[1]).packed
+
+
+def _pbm_records(rng, n_records, rel, gamma_s=1.0, k=5):
+    """Pure position-model impressions of a shuffled top k: click =
+    examined and relevant. Each is a (displayed, clicks) pair."""
     exam = (1.0 / np.arange(1, k + 1, dtype=np.float64)) ** gamma_s
     out = []
     for _ in range(n_records):
         displayed = rng.choice(len(rel), size=k, replace=False)
         clicks = (rng.random(k) < exam) & (rng.random(k) < rel[displayed])
-        record = ClickRecord(
-            query_id=query.qid,
-            displayed=displayed,
-            clicks=clicks,
-            propensities=exam.copy(),
-        )
-        out.append((record, query))
+        out.append((displayed, clicks))
     return out
+
+
+def _impressions(client_records, k=5):
+    """Impressions of {user id: [(displayed, clicks), ...]} on the packed
+    corpus's only query, each record showing its own documents."""
+    users = sorted(client_records)
+    pairs = [pair for uid in users for pair in client_records[uid]]
+    docs = np.zeros((len(pairs), k), dtype=np.int64)
+    clicked = np.zeros((len(pairs), k), dtype=bool)
+    for r, (displayed, clicks) in enumerate(pairs):
+        docs[r, : len(displayed)] = displayed
+        clicked[r, : len(clicks)] = clicks
+    return Impressions(
+        users=np.array(users, dtype=np.int64),
+        client=np.repeat(np.arange(len(users)), [len(client_records[uid]) for uid in users]),
+        row=np.zeros(len(pairs), dtype=np.int64),
+        length=np.array([len(displayed) for displayed, _ in pairs], dtype=np.int64),
+        docs=docs,
+        clicked=clicked,
+        propensity=np.ones((len(pairs), k)),
+    )
 
 
 class TestKnownPropensity:
@@ -123,57 +154,51 @@ class TestEmEStep:
         # The local M-step's regression targets are em_e_step's relevance
         # posteriors under the clipped sigmoid prior, bit for bit.
         rng, rel, query = _exact_prior_setup(seed=4)
-        records = _pbm_records(rng, 20, rel, query)
+        impressions = _impressions({0: _pbm_records(rng, 20, rel)})
         theta_prev = np.array([1.0, 0.6, 0.45, 0.3, 0.2])
-        model = LinearRanker(np.ones(1))
-        targets, _, _ = em_m_step_local(records, theta_prev, model)
-        for (record, _), (features, p_rel) in zip(records, targets):
-            prior = np.clip(1.0 / (1.0 + np.exp(-features @ model.weights)), 1e-6, 1.0 - 1e-6)
-            _, expected = em_e_step(record.clicks, theta_prev, prior)
-            np.testing.assert_array_equal(p_rel, expected)
+        weights = np.ones(1)
+        targets, _, _ = em_m_step_local(_corpus(query), impressions, theta_prev[None], weights)
+        for r in range(20):
+            features = query.features[impressions.docs[r]]
+            prior = np.clip(1.0 / (1.0 + np.exp(-features @ weights)), 1e-6, 1.0 - 1e-6)
+            _, expected = em_e_step(impressions.clicked[r], theta_prev, prior)
+            np.testing.assert_array_equal(targets[r], expected)
 
 
 class TestEmMStepLocal:
     def test_all_clicked_positions_estimate_one(self):
         _, rel, query = _exact_prior_setup(seed=1, n_docs=4)
-        record = ClickRecord(
-            query_id=1,
-            displayed=np.arange(3),
-            clicks=np.ones(3, dtype=bool),
-            propensities=np.ones(3),
-        )
+        impressions = _impressions({0: [(np.arange(3), np.ones(3, dtype=bool))]}, k=3)
         _, exam_sum, exam_count = em_m_step_local(
-            [(record, query)], np.array([1.0, 0.5, 0.5]), LinearRanker(np.ones(1))
+            _corpus(query), impressions, np.array([[1.0, 0.5, 0.5]]), np.ones(1)
         )
-        np.testing.assert_allclose(exam_sum / exam_count, [1.0, 1.0, 1.0])
+        np.testing.assert_allclose(exam_sum / exam_count, [[1.0, 1.0, 1.0]])
 
     def test_empty_records_error(self):
+        _, rel, query = _exact_prior_setup(seed=2, n_docs=3)
         with pytest.raises(ValueError, match="nonempty"):
-            em_m_step_local([], np.array([1.0, 0.5]), LinearRanker(np.ones(1)))
+            em_m_step_local(
+                _corpus(query), _impressions({0: []}, k=2), np.array([[1.0, 0.5]]), np.ones(1)
+            )
 
     def test_record_longer_than_position_range_errors(self):
         _, rel, query = _exact_prior_setup(seed=3, n_docs=5)
-        record = ClickRecord(
-            query_id=1,
-            displayed=np.arange(3),
-            clicks=np.zeros(3, dtype=bool),
-            propensities=np.ones(3),
-        )
+        impressions = _impressions({0: [(np.arange(3), np.zeros(3, dtype=bool))]}, k=3)
         with pytest.raises(ValueError, match="longer"):
-            em_m_step_local([(record, query)], np.array([1.0, 0.5]), LinearRanker(np.ones(1)))
+            em_m_step_local(_corpus(query), impressions, np.array([[1.0, 0.5]]), np.ones(1))
 
     def test_fixed_point_recovers_inverse_rank_curve(self):
         # With the relevance prior exact, iterating the local EM step to its
         # fixed point on pure position-model clicks must recover the user's
         # true (1/position) examination curve.
         rng, rel, query = _exact_prior_setup(seed=5)
-        records = _pbm_records(rng, 4000, rel, query)
-        model = LinearRanker(np.ones(1))
-        state = EmEstimatorState(relevance_model=model, k=5, num_users=50)
+        impressions = _impressions({0: _pbm_records(rng, 4000, rel)})
+        corpus = _corpus(query)
+        state = EmEstimatorState(relevance_model=LinearRanker(np.ones(1)), k=5, num_users=50)
         theta = state.initial_theta()
         for _ in range(60):
-            _, exam_sum, exam_count = em_m_step_local(records, theta, model)
-            theta = exam_sum / exam_count
+            _, exam_sum, exam_count = em_m_step_local(corpus, impressions, theta[None], np.ones(1))
+            theta = exam_sum[0] / exam_count[0]
         truth = 1.0 / np.arange(1, 6, dtype=np.float64)
         assert np.all(np.diff(theta) < 0)
         assert np.max(np.abs(theta - truth)) <= 0.05
@@ -182,28 +207,32 @@ class TestEmMStepLocal:
 class TestFederatedEmRound:
     def test_single_client_unit_rate_recovers_local_model(self):
         rng, rel, query = _exact_prior_setup(seed=8)
-        records = _pbm_records(rng, 5, rel, query)
+        impressions = _impressions({3: _pbm_records(rng, 5, rel)})
+        corpus = _corpus(query)
         state = EmEstimatorState(relevance_model=LinearRanker.zeros(1), k=5, num_users=50)
         broadcast = state.relevance_model.weights.copy()
-        targets, _, _ = em_m_step_local(records, state.initial_theta(), state.relevance_model)
-        expected = _fit_relevance_pass(broadcast, targets)
-        state = federated_em_round(state, {3: records})
+        targets, _, _ = em_m_step_local(corpus, impressions, state.initial_theta()[None], broadcast)
+        expected = fit_relevance(corpus, impressions, targets, broadcast)[0]
+        state = federated_em_round(state, impressions, corpus)
         np.testing.assert_array_equal(state.relevance_model.weights, expected)
 
     def test_first_round_enters_running_totals(self):
         # A client's first round, taken under initial_theta, already counts:
         # its posteriors join the running totals whose means form its table.
         rng, rel, query = _exact_prior_setup(seed=9)
+        corpus = _corpus(query)
         state = EmEstimatorState(relevance_model=LinearRanker.zeros(1), k=5, num_users=50)
         total_sum = np.zeros(5)
         total_count = np.zeros(5)
         for round_i in range(3):
-            pairs = _pbm_records(rng, 4, rel, query)
+            impressions = _impressions({0: _pbm_records(rng, 4, rel)})
             prior = state.theta[0] if round_i else state.initial_theta()
-            _, exam_sum, exam_count = em_m_step_local(pairs, prior, state.relevance_model)
-            total_sum += exam_sum
-            total_count += exam_count
-            state = federated_em_round(state, {0: pairs})
+            _, exam_sum, exam_count = em_m_step_local(
+                corpus, impressions, prior[None], state.relevance_model.weights
+            )
+            total_sum += exam_sum[0]
+            total_count += exam_count[0]
+            state = federated_em_round(state, impressions, corpus)
             np.testing.assert_array_equal(state.posterior_sum[0], total_sum)
             np.testing.assert_array_equal(state.impression_count[0], total_count)
             np.testing.assert_array_equal(
@@ -214,11 +243,10 @@ class TestFederatedEmRound:
     def test_pooling_shrinks_toward_population_mean(self):
         rng, rel, query = _exact_prior_setup(seed=10)
         state = EmEstimatorState(relevance_model=LinearRanker.zeros(1), k=5, num_users=50)
-        client_records = {
-            0: _pbm_records(rng, 6, rel, query),
-            1: _pbm_records(rng, 6, rel, query),
-        }
-        state = federated_em_round(state, client_records)
+        impressions = _impressions(
+            {0: _pbm_records(rng, 6, rel), 1: _pbm_records(rng, 6, rel)}
+        )
+        state = federated_em_round(state, impressions, _corpus(query))
         population = np.mean(
             np.stack([state.theta_local[0], state.theta_local[1]]), axis=0
         )
@@ -232,14 +260,107 @@ class TestFederatedEmRound:
         # estimates must order the positions and put position 2 near 1/2,
         # even though the relevance model is learned from scratch.
         rng, rel, query = _exact_prior_setup(seed=7)
+        corpus = _corpus(query)
         state = EmEstimatorState(relevance_model=LinearRanker.zeros(1), k=5, num_users=50)
         for _ in range(150):
-            pairs = _pbm_records(rng, 20, rel, query)
-            state = federated_em_round(state, {0: pairs})
+            impressions = _impressions({0: _pbm_records(rng, 20, rel)})
+            state = federated_em_round(state, impressions, corpus)
         theta = state.theta[0]
         assert theta[0] == 1.0
         assert np.all(np.diff(theta) < 0)
         assert abs(theta[1] - 0.5) <= 0.15
+
+    def test_batched_round_matches_sequential_reference(self):
+        # Queries of 1-13 documents under k = 8 give records of every length
+        # 1-8; each round one client has no records, the others 1-8 each,
+        # and from round 2 on most priors come from theta. The batched round
+        # must equal the per-client, per-record loop below bit for bit.
+        rng = np.random.default_rng(23)
+        k, n_users = 8, 5
+        queries = tuple(
+            Query(qid=100 + i, features=rng.normal(size=(n, 4)), labels=rng.integers(0, 5, size=n))
+            for i, n in enumerate(rng.permutation(np.arange(1, 14)))
+        )
+        dataset = Dataset(queries=queries, feature_dim=4)
+        displays = display_top_k(LoggingPolicy(LinearRanker(rng.normal(size=4))), dataset, k)
+        state = EmEstimatorState(
+            relevance_model=LinearRanker(rng.normal(size=4)), k=k, num_users=n_users
+        )
+        reference = copy.deepcopy(state)
+        users = np.arange(n_users)
+        for round_i in range(4):
+            records = []
+            for uid in users:
+                n_records = 0 if uid == round_i else int(rng.integers(1, 9))
+                client = []
+                for row in rng.integers(len(queries), size=n_records):
+                    n = int(displays.lengths[row])
+                    client.append(
+                        ClickRecord(
+                            query_id=queries[row].qid,
+                            displayed=displays.docs[row, :n],
+                            clicks=rng.random(n) < 0.4,
+                            propensities=np.ones(n),
+                        )
+                    )
+                records.append(client)
+            impressions = round_impressions(users, records, displays)
+            assert len(set(impressions.length.tolist())) > 2
+            state = federated_em_round(state, impressions, dataset.packed)
+            _sequential_em_round(reference, dict(zip(users.tolist(), records)), dataset)
+            np.testing.assert_array_equal(
+                state.relevance_model.weights, reference.relevance_model.weights
+            )
+            for name in ("theta", "theta_local", "posterior_sum", "impression_count"):
+                assert np.array_equal(getattr(state, name), getattr(reference, name)), name
+            assert np.array_equal(state.participations, reference.participations)
+        assert np.all(state.participations >= 2)
+
+
+def _sequential_em_round(state, client_records, dataset):
+    """Reference federated EM round: each client's records one at a time,
+    clients one after another in ascending id."""
+
+    def sigmoid(x):
+        return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
+
+    queries = {q.qid: q for q in dataset.queries}
+    broadcast = state.relevance_model.weights
+    deltas = []
+    for uid in sorted(client_records):
+        records = client_records[uid]
+        if not records:
+            continue
+        prior = state.theta[uid] if state.participations[uid] else state.initial_theta()
+        exam_sum = np.zeros(state.k)
+        exam_count = np.zeros(state.k)
+        targets = []
+        for record in records:
+            n = len(record.displayed)
+            features = queries[record.query_id].features[record.displayed]
+            rel = np.clip(sigmoid(features @ broadcast), 1e-6, 1.0 - 1e-6)
+            p_exam, p_rel = em_e_step(record.clicks, prior[:n], rel)
+            exam_sum[:n] += p_exam
+            exam_count[:n] += 1.0
+            targets.append((features, p_rel))
+        w = broadcast.copy()
+        for features, p_rel in targets:
+            pred = sigmoid(features @ w)
+            residual = (pred - p_rel) * pred * (1.0 - pred)
+            w = w - FIT_LR * 2.0 * (features.T @ residual) / len(p_rel)
+        deltas.append(w - broadcast)
+        state.participations[uid] += 1
+        state.posterior_sum[uid] += exam_sum
+        state.impression_count[uid] += exam_count
+        covered = state.impression_count[uid] > 0
+        local = state.initial_theta()
+        local[covered] = state.posterior_sum[uid, covered] / state.impression_count[uid, covered]
+        state.theta_local[uid] = np.clip(local, FLOOR, 1.0)
+    state.relevance_model = LinearRanker(broadcast + np.sum(np.stack(deltas), axis=0) / len(deltas))
+    seen = state.participations > 0
+    local = state.theta_local[seen]
+    served = (1.0 - POOLING) * local + POOLING * np.mean(local, axis=0)
+    state.theta[seen] = np.clip(served, FLOOR, 1.0)
 
 
 class TestEstimatedPropensity:
