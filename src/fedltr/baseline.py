@@ -3,7 +3,9 @@ pairwise gradients on the true relevance grades."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -22,6 +24,13 @@ class LambdaConfig:
     ndcg_k: int = 5
 
     def __post_init__(self) -> None:
+        rate = self.learning_rate
+        if isinstance(rate, bool) or not isinstance(rate, Real) or not math.isfinite(rate):
+            raise ValueError(f"learning_rate must be a finite real number, got {rate!r}")
+        for name in ("epochs", "ndcg_k"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 0:

@@ -6,12 +6,13 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, replace
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -90,8 +91,24 @@ class ExperimentSpec:
         for axis in (self.sweep_gamma, self.sweep_users_per_round, self.sweep_m):
             if not axis:
                 raise ValueError("sweep lists must be nonempty")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ValueError("test_fraction must be in (0, 1)")
+        if not _is_real(self.test_fraction) or not 0.0 < self.test_fraction < 1.0:
+            raise ValueError(
+                f"test_fraction must be a number in (0, 1), got {self.test_fraction!r}"
+            )
+        # The synthetic corpus's values are checked here rather than
+        # converted when it is generated.
+        synthetic = self.synthetic
+        for name, low in (("queries", 1), ("docs_per_query", 1), ("feature_dim", 1), ("seed", 0)):
+            value = synthetic[name]
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+                raise ValueError(
+                    f"dataset.synthetic.{name} must be an integer >= {low}, got {value!r}"
+                )
+        if not _is_real(synthetic["noise_sd"]) or synthetic["noise_sd"] < 0:
+            raise ValueError(
+                "dataset.synthetic.noise_sd must be a real number >= 0, "
+                f"got {synthetic['noise_sd']!r}"
+            )
         # Building every point's config checks the sweep values and modes
         # here, at parse time, rather than when their run starts.
         self.sweep_points()
@@ -110,6 +127,11 @@ class ExperimentSpec:
                 raise ValueError(f"sweep point {tag}: {exc}") from None
             points.append((tag, point))
         return points
+
+
+def _is_real(value) -> bool:
+    """Whether `value` is a finite real number and not a bool."""
+    return not isinstance(value, bool) and isinstance(value, Real) and math.isfinite(value)
 
 
 def _check_keys(mapping: dict, allowed: set, where: str) -> None:
@@ -171,7 +193,7 @@ def parse_spec(config_path: str | None = None, overrides: dict | None = None) ->
     return ExperimentSpec(
         dataset_path=_override("dataset_path", dataset_cfg.get("path")),
         synthetic=synthetic,
-        test_fraction=float(raw.get("test_fraction", 0.2)),
+        test_fraction=raw.get("test_fraction", 0.2),
         filter_uniform=raw.get("filter_uniform", True),
         normalize=raw.get("normalize", True),
         federation=federation,
@@ -193,17 +215,17 @@ def load_experiment_data(spec: ExperimentSpec) -> tuple[Dataset, Dataset]:
         data = load_svmlight(spec.dataset_path)
     else:
         data = generate_synthetic(
-            num_queries=int(spec.synthetic["queries"]),
-            docs_per_query=int(spec.synthetic["docs_per_query"]),
-            feature_dim=int(spec.synthetic["feature_dim"]),
-            seed=int(spec.synthetic["seed"]),
-            noise_sd=float(spec.synthetic["noise_sd"]),
+            num_queries=spec.synthetic["queries"],
+            docs_per_query=spec.synthetic["docs_per_query"],
+            feature_dim=spec.synthetic["feature_dim"],
+            seed=spec.synthetic["seed"],
+            noise_sd=spec.synthetic["noise_sd"],
         )
     if spec.filter_uniform:
         data = filter_uniform_queries(data)
     if spec.normalize:
         data = normalize_query_level(data)
-    return split(data, spec.test_fraction, seed=int(spec.synthetic["seed"]))
+    return split(data, spec.test_fraction, seed=spec.synthetic["seed"])
 
 
 def derive_seed(master_seed: int, sweep_index: int, repeat_index: int) -> int:

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
+from typing import Sequence
 
 import numpy as np
 
@@ -39,18 +42,26 @@ class Query:
 class PackedQueries:
     """A dataset's documents in one flat array, query after query.
 
-    Query r (the dataset's r-th query) owns rows offsets[r] to
+    Query r (the dataset's r-th query, id qids[r]) owns rows offsets[r] to
     offsets[r] + lengths[r] - 1 of `features` and `labels`, in document
-    order; `rows` maps a qid to r. No query is padded. `ideal_dcg` holds
-    each query's ideal DCG@k per k once metrics has computed it.
+    order; `rows` maps a qid to r. No query is padded and every query has
+    a document. `ideal_dcg` holds each query's ideal DCG@k per k once
+    metrics has computed it.
     """
 
     features: np.ndarray  # shape (n_total_docs, feature_dim)
     labels: np.ndarray  # shape (n_total_docs,)
-    offsets: np.ndarray  # shape (n_queries,)
+    qids: np.ndarray  # shape (n_queries,)
     lengths: np.ndarray  # shape (n_queries,)
-    rows: dict[int, int]
     ideal_dcg: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        return np.cumsum(self.lengths) - self.lengths
+
+    @cached_property
+    def rows(self) -> dict[int, int]:
+        return {qid: r for r, qid in enumerate(self.qids.tolist())}
 
     def doc_rows(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Flat row indices of the documents of `queries`, one query per
@@ -67,33 +78,89 @@ class PackedQueries:
         index, valid = self.doc_rows(np.arange(self.lengths.size))
         return np.where(valid, values[index], fill)
 
+    def select(self, queries: np.ndarray) -> PackedQueries:
+        """A packed copy of the queries at indices `queries`, in that order."""
+        lengths = self.lengths[queries]
+        starts = np.cumsum(lengths) - lengths
+        docs = np.repeat(self.offsets[queries] - starts, lengths) + np.arange(lengths.sum())
+        return PackedQueries(self.features[docs], self.labels[docs], self.qids[queries], lengths)
 
-@dataclass(frozen=True)
+
 class Dataset:
-    """An immutable collection of queries sharing one feature dimension."""
+    """An immutable collection of queries sharing one feature dimension.
 
-    queries: tuple[Query, ...]
-    feature_dim: int
+    The documents are stored once, as `packed`. `queries` holds one Query
+    per query, in packed order, whose arrays are views into it.
+    """
+
+    def __init__(self, queries: Sequence[Query], feature_dim: int) -> None:
+        # The empty leading arrays fix shape and dtype when there is no query.
+        self.packed = PackedQueries(
+            features=np.concatenate([np.zeros((0, feature_dim))] + [q.features for q in queries]),
+            labels=np.concatenate([np.zeros(0, dtype=np.int64)] + [q.labels for q in queries]),
+            qids=np.array([q.qid for q in queries], dtype=np.int64),
+            lengths=np.array([q.n_docs for q in queries], dtype=np.int64),
+        )
+
+    @classmethod
+    def from_packed(cls, packed: PackedQueries) -> Dataset:
+        dataset = cls.__new__(cls)
+        dataset.packed = packed
+        return dataset
+
+    def __getstate__(self) -> dict:
+        # Pickle the one copy of the documents, not the query views too.
+        return {"packed": self.packed}
+
+    @property
+    def feature_dim(self) -> int:
+        return self.packed.features.shape[1]
 
     @property
     def n_queries(self) -> int:
-        return len(self.queries)
+        return self.packed.lengths.size
 
     @cached_property
-    def packed(self) -> PackedQueries:
-        """The packed layout, built on first use: datasets that are only
-        passed through loading, filtering and splitting are never packed."""
-        lengths = np.array([q.n_docs for q in self.queries], dtype=np.int64)
-        # The empty leading arrays fix shape and dtype when there is no query.
-        return PackedQueries(
-            features=np.concatenate(
-                [np.zeros((0, self.feature_dim))] + [q.features for q in self.queries]
-            ),
-            labels=np.concatenate([np.zeros(0, dtype=np.int64)] + [q.labels for q in self.queries]),
-            offsets=np.cumsum(lengths) - lengths,
-            lengths=lengths,
-            rows={q.qid: r for r, q in enumerate(self.queries)},
+    def queries(self) -> tuple[Query, ...]:
+        p = self.packed
+        cuts = p.offsets[1:]
+        return tuple(
+            Query(qid=qid, features=features, labels=labels)
+            for qid, features, labels in zip(
+                p.qids.tolist(), np.split(p.features, cuts), np.split(p.labels, cuts)
+            )
         )
+
+
+# str.translate table deleting every ASCII character but the colon and
+# whitespace, which leaves the separators of a line's `idx:val` tokens.
+_NOT_SEPARATOR = {c: None for c in range(128) if not (chr(c).isspace() or chr(c) == ":")}
+# The largest index or qid the flat int64 arrays hold.
+_INT64_MAX = 2**63 - 1
+# The indices of a dense line, "1" to "n", as they are written.
+_DENSE = [str(j) for j in range(1, 1025)]
+
+
+def _parse_tokens(lineno: int, tokens: list[str]) -> tuple[list[int], list[float]]:
+    """The indices and values of one line's `idx:val` tokens, one token at
+    a time; raises on the first bad token."""
+    indices, values = [], []
+    for tok in tokens:
+        idx_s, _, val_s = tok.partition(":")
+        try:
+            idx = int(idx_s)
+            val = float(val_s)
+        except ValueError:
+            raise ValueError(f"line {lineno}: bad feature {tok!r}") from None
+        if idx < 1:
+            raise ValueError(f"line {lineno}: feature indices are 1-based, got {idx}")
+        if idx > _INT64_MAX:
+            raise ValueError(f"line {lineno}: feature index {idx} is too large")
+        if not math.isfinite(val):
+            raise ValueError(f"line {lineno}: non-finite feature {tok!r}")
+        indices.append(idx)
+        values.append(val)
+    return indices, values
 
 
 def load_svmlight(path: str) -> Dataset:
@@ -101,59 +168,116 @@ def load_svmlight(path: str) -> Dataset:
 
     Each line is ``<label> qid:<id> <idx>:<val> ...`` with 1-based feature
     indices; text after ``#`` is a comment. Documents are grouped by qid in
-    file order, missing feature indices are filled with 0, and the feature
-    dimension is the maximal index seen anywhere in the file.
+    file order, missing feature indices are filled with 0, a repeated index
+    keeps its last value, and the feature dimension is the maximal index
+    seen anywhere in the file.
+
+    Only the label and qid are parsed one line at a time. Each line's
+    tokens are converted in bulk into flat buffers, and the index and value
+    checks run over the whole file at once. Every error names its line.
     """
-    # Documents grouped by qid, in order of the qid's first appearance.
-    grouped: dict[int, list[tuple[int, list[tuple[int, float]]]]] = {}
-    max_idx = 0
+    queries: dict[int, int] = {}  # qid -> query number, in order of first appearance
+    query_of_doc, labels, line_of_doc = array("q"), array("q"), array("q")
+    ends = array("q")  # tokens read up to the end of each document
+    index, values = array("q"), array("d")
+
+    def check(n_tokens: int) -> None:
+        """Raise the error of the first line with an index below 1 or a
+        non-finite value among the first `n_tokens` tokens."""
+        bad = np.frombuffer(index, dtype=np.int64, count=n_tokens) < 1
+        bad |= ~np.isfinite(np.frombuffer(values, dtype=np.float64, count=n_tokens))
+        if bad.any():
+            doc = int(
+                np.searchsorted(np.frombuffer(ends, dtype=np.int64), bad.argmax(), side="right")
+            )
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = next(islice(fh, line_of_doc[doc] - 1, None))
+            _parse_tokens(line_of_doc[doc], raw.split("#", 1)[0].split()[2:])
+
+    def fail(lineno: int, message: str) -> ValueError:
+        check(len(values))
+        return ValueError(f"line {lineno}: {message}")
+
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = line.split()
+            parts = line.split(None, 2)
             if len(parts) < 2:
-                raise ValueError(f"line {lineno}: expected '<label> qid:<id> ...'")
+                raise fail(lineno, "expected '<label> qid:<id> ...'")
             try:
                 label = int(parts[0])
             except ValueError:
-                raise ValueError(f"line {lineno}: bad label {parts[0]!r}") from None
+                raise fail(lineno, f"bad label {parts[0]!r}") from None
             if not parts[1].startswith("qid:"):
-                raise ValueError(f"line {lineno}: missing qid field")
+                raise fail(lineno, "missing qid field")
             try:
                 qid = int(parts[1][4:])
             except ValueError:
-                raise ValueError(f"line {lineno}: bad qid {parts[1]!r}") from None
-            pairs: list[tuple[int, float]] = []
-            for tok in parts[2:]:
-                idx_s, _, val_s = tok.partition(":")
+                raise fail(lineno, f"bad qid {parts[1]!r}") from None
+            if abs(qid) > _INT64_MAX:
+                raise fail(lineno, f"qid {qid} is too large")
+            tokens = parts[2] if len(parts) > 2 else ""
+            done = len(values)
+            try:
+                pieces = tokens.replace(":", " ").split()
+                n = len(pieces) // 2
+                # Every token is one nonempty index, a colon and one
+                # nonempty value exactly when the colons and whitespace
+                # alternate and there are two pieces per colon.
+                if 2 * n != len(pieces) or tokens.translate(_NOT_SEPARATOR).split() != [":"] * n:
+                    raise ValueError("malformed token")
+                names = pieces[0::2]
+                index.extend(range(1, n + 1) if names == _DENSE[:n] else map(int, names))
+                values.extend(map(float, pieces[1::2]))
+            except (ValueError, OverflowError):
+                # Rare lines (bad tokens, non-ASCII text) go token by token.
+                del index[done:], values[done:]
                 try:
-                    idx = int(idx_s)
-                    val = float(val_s)
+                    line_index, line_values = _parse_tokens(lineno, tokens.split())
                 except ValueError:
-                    raise ValueError(f"line {lineno}: bad feature {tok!r}") from None
-                if idx < 1:
-                    raise ValueError(f"line {lineno}: feature indices are 1-based, got {idx}")
-                if not math.isfinite(val):
-                    raise ValueError(f"line {lineno}: non-finite feature {tok!r}")
-                pairs.append((idx, val))
-                max_idx = max(max_idx, idx)
-            grouped.setdefault(qid, []).append((label, pairs))
-
-    if not grouped:
+                    check(done)
+                    raise
+                index.extend(line_index)
+                values.extend(line_values)
+            query_of_doc.append(queries.setdefault(qid, len(queries)))
+            labels.append(label)
+            line_of_doc.append(lineno)
+            ends.append(len(values))
+    check(len(values))
+    if not queries:
         raise ValueError(f"{path}: empty dataset")
 
-    queries = []
-    for qid, docs in grouped.items():
-        feats = np.zeros((len(docs), max_idx), dtype=np.float64)
-        labels = np.zeros(len(docs), dtype=np.int64)
-        for i, (label, pairs) in enumerate(docs):
-            labels[i] = label
-            for idx, val in pairs:
-                feats[i, idx - 1] = val
-        queries.append(Query(qid=qid, features=feats, labels=labels))
-    return Dataset(queries=tuple(queries), feature_dim=max_idx)
+    idx = np.frombuffer(index, dtype=np.int64)
+    val = np.frombuffer(values, dtype=np.float64)
+    query = np.frombuffer(query_of_doc, dtype=np.int64)
+    doc_ends = np.frombuffer(ends, dtype=np.int64)
+    n_docs, feature_dim = query.size, int(idx.max(initial=0))
+    # Documents grouped by query, in file order within each query.
+    order = np.argsort(query, kind="stable")
+    row = np.empty(n_docs, dtype=np.int64)
+    row[order] = np.arange(n_docs)
+    # Each token's position in the flat (document, feature) array.
+    position = np.repeat(row * feature_dim - 1, np.diff(doc_ends, prepend=0))
+    position += idx
+    # A line whose indices do not rise may repeat one: keep its last value.
+    rising = idx[1:] > idx[:-1]
+    starts = doc_ends[:-1]
+    rising[starts[(starts > 0) & (starts < idx.size)] - 1] = True
+    if not rising.all():
+        _, first_from_end = np.unique(position[::-1], return_index=True)
+        last = position.size - 1 - first_from_end
+        position, val = position[last], val[last]
+    features = np.zeros((n_docs, feature_dim), dtype=np.float64)
+    np.put(features, position, val)
+    packed = PackedQueries(
+        features=features,
+        labels=np.frombuffer(labels, dtype=np.int64)[order],
+        qids=np.array(list(queries), dtype=np.int64),
+        lengths=np.bincount(query, minlength=len(queries)),
+    )
+    return Dataset.from_packed(packed)
 
 
 def write_svmlight(dataset: Dataset, path: str) -> None:
@@ -169,8 +293,13 @@ def write_svmlight(dataset: Dataset, path: str) -> None:
 
 def filter_uniform_queries(dataset: Dataset) -> Dataset:
     """Drop queries whose documents all carry the same relevance grade."""
-    kept = tuple(q for q in dataset.queries if np.unique(q.labels).size >= 2)
-    return Dataset(queries=kept, feature_dim=dataset.feature_dim)
+    p = dataset.packed
+    if p.lengths.size == 0:
+        return dataset
+    mixed = np.maximum.reduceat(p.labels, p.offsets) != np.minimum.reduceat(p.labels, p.offsets)
+    if mixed.all():
+        return dataset
+    return Dataset.from_packed(p.select(np.flatnonzero(mixed)))
 
 
 def normalize_query_level(dataset: Dataset) -> Dataset:
@@ -178,15 +307,19 @@ def normalize_query_level(dataset: Dataset) -> Dataset:
 
     Constant features map to 0 (deterministic degenerate rule).
     """
-    queries = []
-    for q in dataset.queries:
-        lo = q.features.min(axis=0)
-        hi = q.features.max(axis=0)
-        span = hi - lo
-        safe = np.where(span > 0, span, 1.0)
-        scaled = np.where(span > 0, (q.features - lo) / safe, 0.0)
-        queries.append(Query(qid=q.qid, features=scaled, labels=q.labels.copy()))
-    return Dataset(queries=tuple(queries), feature_dim=dataset.feature_dim)
+    p = dataset.packed
+    if p.lengths.size == 0:
+        return dataset
+    # Minima and maxima are exact whatever the order of reduction, so each
+    # value is the one a per-query (x - lo) / span gives.
+    lo = np.minimum.reduceat(p.features, p.offsets, axis=0)
+    span = np.maximum.reduceat(p.features, p.offsets, axis=0) - lo
+    query = np.repeat(np.arange(p.lengths.size), p.lengths)
+    positive = span > 0
+    scaled = p.features - lo[query]
+    scaled /= np.where(positive, span, 1.0)[query]
+    scaled[~positive[query]] = 0.0
+    return Dataset.from_packed(PackedQueries(scaled, p.labels, p.qids, p.lengths))
 
 
 # Grade rule: grade = round(4 * sigmoid(scale * z + offset + noise)). The offset
@@ -220,21 +353,30 @@ def generate_synthetic(
     # Std of (x - 1/2) @ hidden with x ~ U[0,1]^F, used to put the hidden score
     # on a fixed scale regardless of dimension.
     score_sd = max(np.sqrt(float(hidden @ hidden) / 12.0), 1e-12)
-    queries = []
-    for qid in range(1, num_queries + 1):
-        x = rng.uniform(size=(docs_per_query, feature_dim))
+    features = np.empty((num_queries * docs_per_query, feature_dim))
+    labels = np.empty(num_queries * docs_per_query, dtype=np.int64)
+    for start in range(0, features.shape[0], docs_per_query):
+        docs = slice(start, start + docs_per_query)
+        features[docs] = x = rng.uniform(size=(docs_per_query, feature_dim))
         z = (x - 0.5) @ hidden / score_sd
         s = _GRADE_SCALE * z + _GRADE_OFFSET + rng.normal(0.0, noise_sd, size=docs_per_query)
-        grades = np.clip(np.rint(4.0 / (1.0 + np.exp(-s))), 0, 4).astype(np.int64)
-        queries.append(Query(qid=qid, features=x, labels=grades))
-    data = Dataset(queries=tuple(queries), feature_dim=feature_dim)
+        labels[docs] = np.clip(np.rint(4.0 / (1.0 + np.exp(-s))), 0, 4)
+    data = Dataset.from_packed(
+        PackedQueries(
+            features=features,
+            labels=labels,
+            qids=np.arange(1, num_queries + 1, dtype=np.int64),
+            lengths=np.full(num_queries, docs_per_query, dtype=np.int64),
+        )
+    )
     if return_hidden:
         return data, hidden
     return data
 
 
 def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Query-level train/test split: disjoint, union = input, seed-deterministic."""
+    """Query-level train/test split: disjoint, union = input, seed-deterministic.
+    Both parts keep the input's query order."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
     if dataset.n_queries == 0:
@@ -242,11 +384,9 @@ def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, D
     rng = np.random.default_rng(seed)
     n = dataset.n_queries
     n_test = int(round(n * test_fraction))
-    perm = rng.permutation(n)
-    test_idx = set(perm[:n_test].tolist())
-    train_q = tuple(q for i, q in enumerate(dataset.queries) if i not in test_idx)
-    test_q = tuple(q for i, q in enumerate(dataset.queries) if i in test_idx)
+    is_test = np.zeros(n, dtype=bool)
+    is_test[rng.permutation(n)[:n_test]] = True
     return (
-        Dataset(queries=train_q, feature_dim=dataset.feature_dim),
-        Dataset(queries=test_q, feature_dim=dataset.feature_dim),
+        Dataset.from_packed(dataset.packed.select(np.flatnonzero(~is_test))),
+        Dataset.from_packed(dataset.packed.select(np.flatnonzero(is_test))),
     )

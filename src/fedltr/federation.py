@@ -3,8 +3,9 @@ weighted SGD, delta aggregation, and the server update."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,6 +32,8 @@ _COUNTS = (
     "num_users", "users_per_round", "queries_per_user", "k", "m", "rounds",
     "eval_every", "max_impressions_factor", "logging_epochs",
 )
+# Configuration fields that are real numbers and so must be finite reals.
+_REALS = ("gamma", "gamma_sigma", "eta_local", "eta_global", "logging_fraction", "logging_lr")
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,10 @@ class FederationConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in _REALS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if self.num_users < 1 or self.users_per_round < 1:
             raise ValueError("user counts must be >= 1")
         if self.users_per_round > self.num_users:
@@ -175,7 +182,7 @@ def init_state(
     policy = train_logging_policy(
         train, cfg.logging_fraction, cfg.seed, cfg.logging_epochs, cfg.logging_lr
     )
-    qids = [q.qid for q in train.queries]
+    qids = train.packed.qids.tolist()
     users = []
     for uid in range(cfg.num_users):
         stream = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1, uid)))

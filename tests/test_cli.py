@@ -11,27 +11,24 @@ from fedltr.cli import WORKERS_ENV, derive_seed, main, parse_spec
 from fedltr.dataset import generate_synthetic, load_svmlight
 
 
+_SYNTHETIC = {"queries": 120, "docs_per_query": 10, "feature_dim": 12, "seed": 3}
+_FEDERATION = {
+    "num_users": 8,
+    "users_per_round": 4,
+    "queries_per_user": 3,
+    "k": 3,
+    "m": 2,
+    "rounds": 3,
+    "eval_every": 1,
+    "logging_fraction": 0.2,
+    "logging_epochs": 5,
+}
+
+
 def _write_config(path, extra=None):
     config = {
-        "dataset": {
-            "synthetic": {
-                "queries": 120,
-                "docs_per_query": 10,
-                "feature_dim": 12,
-                "seed": 3,
-            }
-        },
-        "federation": {
-            "num_users": 8,
-            "users_per_round": 4,
-            "queries_per_user": 3,
-            "k": 3,
-            "m": 2,
-            "rounds": 3,
-            "eval_every": 1,
-            "logging_fraction": 0.2,
-            "logging_epochs": 5,
-        },
+        "dataset": {"synthetic": dict(_SYNTHETIC)},
+        "federation": dict(_FEDERATION),
         "repeats": 2,
     }
     config.update(extra or {})
@@ -198,6 +195,47 @@ class TestMain:
             pytest.param({"run_lambda": "false"}, "run_lambda must be true or false", id="extra9"),
             pytest.param({"repeats": 2.7}, "repeats must be an integer", id="extra10"),
             pytest.param({"master_seed": 1.9}, "master_seed must be an integer", id="extra11"),
+            # A string once escaped as a TypeError traceback; a bool ran as 1.0.
+            pytest.param(
+                {"federation": {**_FEDERATION, "gamma": "1.0"}},
+                "gamma must be a finite real number, got '1.0'",
+                id="extra12",
+            ),
+            pytest.param(
+                {"federation": {**_FEDERATION, "eta_local": True}},
+                "eta_local must be a finite real number, got True",
+                id="extra13",
+            ),
+            pytest.param(
+                {"test_fraction": "0.2"}, "test_fraction must be a number in (0, 1)", id="extra14"
+            ),
+            pytest.param(
+                {"lambda": {"learning_rate": True}},
+                "learning_rate must be a finite real number",
+                id="extra15",
+            ),
+            pytest.param({"lambda": {"epochs": 2.5}}, "epochs must be an integer", id="extra16"),
+            # Synthetic values were passed through int(), or failed at run time.
+            pytest.param(
+                {"dataset": {"synthetic": {**_SYNTHETIC, "queries": 120.9}}},
+                "dataset.synthetic.queries must be an integer >= 1, got 120.9",
+                id="extra17",
+            ),
+            pytest.param(
+                {"dataset": {"synthetic": {**_SYNTHETIC, "queries": 0}}},
+                "dataset.synthetic.queries must be an integer >= 1, got 0",
+                id="extra18",
+            ),
+            pytest.param(
+                {"dataset": {"synthetic": {**_SYNTHETIC, "seed": 3.7}}},
+                "dataset.synthetic.seed must be an integer >= 0",
+                id="extra19",
+            ),
+            pytest.param(
+                {"dataset": {"synthetic": {**_SYNTHETIC, "noise_sd": -1.0}}},
+                "dataset.synthetic.noise_sd must be a real number >= 0",
+                id="extra20",
+            ),
         ],
     )
     def test_bad_knobs_are_rejected_at_parse_time(self, tmp_path, capsys, extra, named):

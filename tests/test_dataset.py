@@ -1,5 +1,7 @@
 """Dataset loading, preprocessing, synthetic generation, and splitting."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,83 @@ class TestLoadSvmlight:
             assert a.qid == b.qid
             np.testing.assert_array_equal(a.labels, b.labels)
             np.testing.assert_array_equal(a.features, b.features)
+
+    def test_bad_token_after_blank_and_comment_lines_names_its_line(self, tmp_path):
+        path = _write(tmp_path, "1 qid:1 1:0.5\n\n# a comment\n2 qid:1 1:0.7\n0 qid:2 1:x\n")
+        with pytest.raises(ValueError, match="line 5: bad feature '1:x'"):
+            load_svmlight(path)
+
+    @pytest.mark.parametrize(
+        "token, message",
+        [
+            ("3", "bad feature '3'"),
+            ("1:", "bad feature '1:'"),
+            ("1:2:3", "bad feature '1:2:3'"),
+            ("x:1", "bad feature 'x:1'"),
+            ("0:1.0", "feature indices are 1-based, got 0"),
+            # The flat index buffer holds 64-bit integers.
+            ("9223372036854775808:1", "feature index 9223372036854775808 is too large"),
+        ],
+    )
+    def test_malformed_token_names_line(self, tmp_path, token, message):
+        path = _write(tmp_path, f"1 qid:1 1:0.5\n2 qid:1 1:0.25 {token} 3:0.5\n")
+        with pytest.raises(ValueError, match=f"^line 2: {message}$"):
+            load_svmlight(path)
+
+    def test_qid_beyond_64_bits_names_line(self, tmp_path):
+        path = _write(tmp_path, "1 qid:1 1:0.5\n2 qid:9223372036854775808 1:0.5\n")
+        with pytest.raises(ValueError, match="line 2: qid 9223372036854775808 is too large"):
+            load_svmlight(path)
+
+    def test_first_bad_line_is_reported(self, tmp_path):
+        # The value checks run after parsing, yet an earlier line's
+        # non-finite value still wins over a later line's bad label.
+        path = _write(tmp_path, "1 qid:1 1:0.5\n1 qid:1 1:nan\nx qid:1 1:0.5\n")
+        with pytest.raises(ValueError, match="line 2: non-finite"):
+            load_svmlight(path)
+
+    def test_duplicate_index_keeps_last_value(self, tmp_path):
+        data = load_svmlight(_write(tmp_path, "1 qid:1 1:0.5 1:0.7\n0 qid:1 2:0.1 1:0.3\n"))
+        np.testing.assert_array_equal(data.queries[0].features, [[0.7, 0.0], [0.3, 0.1]])
+
+    def test_interleaved_sparse_queries_round_trip(self, tmp_path):
+        text = "0 qid:7 2:0.5\n1 qid:3 1:1.5 3:2.5\n2 qid:7 5:-1.25\n3 qid:3 4:4 2:0.125\n"
+        data = load_svmlight(_write(tmp_path, text))
+        assert [q.qid for q in data.queries] == [7, 3]
+        assert data.feature_dim == 5
+        np.testing.assert_array_equal(
+            data.packed.features,
+            [
+                [0.0, 0.5, 0.0, 0.0, 0.0],
+                [0.0, 0.0, 0.0, 0.0, -1.25],
+                [1.5, 0.0, 2.5, 0.0, 0.0],
+                [0.0, 0.125, 0.0, 4.0, 0.0],
+            ],
+        )
+        np.testing.assert_array_equal(data.packed.labels, [0, 2, 1, 3])
+        path = str(tmp_path / "again.txt")
+        write_svmlight(data, path)
+        again = load_svmlight(path)
+        assert [q.qid for q in again.queries] == [7, 3]
+        np.testing.assert_array_equal(again.packed.features, data.packed.features)
+        np.testing.assert_array_equal(again.packed.labels, data.packed.labels)
+
+    def test_queries_are_views_of_the_packed_arrays(self, tmp_path):
+        path = str(tmp_path / "data.txt")
+        write_svmlight(generate_synthetic(12, 4, 3, seed=5), path)
+        loaded = load_svmlight(path)
+        normalized = normalize_query_level(filter_uniform_queries(loaded))
+        for data in (loaded, normalized, *split(normalized, 0.25, seed=1)):
+            for q in data.queries:
+                assert np.shares_memory(q.features, data.packed.features)
+                assert np.shares_memory(q.labels, data.packed.labels)
+
+    def test_pickled_dataset_keeps_one_copy(self):
+        data = generate_synthetic(5, 3, 2, seed=1)
+        data.queries  # noqa: B018 - builds the query views before pickling
+        copy = pickle.loads(pickle.dumps(data))
+        np.testing.assert_array_equal(copy.packed.features, data.packed.features)
+        assert np.shares_memory(copy.queries[2].features, copy.packed.features)
 
 
 class TestFilterUniformQueries:
