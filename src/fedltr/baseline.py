@@ -3,13 +3,12 @@ pairwise gradients on the true relevance grades."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 
 from .dataset import Dataset, Query
+from .federation import is_finite_real, is_integer
 from .metrics import dcg_at_k
 from .ranker import LinearRanker, rank
 
@@ -24,12 +23,13 @@ class LambdaConfig:
     ndcg_k: int = 5
 
     def __post_init__(self) -> None:
-        rate = self.learning_rate
-        if isinstance(rate, bool) or not isinstance(rate, Real) or not math.isfinite(rate):
-            raise ValueError(f"learning_rate must be a finite real number, got {rate!r}")
+        if not is_finite_real(self.learning_rate):
+            raise ValueError(
+                f"learning_rate must be a finite real number, got {self.learning_rate!r}"
+            )
         for name in ("epochs", "ndcg_k"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
+            if not is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")

@@ -6,13 +6,11 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, replace
-from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +26,14 @@ from .dataset import (
     split,
     write_svmlight,
 )
-from .federation import FederationConfig, RoundMetrics, final_ndcg, run_experiment
+from .federation import (
+    FederationConfig,
+    RoundMetrics,
+    final_ndcg,
+    is_finite_real,
+    is_integer,
+    run_experiment,
+)
 from .metrics import mean_ndcg
 
 WORKERS_ENV = "FEDLTR_WORKERS"
@@ -82,7 +87,7 @@ class ExperimentSpec:
                 raise ValueError(f"{name} must be true or false, got {value!r}")
         for name in ("repeats", "master_seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
+            if not is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
@@ -91,7 +96,7 @@ class ExperimentSpec:
         for axis in (self.sweep_gamma, self.sweep_users_per_round, self.sweep_m):
             if not axis:
                 raise ValueError("sweep lists must be nonempty")
-        if not _is_real(self.test_fraction) or not 0.0 < self.test_fraction < 1.0:
+        if not is_finite_real(self.test_fraction) or not 0.0 < self.test_fraction < 1.0:
             raise ValueError(
                 f"test_fraction must be a number in (0, 1), got {self.test_fraction!r}"
             )
@@ -100,11 +105,11 @@ class ExperimentSpec:
         synthetic = self.synthetic
         for name, low in (("queries", 1), ("docs_per_query", 1), ("feature_dim", 1), ("seed", 0)):
             value = synthetic[name]
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+            if not is_integer(value) or value < low:
                 raise ValueError(
                     f"dataset.synthetic.{name} must be an integer >= {low}, got {value!r}"
                 )
-        if not _is_real(synthetic["noise_sd"]) or synthetic["noise_sd"] < 0:
+        if not is_finite_real(synthetic["noise_sd"]) or synthetic["noise_sd"] < 0:
             raise ValueError(
                 "dataset.synthetic.noise_sd must be a real number >= 0, "
                 f"got {synthetic['noise_sd']!r}"
@@ -127,11 +132,6 @@ class ExperimentSpec:
                 raise ValueError(f"sweep point {tag}: {exc}") from None
             points.append((tag, point))
         return points
-
-
-def _is_real(value) -> bool:
-    """Whether `value` is a finite real number and not a bool."""
-    return not isinstance(value, bool) and isinstance(value, Real) and math.isfinite(value)
 
 
 def _check_keys(mapping: dict, allowed: set, where: str) -> None:

@@ -137,8 +137,6 @@ class Dataset:
 _NOT_SEPARATOR = {c: None for c in range(128) if not (chr(c).isspace() or chr(c) == ":")}
 # The largest index or qid the flat int64 arrays hold.
 _INT64_MAX = 2**63 - 1
-# The indices of a dense line, "1" to "n", as they are written.
-_DENSE = [str(j) for j in range(1, 1025)]
 
 
 def _parse_tokens(lineno: int, tokens: list[str]) -> tuple[list[int], list[float]]:
@@ -222,14 +220,13 @@ def load_svmlight(path: str) -> Dataset:
             done = len(values)
             try:
                 pieces = tokens.replace(":", " ").split()
-                n = len(pieces) // 2
-                # Every token is one nonempty index, a colon and one
-                # nonempty value exactly when the colons and whitespace
-                # alternate and there are two pieces per colon.
+                n = len(tokens.split())
+                # Every one of the n tokens is one nonempty index, a colon
+                # and one nonempty value exactly when each token holds one
+                # colon and there are two pieces per token.
                 if 2 * n != len(pieces) or tokens.translate(_NOT_SEPARATOR).split() != [":"] * n:
                     raise ValueError("malformed token")
-                names = pieces[0::2]
-                index.extend(range(1, n + 1) if names == _DENSE[:n] else map(int, names))
+                index.extend(map(int, pieces[0::2]))
                 values.extend(map(float, pieces[1::2]))
             except (ValueError, OverflowError):
                 # Rare lines (bad tokens, non-ASCII text) go token by token.

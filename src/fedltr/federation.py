@@ -36,6 +36,16 @@ _COUNTS = (
 _REALS = ("gamma", "gamma_sigma", "eta_local", "eta_global", "logging_fraction", "logging_lr")
 
 
+def is_integer(value) -> bool:
+    """Whether `value` is an integer and not a bool."""
+    return not isinstance(value, bool) and isinstance(value, Integral)
+
+
+def is_finite_real(value) -> bool:
+    """Whether `value` is a finite real number and not a bool."""
+    return not isinstance(value, bool) and isinstance(value, Real) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class FederationConfig:
     """All knobs of one federated training run.
@@ -67,11 +77,11 @@ class FederationConfig:
     def __post_init__(self) -> None:
         for name in _COUNTS:
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
+            if not is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in _REALS:
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+            if not is_finite_real(value):
                 raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if self.num_users < 1 or self.users_per_round < 1:
             raise ValueError("user counts must be >= 1")

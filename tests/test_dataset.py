@@ -97,6 +97,10 @@ class TestLoadSvmlight:
             ("1:2:3", "bad feature '1:2:3'"),
             ("x:1", "bad feature 'x:1'"),
             ("0:1.0", "feature indices are 1-based, got 0"),
+            # A colon touching whitespace splits one token into two.
+            ("1: 0.5", "bad feature '1:'"),
+            ("1 :0.5", "bad feature '1'"),
+            (":3 4", "bad feature ':3'"),
             # The flat index buffer holds 64-bit integers.
             ("9223372036854775808:1", "feature index 9223372036854775808 is too large"),
         ],
