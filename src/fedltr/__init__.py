@@ -10,7 +10,6 @@ from .clicksim import (
     ClickRecord,
     Displays,
     Impressions,
-    LoggingPolicy,
     UserState,
     click_given_examination,
     click_prob,

@@ -9,7 +9,7 @@ import numpy as np
 
 from .dataset import Dataset, Query
 from .federation import is_finite_real, is_integer
-from .metrics import dcg_at_k
+from .metrics import DCG, dcg_at_k
 from .ranker import LinearRanker, rank
 
 # exp() argument cap; larger score gaps already give a vanishing weight.
@@ -50,9 +50,7 @@ def lambda_gradient(model: LinearRanker, query: Query, cfg: LambdaConfig) -> np.
     scores = query.features @ model.weights
     positions = rank(model, query).positions.astype(np.float64)
     gains = 2.0 ** labels.astype(np.float64) - 1.0
-    discounts = np.where(
-        positions <= cfg.ndcg_k, 1.0 / np.log2(positions + 1.0), 0.0
-    )
+    discounts = np.where(positions <= cfg.ndcg_k, DCG(positions), 0.0)
     ideal = dcg_at_k(np.sort(labels)[::-1], cfg.ndcg_k)
     if ideal == 0.0:
         raise ValueError(f"query {query.qid} has zero ideal DCG")

@@ -53,8 +53,17 @@ _SPEC_KEYS = {
     "master_seed",
 }
 _DATASET_KEYS = {"path", "synthetic"}
-_SYNTHETIC_KEYS = {"queries", "docs_per_query", "feature_dim", "seed", "noise_sd"}
-_SWEEP_KEYS = {"gamma", "users_per_round", "m"}
+# generate_synthetic's arguments and their defaults, for `dataset.synthetic`
+# and for `gen-data`.
+_SYNTHETIC_DEFAULTS = {
+    "queries": 500,
+    "docs_per_query": 20,
+    "feature_dim": 50,
+    "seed": 7,
+    "noise_sd": 1.5,
+}
+# The sweep axes in tag order, each with its tag prefix.
+_SWEEP_TAGS = {"gamma": "g", "users_per_round": "u", "m": "m"}
 
 
 @dataclass(frozen=True)
@@ -71,9 +80,7 @@ class ExperimentSpec:
     modes: tuple[str, ...]
     run_lambda: bool
     lambda_config: LambdaConfig
-    sweep_gamma: tuple[float, ...]
-    sweep_users_per_round: tuple[int, ...]
-    sweep_m: tuple[int, ...]
+    sweep: dict
     repeats: int
     out_dir: str
     master_seed: int
@@ -93,9 +100,8 @@ class ExperimentSpec:
             raise ValueError("repeats must be >= 1")
         if not self.modes:
             raise ValueError("modes must be nonempty")
-        for axis in (self.sweep_gamma, self.sweep_users_per_round, self.sweep_m):
-            if not axis:
-                raise ValueError("sweep lists must be nonempty")
+        if not all(self.sweep[axis] for axis in _SWEEP_TAGS):
+            raise ValueError("sweep lists must be nonempty")
         if not is_finite_real(self.test_fraction) or not 0.0 < self.test_fraction < 1.0:
             raise ValueError(
                 f"test_fraction must be a number in (0, 1), got {self.test_fraction!r}"
@@ -122,22 +128,30 @@ class ExperimentSpec:
         """The (tag, config) of every point of the cross product of sweep
         values and modes, in run order. Configs carry the base seed."""
         points = []
-        for gamma, upr, m, mode in itertools.product(
-            self.sweep_gamma, self.sweep_users_per_round, self.sweep_m, self.modes
-        ):
-            tag = f"g{gamma}_u{upr}_m{m}_{mode}"
+        axes = [self.sweep[axis] for axis in _SWEEP_TAGS]
+        for *values, mode in itertools.product(*axes, self.modes):
+            labels = [f"{prefix}{value}" for prefix, value in zip(_SWEEP_TAGS.values(), values)]
+            tag = "_".join([*labels, mode])
             try:
-                point = replace(self.federation, gamma=gamma, users_per_round=upr, m=m, mode=mode)
+                point = replace(self.federation, mode=mode, **dict(zip(_SWEEP_TAGS, values)))
             except ValueError as exc:
                 raise ValueError(f"sweep point {tag}: {exc}") from None
             points.append((tag, point))
         return points
 
 
-def _check_keys(mapping: dict, allowed: set, where: str) -> None:
-    unknown = set(mapping) - allowed
+def _check_keys(mapping: dict, allowed, where: str) -> None:
+    unknown = set(mapping) - set(allowed)
     if unknown:
         raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
+
+
+def _section(raw: dict, key: str, allowed, where: str | None = None) -> dict:
+    """A copy of the mapping raw[key] (empty when absent), whose keys must
+    be among `allowed`. `where` names it in errors."""
+    value = dict(raw.get(key, {}))
+    _check_keys(value, allowed, where or key)
+    return value
 
 
 def parse_spec(config_path: str | None = None, overrides: dict | None = None) -> ExperimentSpec:
@@ -153,38 +167,25 @@ def parse_spec(config_path: str | None = None, overrides: dict | None = None) ->
     _check_keys(raw, _SPEC_KEYS, "config")
     overrides = dict(overrides or {})
 
-    dataset_cfg = dict(raw.get("dataset", {}))
-    _check_keys(dataset_cfg, _DATASET_KEYS, "dataset")
-    synthetic = {
-        "queries": 500,
-        "docs_per_query": 20,
-        "feature_dim": 50,
-        "seed": 7,
-        "noise_sd": 1.5,
-    }
-    if "synthetic" in dataset_cfg:
-        _check_keys(dict(dataset_cfg["synthetic"]), _SYNTHETIC_KEYS, "dataset.synthetic")
-        synthetic.update(dataset_cfg["synthetic"])
+    dataset_cfg = _section(raw, "dataset", _DATASET_KEYS)
+    synthetic = dict(_SYNTHETIC_DEFAULTS)
+    synthetic.update(_section(dataset_cfg, "synthetic", _SYNTHETIC_DEFAULTS, "dataset.synthetic"))
 
-    fed_raw = dict(raw.get("federation", {}))
-    fed_fields = set(FederationConfig.__dataclass_fields__)
-    _check_keys(fed_raw, fed_fields - {"mode"}, "federation")
-    for key in ("gamma", "users_per_round", "m", "rounds", "seed", "num_users",
-                "eta_local", "eta_global", "k", "eval_every", "propensity_mode"):
-        if key in overrides and overrides[key] is not None:
-            fed_raw[key] = overrides[key]
+    # The mode is swept over `modes`; every other field may come from the
+    # file or, winning over it, from an override.
+    fed_fields = set(FederationConfig.__dataclass_fields__) - {"mode"}
+    fed_raw = _section(raw, "federation", fed_fields)
+    fed_raw.update((k, v) for k, v in overrides.items() if k in fed_fields and v is not None)
     federation = FederationConfig(**fed_raw)
 
-    lam_raw = dict(raw.get("lambda", {}))
-    _check_keys(lam_raw, set(LambdaConfig.__dataclass_fields__), "lambda")
-    lambda_config = LambdaConfig(**lam_raw)
+    lambda_config = LambdaConfig(**_section(raw, "lambda", LambdaConfig.__dataclass_fields__))
 
-    sweep = dict(raw.get("sweep", {}))
-    _check_keys(sweep, _SWEEP_KEYS, "sweep")
+    sweep_raw = _section(raw, "sweep", _SWEEP_TAGS)
+    sweep = {axis: tuple(sweep_raw.get(axis, [getattr(federation, axis)])) for axis in _SWEEP_TAGS}
 
-    modes = raw.get("modes", ["fedips"])
-    if "mode" in overrides and overrides["mode"] is not None:
-        modes = [overrides["mode"]]
+    modes = tuple(raw.get("modes", ["fedips"]))
+    if overrides.get("mode") is not None:
+        modes = (overrides["mode"],)
 
     def _override(name, default):
         value = overrides.get(name)
@@ -197,12 +198,10 @@ def parse_spec(config_path: str | None = None, overrides: dict | None = None) ->
         filter_uniform=raw.get("filter_uniform", True),
         normalize=raw.get("normalize", True),
         federation=federation,
-        modes=tuple(modes),
+        modes=modes,
         run_lambda=_override("run_lambda", raw.get("run_lambda", False)),
         lambda_config=lambda_config,
-        sweep_gamma=tuple(sweep.get("gamma", [federation.gamma])),
-        sweep_users_per_round=tuple(sweep.get("users_per_round", [federation.users_per_round])),
-        sweep_m=tuple(sweep.get("m", [federation.m])),
+        sweep=sweep,
         repeats=_override("repeats", raw.get("repeats", 1)),
         out_dir=str(_override("out_dir", raw.get("out_dir", "results"))),
         master_seed=_override("master_seed", raw.get("master_seed", 0)),
@@ -214,13 +213,7 @@ def load_experiment_data(spec: ExperimentSpec) -> tuple[Dataset, Dataset]:
     if spec.dataset_path is not None:
         data = load_svmlight(spec.dataset_path)
     else:
-        data = generate_synthetic(
-            num_queries=spec.synthetic["queries"],
-            docs_per_query=spec.synthetic["docs_per_query"],
-            feature_dim=spec.synthetic["feature_dim"],
-            seed=spec.synthetic["seed"],
-            noise_sd=spec.synthetic["noise_sd"],
-        )
+        data = generate_synthetic(**spec.synthetic)
     if spec.filter_uniform:
         data = filter_uniform_queries(data)
     if spec.normalize:
@@ -370,36 +363,24 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", dest="out_dir", help="output directory")
 
     gen_p = sub.add_parser("gen-data", help="write a synthetic svmlight dataset")
-    gen_p.add_argument("--queries", type=int, default=500)
-    gen_p.add_argument("--docs", type=int, default=20)
-    gen_p.add_argument("--features", type=int, default=50)
-    gen_p.add_argument("--seed", type=int, default=7)
-    gen_p.add_argument("--noise-sd", type=float, default=1.5)
+    gen_p.add_argument("--queries", type=int)
+    gen_p.add_argument("--docs", dest="docs_per_query", type=int)
+    gen_p.add_argument("--features", dest="feature_dim", type=int)
+    gen_p.add_argument("--seed", type=int)
+    gen_p.add_argument("--noise-sd", dest="noise_sd", type=float)
     gen_p.add_argument("--out", required=True)
+    gen_p.set_defaults(**_SYNTHETIC_DEFAULTS)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "gen-data":
-        data = generate_synthetic(
-            num_queries=args.queries,
-            docs_per_query=args.docs,
-            feature_dim=args.features,
-            seed=args.seed,
-            noise_sd=args.noise_sd,
-        )
+        data = generate_synthetic(**{key: getattr(args, key) for key in _SYNTHETIC_DEFAULTS})
         write_svmlight(data, args.out)
         print(f"wrote {len(data.queries)} queries to {args.out}")
         return 0
-    overrides = {
-        key: getattr(args, key)
-        for key in (
-            "mode", "propensity_mode", "gamma", "users_per_round", "num_users", "m",
-            "rounds", "k", "eta_local", "eta_global", "eval_every", "master_seed",
-            "repeats", "run_lambda", "dataset_path", "out_dir",
-        )
-    }
+    overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     # --seed names the run's master seed; per-run seeds derive from it.
     overrides["seed"] = overrides["master_seed"]
     try:

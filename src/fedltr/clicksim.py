@@ -14,6 +14,8 @@ from .ranker import LinearRanker, top_k
 
 # Probability that an examined non-relevant document is clicked anyway.
 NOISE_CLICK_RATE = 0.1
+# Step size of the logging ranker's pairwise hinge SGD.
+LOGGING_LR = 0.1
 
 
 @dataclass
@@ -56,13 +58,6 @@ class ClickRecord:
     @property
     def n_clicks(self) -> int:
         return int(np.count_nonzero(self.clicks))
-
-
-@dataclass(frozen=True)
-class LoggingPolicy:
-    """The fixed production ranker that orders results during logging."""
-
-    ranker: LinearRanker
 
 
 @dataclass(frozen=True)
@@ -135,13 +130,13 @@ def round_impressions(users, records, displays: Displays) -> Impressions:
     )
 
 
-def display_top_k(policy: LoggingPolicy, dataset: Dataset, k: int) -> Displays:
+def display_top_k(policy: LinearRanker, dataset: Dataset, k: int) -> Displays:
     """The logging policy's top k of every query of the dataset, from one
     product and one sort over all of them."""
     if k < 1:
         raise ValueError("k must be >= 1")
     packed = dataset.packed
-    docs = top_k(policy.ranker.weights, packed, k)
+    docs = top_k(policy.weights, packed, k)
     grades = np.take_along_axis(packed.padded(packed.labels, 0), docs, axis=1)
     return Displays(
         docs=docs,
@@ -152,12 +147,8 @@ def display_top_k(policy: LoggingPolicy, dataset: Dataset, k: int) -> Displays:
 
 
 def train_logging_policy(
-    train: Dataset,
-    sample_fraction: float,
-    seed: int,
-    epochs: int = 30,
-    lr: float = 0.1,
-) -> LoggingPolicy:
+    train: Dataset, sample_fraction: float, seed: int, epochs: int = 30
+) -> LinearRanker:
     """Train the logging ranker on a small uniform sample of queries.
 
     Pairwise hinge SGD on (higher grade, lower grade) document pairs, one
@@ -190,8 +181,8 @@ def train_logging_policy(
             if not np.any(active):
                 continue
             diff = query.features[i_idx[active]] - query.features[j_idx[active]]
-            w = w + lr * np.sum(diff, axis=0) / i_idx.size
-    return LoggingPolicy(LinearRanker(w))
+            w = w + LOGGING_LR * np.sum(diff, axis=0) / i_idx.size
+    return LinearRanker(w)
 
 
 def sample_user_bias(gamma: float, sigma: float, rng: np.random.Generator) -> float:

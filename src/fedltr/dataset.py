@@ -327,7 +327,7 @@ _GRADE_OFFSET = -0.75
 
 
 def generate_synthetic(
-    num_queries: int,
+    queries: int,
     docs_per_query: int,
     feature_dim: int,
     seed: int,
@@ -343,15 +343,15 @@ def generate_synthetic(
     With ``return_hidden=True`` also returns the hidden weight vector (used by
     oracle checks).
     """
-    if num_queries < 1 or docs_per_query < 1 or feature_dim < 1:
+    if queries < 1 or docs_per_query < 1 or feature_dim < 1:
         raise ValueError("all counts must be >= 1")
     rng = np.random.default_rng(seed)
     hidden = rng.normal(size=feature_dim)
     # Std of (x - 1/2) @ hidden with x ~ U[0,1]^F, used to put the hidden score
     # on a fixed scale regardless of dimension.
     score_sd = max(np.sqrt(float(hidden @ hidden) / 12.0), 1e-12)
-    features = np.empty((num_queries * docs_per_query, feature_dim))
-    labels = np.empty(num_queries * docs_per_query, dtype=np.int64)
+    features = np.empty((queries * docs_per_query, feature_dim))
+    labels = np.empty(queries * docs_per_query, dtype=np.int64)
     for start in range(0, features.shape[0], docs_per_query):
         docs = slice(start, start + docs_per_query)
         features[docs] = x = rng.uniform(size=(docs_per_query, feature_dim))
@@ -362,8 +362,8 @@ def generate_synthetic(
         PackedQueries(
             features=features,
             labels=labels,
-            qids=np.arange(1, num_queries + 1, dtype=np.int64),
-            lengths=np.full(num_queries, docs_per_query, dtype=np.int64),
+            qids=np.arange(1, queries + 1, dtype=np.int64),
+            lengths=np.full(queries, docs_per_query, dtype=np.int64),
         )
     )
     if return_hidden:

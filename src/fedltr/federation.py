@@ -27,13 +27,16 @@ from .ranker import LinearRanker
 
 MODES = ("fedips", "fedavg")
 PROPENSITY_MODES = ("known", "estimated")
+# A client's impressions per round are capped at this many times its click
+# quota m.
+MAX_IMPRESSIONS_FACTOR = 50
 # Configuration fields that count something and so must be integers.
 _COUNTS = (
     "num_users", "users_per_round", "queries_per_user", "k", "m", "rounds",
-    "eval_every", "max_impressions_factor", "logging_epochs",
+    "eval_every", "logging_epochs",
 )
 # Configuration fields that are real numbers and so must be finite reals.
-_REALS = ("gamma", "gamma_sigma", "eta_local", "eta_global", "logging_fraction", "logging_lr")
+_REALS = ("gamma", "gamma_sigma", "eta_local", "eta_global", "logging_fraction")
 
 
 def is_integer(value) -> bool:
@@ -69,10 +72,8 @@ class FederationConfig:
     propensity_mode: str = "known"
     seed: int = 0
     eval_every: int = 1
-    max_impressions_factor: int = 50
     logging_fraction: float = 0.01
     logging_epochs: int = 30
-    logging_lr: float = 0.1
 
     def __post_init__(self) -> None:
         for name in _COUNTS:
@@ -103,14 +104,10 @@ class FederationConfig:
             raise ValueError(f"propensity_mode must be one of {PROPENSITY_MODES}")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
-        if self.max_impressions_factor < 1:
-            raise ValueError("max_impressions_factor must be >= 1")
         if not 0.0 < self.logging_fraction <= 1.0:
             raise ValueError("logging_fraction must be in (0, 1]")
         if self.logging_epochs < 0:
             raise ValueError("logging_epochs must be >= 0")
-        if self.logging_lr <= 0:
-            raise ValueError("logging_lr must be positive")
 
 
 @dataclass(frozen=True)
@@ -189,9 +186,7 @@ def init_state(
     """Set up an experiment: train the logging policy, create the user
     population with sampled per-user bias and fixed query pools, and start
     from zero weights."""
-    policy = train_logging_policy(
-        train, cfg.logging_fraction, cfg.seed, cfg.logging_epochs, cfg.logging_lr
-    )
+    policy = train_logging_policy(train, cfg.logging_fraction, cfg.seed, cfg.logging_epochs)
     qids = train.packed.qids.tolist()
     users = []
     for uid in range(cfg.num_users):
@@ -235,7 +230,7 @@ def run_round(state: ExperimentState, cfg: FederationConfig) -> tuple[Experiment
             state.users[uid],
             state.displays,
             cfg.m,
-            cfg.max_impressions_factor * cfg.m,
+            MAX_IMPRESSIONS_FACTOR * cfg.m,
             state.users[uid].rng_stream,
         )
         for uid in sampled

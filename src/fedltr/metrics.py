@@ -31,7 +31,7 @@ def _dcg(grades: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     lengths[i] entries of row i: gains 2^grade - 1, discounts 1/log2(i + 1)."""
     width = grades.shape[1]
     gains = np.where(np.arange(width) < lengths[:, None], 2.0 ** grades - 1.0, 0.0)
-    discounts = 1.0 / np.log2(np.arange(2, width + 2, dtype=np.float64))
+    discounts = DCG(np.arange(1, width + 1))
     # A row-times-column matmul takes each row's dot product exactly as the
     # 1-d product `gains @ discounts` does; a matrix-vector product may add
     # the terms in another order, so a DCG would depend on its batch.

@@ -61,7 +61,6 @@ class EmEstimatorState:
     k: int
     num_users: int
     theta: np.ndarray = field(init=False)
-    theta_local: np.ndarray = field(init=False)
     posterior_sum: np.ndarray = field(init=False)
     impression_count: np.ndarray = field(init=False)
     participations: np.ndarray = field(init=False)
@@ -73,7 +72,6 @@ class EmEstimatorState:
             raise ValueError("num_users must be >= 1")
         shape = (self.num_users, self.k)
         self.theta = np.ones(shape)
-        self.theta_local = np.ones(shape)
         self.posterior_sum = np.zeros(shape)
         self.impression_count = np.zeros(shape)
         self.participations = np.zeros(self.num_users, dtype=np.int64)
@@ -86,16 +84,6 @@ class EmEstimatorState:
         theta = np.full(self.k, THETA_INIT)
         theta[0] = 1.0
         return theta
-
-
-def _posteriors(
-    clicks: np.ndarray, theta: np.ndarray, rel_prob: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """em_e_step without its range checks, for callers that checked once."""
-    denom = 1.0 - theta * rel_prob
-    p_exam = np.where(clicks, 1.0, theta * (1.0 - rel_prob) / denom)
-    p_rel = np.where(clicks, 1.0, rel_prob * (1.0 - theta) / denom)
-    return p_exam, p_rel
 
 
 def em_e_step(clicks, theta, rel_prob) -> tuple[np.ndarray, np.ndarray]:
@@ -113,7 +101,11 @@ def em_e_step(clicks, theta, rel_prob) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("theta must be in (0, 1]")
     if np.any((rel_prob <= 0.0) | (rel_prob >= 1.0)):
         raise ValueError("rel_prob must be in (0, 1)")
-    return _posteriors(np.asarray(clicks, dtype=bool), theta, rel_prob)
+    clicks = np.asarray(clicks, dtype=bool)
+    denom = 1.0 - theta * rel_prob
+    p_exam = np.where(clicks, 1.0, theta * (1.0 - rel_prob) / denom)
+    p_rel = np.where(clicks, 1.0, rel_prob * (1.0 - theta) / denom)
+    return p_exam, p_rel
 
 
 def _by_length(length: np.ndarray) -> list:
@@ -152,8 +144,6 @@ def em_m_step_local(
     n_clients, k = theta_prior.shape
     if impressions.length.max() > k:
         raise ValueError("record longer than the estimator's position range")
-    if np.any((theta_prior <= 0.0) | (theta_prior > 1.0)):
-        raise ValueError("theta_prior must be in (0, 1]")
     p_exam = np.zeros((impressions.client.size, k))
     targets = np.zeros_like(p_exam)
     for n, group in _by_length(impressions.length):
@@ -161,7 +151,7 @@ def em_m_step_local(
         rel = _sigmoid(np.matmul(_features(corpus, impressions, group, n), weights))
         rel = np.clip(rel, 1e-6, 1.0 - 1e-6)
         prior = theta_prior[impressions.client[group], :n]
-        p_exam[group, :n], targets[group, :n] = _posteriors(
+        p_exam[group, :n], targets[group, :n] = em_e_step(
             impressions.clicked[group, :n], prior, rel
         )
     shown = np.arange(k) < impressions.length[:, None]
@@ -233,14 +223,15 @@ def federated_em_round(
     state.participations[uids] += 1
     state.posterior_sum[uids] += exam_sum[active]
     state.impression_count[uids] += exam_count[active]
-    totals, counts = state.posterior_sum[uids], state.impression_count[uids]
-    theta_local = np.tile(state.initial_theta(), (uids.size, 1))
-    np.divide(totals, counts, out=theta_local, where=counts > 0)
-    state.theta_local[uids] = np.clip(theta_local, FLOOR, 1.0)
+    # Every seen client's local table is its per-position mean posterior;
+    # positions it was never shown keep the initial value.
+    seen = state.participations > 0
+    counts = state.impression_count[seen]
+    local = np.tile(state.initial_theta(), (counts.shape[0], 1))
+    np.divide(state.posterior_sum[seen], counts, out=local, where=counts > 0)
+    local = np.clip(local, FLOOR, 1.0)
     # Partial pooling: each served table shrinks toward the across-client
     # mean of the local tables.
-    seen = state.participations > 0
-    local = state.theta_local[seen]
     served = (1.0 - POOLING) * local + POOLING * np.mean(local, axis=0)
     state.theta[seen] = np.clip(served, FLOOR, 1.0)
     return state

@@ -102,4 +102,4 @@ class TestTrainLambdaLinear:
         train, test = small_split
         model = train_lambda_linear(train, LambdaConfig(), seed=0)
         policy = train_logging_policy(train, 0.1, seed=0)
-        assert mean_ndcg(model, test, 5) > mean_ndcg(policy.ranker, test, 5)
+        assert mean_ndcg(model, test, 5) > mean_ndcg(policy, test, 5)

@@ -1,6 +1,7 @@
 """Configuration parsing and the experiment harness end to end."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -94,6 +95,48 @@ class TestParseSpec:
         tag, point = points[1]
         assert tag == "g0.5_u4_m2_fedavg"
         assert (point.gamma, point.users_per_round, point.m, point.mode) == (0.5, 4, 2, "fedavg")
+
+    def test_three_axis_sweep_keeps_tag_order(self, tmp_path):
+        # The file lists the axes out of tag order; tags and run order still
+        # go gamma, users per round, m, mode.
+        path = _write_config(
+            tmp_path / "sweep.json",
+            {
+                "sweep": {"m": [2, 3], "users_per_round": [4, 8], "gamma": [0.5, 2.0]},
+                "modes": ["fedips", "fedavg"],
+            },
+        )
+        spec = parse_spec(str(path), {})
+        expected = [
+            ("g0.5_u4_m2_fedips", 0.5, 4, 2, "fedips"),
+            ("g0.5_u4_m2_fedavg", 0.5, 4, 2, "fedavg"),
+            ("g0.5_u4_m3_fedips", 0.5, 4, 3, "fedips"),
+            ("g0.5_u4_m3_fedavg", 0.5, 4, 3, "fedavg"),
+            ("g0.5_u8_m2_fedips", 0.5, 8, 2, "fedips"),
+            ("g0.5_u8_m2_fedavg", 0.5, 8, 2, "fedavg"),
+            ("g0.5_u8_m3_fedips", 0.5, 8, 3, "fedips"),
+            ("g0.5_u8_m3_fedavg", 0.5, 8, 3, "fedavg"),
+            ("g2.0_u4_m2_fedips", 2.0, 4, 2, "fedips"),
+            ("g2.0_u4_m2_fedavg", 2.0, 4, 2, "fedavg"),
+            ("g2.0_u4_m3_fedips", 2.0, 4, 3, "fedips"),
+            ("g2.0_u4_m3_fedavg", 2.0, 4, 3, "fedavg"),
+            ("g2.0_u8_m2_fedips", 2.0, 8, 2, "fedips"),
+            ("g2.0_u8_m2_fedavg", 2.0, 8, 2, "fedavg"),
+            ("g2.0_u8_m3_fedips", 2.0, 8, 3, "fedips"),
+            ("g2.0_u8_m3_fedavg", 2.0, 8, 3, "fedavg"),
+        ]
+        points = spec.sweep_points()
+        assert [tag for tag, _ in points] == [row[0] for row in expected]
+        base = spec.federation
+        for (_, point), (_, gamma, upr, m, mode) in zip(points, expected):
+            assert (point.gamma, point.users_per_round, point.m, point.mode) == (
+                gamma, upr, m, mode
+            )
+            # Every other field is the base config's.
+            assert replace(
+                point, gamma=base.gamma, users_per_round=base.users_per_round, m=base.m,
+                mode=base.mode,
+            ) == base
 
     def test_derive_seed_is_pure_and_spread(self):
         assert derive_seed(0, 1, 2) == derive_seed(0, 1, 2)
@@ -235,6 +278,17 @@ class TestMain:
                 {"dataset": {"synthetic": {**_SYNTHETIC, "noise_sd": -1.0}}},
                 "dataset.synthetic.noise_sd must be a real number >= 0",
                 id="extra20",
+            ),
+            # Constants now: a spec setting one is rejected.
+            pytest.param(
+                {"federation": {**_FEDERATION, "max_impressions_factor": 50}},
+                "unknown federation keys: ['max_impressions_factor']",
+                id="extra21",
+            ),
+            pytest.param(
+                {"federation": {**_FEDERATION, "logging_lr": 0.1}},
+                "unknown federation keys: ['logging_lr']",
+                id="extra22",
             ),
         ],
     )

@@ -8,7 +8,6 @@ import pytest
 from fedltr.clicksim import (
     NOISE_CLICK_RATE,
     ClickRecord,
-    LoggingPolicy,
     UserState,
     click_prob,
     collect_round_clicks,
@@ -35,7 +34,7 @@ def _query(values, labels, qid=1):
 
 def _displays(*queries, k):
     """What the identity logging policy W1 shows for the queries."""
-    return display_top_k(LoggingPolicy(W1), Dataset(queries=queries, feature_dim=1), k)
+    return display_top_k(W1, Dataset(queries=queries, feature_dim=1), k)
 
 
 def _impression(user, query, k, rng):
@@ -56,17 +55,17 @@ class TestTrainLoggingPolicy:
     def test_same_seed_identical_weights(self, small_corpus):
         a = train_logging_policy(small_corpus, 0.1, seed=5)
         b = train_logging_policy(small_corpus, 0.1, seed=5)
-        np.testing.assert_array_equal(a.ranker.weights, b.ranker.weights)
+        np.testing.assert_array_equal(a.weights, b.weights)
 
     def test_tiny_fraction_rounds_up_to_one_query(self, small_corpus):
         # ceil(0.01 * 80) = 1 sampled query; training must still work.
         policy = train_logging_policy(small_corpus, 0.01, seed=5)
-        assert np.all(np.isfinite(policy.ranker.weights))
-        assert np.any(policy.ranker.weights != 0.0)
+        assert np.all(np.isfinite(policy.weights))
+        assert np.any(policy.weights != 0.0)
 
     def test_trained_policy_beats_untrained(self, small_corpus):
         policy = train_logging_policy(small_corpus, 1.0, seed=5)
-        trained = mean_ndcg(policy.ranker, small_corpus, 5)
+        trained = mean_ndcg(policy, small_corpus, 5)
         untrained = mean_ndcg(LinearRanker.zeros(small_corpus.feature_dim), small_corpus, 5)
         assert trained > untrained
 

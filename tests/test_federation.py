@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fedltr import federation
-from fedltr.clicksim import ClickRecord, LoggingPolicy, display_top_k, round_impressions
+from fedltr.clicksim import ClickRecord, display_top_k, round_impressions
 from fedltr.dataset import Dataset, Query
 from fedltr.federation import (
     FederationConfig,
@@ -64,9 +64,7 @@ def _client_opt(w_t, records, eta_local, rng, propensity=None):
     dataset = Dataset(queries=queries, feature_dim=queries[0].features.shape[1])
     # A zero-weight logging policy shows every query in document order.
     displays = display_top_k(
-        LoggingPolicy(LinearRanker.zeros(dataset.feature_dim)),
-        dataset,
-        max(q.n_docs for q in queries),
+        LinearRanker.zeros(dataset.feature_dim), dataset, max(q.n_docs for q in queries)
     )
     corpus = dataset.packed
     clicks = round_clicks(round_impressions([0], [[record for record, _ in records]], displays))
@@ -246,9 +244,10 @@ class TestFederationConfig:
     )
     def test_rejects_bad_em_and_logging_knobs(self, field, value):
         # Logging knobs are checked at construction in every mode, not only
-        # when the logging policy first uses them. The EM knobs are gone
-        # (the estimator is fixed), so a config naming one is rejected.
-        error = TypeError if field.startswith("em_") else ValueError
+        # when the logging policy first uses them. The EM knobs and the
+        # logging step size are constants now, so a config naming one is
+        # rejected.
+        error = ValueError if field == "logging_epochs" else TypeError
         with pytest.raises(error, match=field):
             FederationConfig(**{field: value})
 
@@ -257,7 +256,7 @@ class TestFederationConfig:
         "field",
         [
             "num_users", "users_per_round", "queries_per_user", "k", "m", "rounds",
-            "eval_every", "max_impressions_factor", "logging_epochs",
+            "eval_every", "logging_epochs",
         ],
     )
     def test_rejects_non_integer_counts(self, field, value):
@@ -330,9 +329,8 @@ class TestRunRound:
         from fedltr.clicksim import collect_round_clicks
 
         user = shadow.users[0]
-        records = collect_round_clicks(
-            user, shadow.displays, cfg.m, cfg.max_impressions_factor * cfg.m, user.rng_stream
-        )
+        cap = federation.MAX_IMPRESSIONS_FACTOR * cfg.m
+        records = collect_round_clicks(user, shadow.displays, cfg.m, cap, user.rng_stream)
         clicks = round_clicks(round_impressions([0], [records], shadow.displays))
         delta = client_opt(
             shadow.model, shadow.train.packed, clicks, cfg.eta_local, [user.rng_stream]

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedltr.clicksim import ClickRecord, LoggingPolicy, display_top_k, round_impressions
+from fedltr.clicksim import ClickRecord, display_top_k, round_impressions
 from fedltr.dataset import Dataset, Query
 from fedltr.objective import (
     Clicks,
@@ -133,7 +133,7 @@ def _round_clicks(records, queries):
     order (the order a zero-weight logging policy gives)."""
     dataset = Dataset(queries=tuple(queries), feature_dim=queries[0].features.shape[1])
     k = max(q.n_docs for q in queries)
-    displays = display_top_k(LoggingPolicy(LinearRanker.zeros(dataset.feature_dim)), dataset, k)
+    displays = display_top_k(LinearRanker.zeros(dataset.feature_dim), dataset, k)
     return round_clicks(round_impressions(np.arange(len(records)), records, displays))
 
 

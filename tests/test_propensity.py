@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from fedltr.clicksim import (
     ClickRecord,
     Impressions,
-    LoggingPolicy,
     UserState,
     display_top_k,
     examination_prob,
@@ -235,9 +234,10 @@ class TestFederatedEmRound:
             state = federated_em_round(state, impressions, corpus)
             np.testing.assert_array_equal(state.posterior_sum[0], total_sum)
             np.testing.assert_array_equal(state.impression_count[0], total_count)
-            np.testing.assert_array_equal(
-                state.theta_local[0], np.clip(total_sum / total_count, FLOOR, 1.0)
-            )
+            # The only seen client's table is pooled with itself.
+            local = np.clip(total_sum / total_count, FLOOR, 1.0)
+            served = (1.0 - POOLING) * local + POOLING * np.mean(local[None], axis=0)
+            np.testing.assert_array_equal(state.theta[0], np.clip(served, FLOOR, 1.0))
             assert state.participations[0] == round_i + 1
 
     def test_pooling_shrinks_toward_population_mean(self):
@@ -247,11 +247,12 @@ class TestFederatedEmRound:
             {0: _pbm_records(rng, 6, rel), 1: _pbm_records(rng, 6, rel)}
         )
         state = federated_em_round(state, impressions, _corpus(query))
-        population = np.mean(
-            np.stack([state.theta_local[0], state.theta_local[1]]), axis=0
-        )
+        # Both clients saw every position, so their local tables are their
+        # mean posteriors.
+        local = np.clip(state.posterior_sum[:2] / state.impression_count[:2], FLOOR, 1.0)
+        population = np.mean(local, axis=0)
         for uid in (0, 1):
-            expected = (1.0 - POOLING) * state.theta_local[uid] + POOLING * population
+            expected = (1.0 - POOLING) * local[uid] + POOLING * population
             assert expected[0] == 1.0
             np.testing.assert_array_equal(state.theta[uid], np.clip(expected, FLOOR, 1.0))
 
@@ -282,11 +283,12 @@ class TestFederatedEmRound:
             for i, n in enumerate(rng.permutation(np.arange(1, 14)))
         )
         dataset = Dataset(queries=queries, feature_dim=4)
-        displays = display_top_k(LoggingPolicy(LinearRanker(rng.normal(size=4))), dataset, k)
+        displays = display_top_k(LinearRanker(rng.normal(size=4)), dataset, k)
         state = EmEstimatorState(
             relevance_model=LinearRanker(rng.normal(size=4)), k=k, num_users=n_users
         )
         reference = copy.deepcopy(state)
+        reference_local = np.ones((n_users, k))
         users = np.arange(n_users)
         for round_i in range(4):
             records = []
@@ -307,19 +309,22 @@ class TestFederatedEmRound:
             impressions = round_impressions(users, records, displays)
             assert len(set(impressions.length.tolist())) > 2
             state = federated_em_round(state, impressions, dataset.packed)
-            _sequential_em_round(reference, dict(zip(users.tolist(), records)), dataset)
+            _sequential_em_round(
+                reference, reference_local, dict(zip(users.tolist(), records)), dataset
+            )
             np.testing.assert_array_equal(
                 state.relevance_model.weights, reference.relevance_model.weights
             )
-            for name in ("theta", "theta_local", "posterior_sum", "impression_count"):
+            for name in ("theta", "posterior_sum", "impression_count"):
                 assert np.array_equal(getattr(state, name), getattr(reference, name)), name
             assert np.array_equal(state.participations, reference.participations)
         assert np.all(state.participations >= 2)
 
 
-def _sequential_em_round(state, client_records, dataset):
+def _sequential_em_round(state, local_tables, client_records, dataset):
     """Reference federated EM round: each client's records one at a time,
-    clients one after another in ascending id."""
+    clients one after another in ascending id. Row u of `local_tables` is
+    client u's local table, updated in place when it has records."""
 
     def sigmoid(x):
         return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
@@ -355,10 +360,10 @@ def _sequential_em_round(state, client_records, dataset):
         covered = state.impression_count[uid] > 0
         local = state.initial_theta()
         local[covered] = state.posterior_sum[uid, covered] / state.impression_count[uid, covered]
-        state.theta_local[uid] = np.clip(local, FLOOR, 1.0)
+        local_tables[uid] = np.clip(local, FLOOR, 1.0)
     state.relevance_model = LinearRanker(broadcast + np.sum(np.stack(deltas), axis=0) / len(deltas))
     seen = state.participations > 0
-    local = state.theta_local[seen]
+    local = local_tables[seen]
     served = (1.0 - POOLING) * local + POOLING * np.mean(local, axis=0)
     state.theta[seen] = np.clip(served, FLOOR, 1.0)
 
