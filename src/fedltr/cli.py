@@ -86,6 +86,9 @@ class ExperimentSpec:
     master_seed: int
 
     def __post_init__(self) -> None:
+        # open(5) would read file descriptor 5.
+        if self.dataset_path is not None and not isinstance(self.dataset_path, str):
+            raise ValueError(f"dataset.path must be a string, got {self.dataset_path!r}")
         # bool("false") is True and int(2.7) is 2: wrongly typed values are
         # rejected rather than converted.
         for name in ("filter_uniform", "normalize", "run_lambda"):
@@ -147,11 +150,22 @@ def _check_keys(mapping: dict, allowed, where: str) -> None:
 
 
 def _section(raw: dict, key: str, allowed, where: str | None = None) -> dict:
-    """A copy of the mapping raw[key] (empty when absent), whose keys must
-    be among `allowed`. `where` names it in errors."""
-    value = dict(raw.get(key, {}))
-    _check_keys(value, allowed, where or key)
-    return value
+    """A copy of the JSON object raw[key] (empty when absent), whose keys
+    must be among `allowed`. `where` names it in errors."""
+    where = where or key
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be a JSON object, got {value!r}")
+    _check_keys(value, allowed, where)
+    return dict(value)
+
+
+def _list(value, where: str) -> tuple:
+    """The JSON list `value` as a tuple; `where` names it in errors. A
+    string would otherwise be read as a list of its characters."""
+    if not isinstance(value, list):
+        raise ValueError(f"{where} must be a JSON list, got {value!r}")
+    return tuple(value)
 
 
 def parse_spec(config_path: str | None = None, overrides: dict | None = None) -> ExperimentSpec:
@@ -181,9 +195,12 @@ def parse_spec(config_path: str | None = None, overrides: dict | None = None) ->
     lambda_config = LambdaConfig(**_section(raw, "lambda", LambdaConfig.__dataclass_fields__))
 
     sweep_raw = _section(raw, "sweep", _SWEEP_TAGS)
-    sweep = {axis: tuple(sweep_raw.get(axis, [getattr(federation, axis)])) for axis in _SWEEP_TAGS}
+    sweep = {
+        axis: _list(sweep_raw.get(axis, [getattr(federation, axis)]), f"sweep.{axis}")
+        for axis in _SWEEP_TAGS
+    }
 
-    modes = tuple(raw.get("modes", ["fedips"]))
+    modes = _list(raw.get("modes", ["fedips"]), "modes")
     if overrides.get("mode") is not None:
         modes = (overrides["mode"],)
 
@@ -376,8 +393,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "gen-data":
-        data = generate_synthetic(**{key: getattr(args, key) for key in _SYNTHETIC_DEFAULTS})
-        write_svmlight(data, args.out)
+        try:
+            data = generate_synthetic(**{key: getattr(args, key) for key in _SYNTHETIC_DEFAULTS})
+            write_svmlight(data, args.out)
+        except (ValueError, OSError) as exc:
+            print(f"gen-data failed: {exc}", file=sys.stderr)
+            return 2
         print(f"wrote {len(data.queries)} queries to {args.out}")
         return 0
     overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}

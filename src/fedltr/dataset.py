@@ -345,6 +345,8 @@ def generate_synthetic(
     """
     if queries < 1 or docs_per_query < 1 or feature_dim < 1:
         raise ValueError("all counts must be >= 1")
+    if not (math.isfinite(noise_sd) and noise_sd >= 0):
+        raise ValueError(f"noise_sd must be a finite number >= 0, got {noise_sd!r}")
     rng = np.random.default_rng(seed)
     hidden = rng.normal(size=feature_dim)
     # Std of (x - 1/2) @ hidden with x ~ U[0,1]^F, used to put the hidden score

@@ -290,6 +290,22 @@ class TestMain:
                 "unknown federation keys: ['logging_lr']",
                 id="extra22",
             ),
+            # Containers of the wrong JSON type escaped as TypeError
+            # tracebacks, ran as if empty, or were read character by character.
+            pytest.param({"sweep": {"gamma": 1.0}}, "sweep.gamma must be a JSON list", id="extra23"),
+            pytest.param(
+                {"dataset": {"synthetic": 5}}, "dataset.synthetic must be a JSON object",
+                id="extra24",
+            ),
+            pytest.param({"lambda": [1]}, "lambda must be a JSON object", id="extra25"),
+            pytest.param({"federation": 5}, "federation must be a JSON object", id="extra26"),
+            pytest.param({"federation": []}, "federation must be a JSON object", id="extra27"),
+            pytest.param({"sweep": []}, "sweep must be a JSON object", id="extra28"),
+            pytest.param({"dataset": "ab"}, "dataset must be a JSON object", id="extra29"),
+            pytest.param({"modes": "fedavg"}, "modes must be a JSON list", id="extra30"),
+            pytest.param({"sweep": {"m": "12"}}, "sweep.m must be a JSON list", id="extra31"),
+            # open(5) read file descriptor 5.
+            pytest.param({"dataset": {"path": 5}}, "dataset.path must be a string", id="extra32"),
         ],
     )
     def test_bad_knobs_are_rejected_at_parse_time(self, tmp_path, capsys, extra, named):
@@ -344,6 +360,34 @@ class TestMain:
         ]
         summary = capsys.readouterr().out.strip().split("\n")
         assert [line.split(",")[0] for line in summary[1:]] == ["g1.0_u4_m2_fedips"]
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            pytest.param(["--queries", "0"], "all counts must be >= 1", id="queries0"),
+            pytest.param(
+                ["--noise-sd", "-1"], "noise_sd must be a finite number >= 0, got -1.0",
+                id="negative_noise",
+            ),
+            # NaN noise once wrote every label as the smallest int64.
+            pytest.param(
+                ["--noise-sd", "nan"], "noise_sd must be a finite number >= 0, got nan",
+                id="nan_noise",
+            ),
+        ],
+    )
+    def test_gen_data_rejects_bad_values(self, tmp_path, capsys, flags, named):
+        path = tmp_path / "synthetic.txt"
+        assert main(["gen-data", "--queries", "4", *flags, "--out", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"gen-data failed: {named}\n"
+        assert not path.exists()
+
+    def test_gen_data_reports_unwritable_output(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "synthetic.txt"
+        assert main(["gen-data", "--queries", "4", "--out", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gen-data failed: ") and err.count("\n") == 1
 
     def test_gen_data_round_trips(self, tmp_path, capsys):
         path = tmp_path / "synthetic.txt"

@@ -244,6 +244,11 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             generate_synthetic(0, 2, 1, seed=0)
 
+    @pytest.mark.parametrize("noise_sd", [-1.0, float("nan"), float("inf")])
+    def test_noise_sd_must_be_finite_and_nonnegative(self, noise_sd):
+        with pytest.raises(ValueError, match="noise_sd must be a finite number >= 0"):
+            generate_synthetic(3, 2, 1, seed=0, noise_sd=noise_sd)
+
     def test_hidden_model_beats_random_ranker(self):
         data, hidden = generate_synthetic(100, 15, 8, seed=9, return_hidden=True)
         data = filter_uniform_queries(data)
