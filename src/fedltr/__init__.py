@@ -22,7 +22,6 @@ from .clicksim import (
 )
 from .dataset import (
     Dataset,
-    PackedQueries,
     Query,
     filter_uniform_queries,
     generate_synthetic,

@@ -257,9 +257,12 @@ def _workers_from_env() -> int:
     is unset."""
     value = os.environ.get(WORKERS_ENV, "1")
     try:
-        return int(value)
+        workers = int(value)
     except ValueError:
         raise ValueError(f"{WORKERS_ENV} must be an integer, got {value!r}") from None
+    if workers < 1:
+        raise ValueError(f"{WORKERS_ENV} must be >= 1, got {value!r}")
+    return workers
 
 
 def run(spec: ExperimentSpec, workers: int = 1) -> int:
@@ -268,9 +271,14 @@ def run(spec: ExperimentSpec, workers: int = 1) -> int:
     summary table of the points whose runs all finished. Returns a process
     exit status. A failed run does not stop the others: the FAILED marker
     names it and its error, and the exit status is 1. With workers > 1
-    runs are spread over that many processes."""
+    runs are spread over that many processes. An output directory that
+    cannot be made exits 2, as a bad configuration does."""
     out = Path(spec.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
+        return 2
     try:
         train, test = load_experiment_data(spec)
         points = []
@@ -399,7 +407,7 @@ def main(argv: list[str] | None = None) -> int:
         except (ValueError, OSError) as exc:
             print(f"gen-data failed: {exc}", file=sys.stderr)
             return 2
-        print(f"wrote {len(data.queries)} queries to {args.out}")
+        print(f"wrote {data.n_queries} queries to {args.out}")
         return 0
     overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     # --seed names the run's master seed; per-run seeds derive from it.

@@ -4,7 +4,6 @@ position bias, and position-based click generation over displayed results."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -20,8 +19,8 @@ LOGGING_LR = 0.1
 
 @dataclass
 class UserState:
-    """One simulated user: a personal bias factor, a fixed query pool, and
-    an independent random stream.
+    """One simulated user: a personal bias factor, a fixed query pool (rows
+    of the training set), and an independent random stream.
 
     `capped_rounds` counts rounds where the impression cap was hit before
     the click quota was reached.
@@ -42,18 +41,17 @@ class UserState:
 
 @dataclass(frozen=True)
 class ClickRecord:
-    """One logged impression: the displayed prefix of the logging ranking,
-    per-position click indicators, and the user's true examination
-    probability at each displayed position."""
+    """One logged impression of training-set query `row`: per-position
+    click indicators over the displayed prefix of the logging ranking, and
+    the user's true examination probability at each displayed position."""
 
-    query_id: int
-    displayed: np.ndarray
+    row: int
     clicks: np.ndarray
     propensities: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (len(self.displayed) == len(self.clicks) == len(self.propensities)):
-            raise ValueError("displayed, clicks, and propensities must have equal length")
+        if len(self.clicks) != len(self.propensities):
+            raise ValueError("clicks and propensities must have equal length")
 
     @property
     def n_clicks(self) -> int:
@@ -64,17 +62,15 @@ class ClickRecord:
 class Displays:
     """What the logging policy shows for every query of a dataset.
 
-    Row r belongs to the dataset's r-th query (`rows` maps a qid to r):
-    `docs[r, :lengths[r]]` are the displayed document indices in display
-    order, the top min(k, n_docs) of the logging ranking, and
-    `click_rates[r]` their click_given_examination. Entries past lengths[r]
-    are padding.
+    Row r belongs to the dataset's r-th query: `docs[r, :lengths[r]]` are
+    the displayed document indices in display order, the top min(k, n_docs)
+    of the logging ranking, and `click_rates[r]` their
+    click_given_examination. Entries past lengths[r] are padding.
     """
 
     docs: np.ndarray
     lengths: np.ndarray
     click_rates: np.ndarray
-    rows: Mapping[int, int]
 
 
 @dataclass(frozen=True)
@@ -84,7 +80,7 @@ class Impressions:
 
     `users` holds the round's user ids in ascending order and `client[r]`
     indexes it. Record r showed `docs[r, :length[r]]`, documents of query
-    `row[r]` of the packed training set in display order; `clicked[r]` and
+    `row[r]` of the training set in display order; `clicked[r]` and
     `propensity[r]` are its click indicators and logged examination
     probabilities. Entries past length[r] are padding (False, 0).
     """
@@ -108,7 +104,7 @@ def round_impressions(users, records, displays: Displays) -> Impressions:
     """The round's records as Impressions, records[i] being the records of
     user users[i]. What each record showed is read from `displays`."""
     flat = [record for client in records for record in client]
-    row = np.array([displays.rows[record.query_id] for record in flat], dtype=np.int64)
+    row = np.array([record.row for record in flat], dtype=np.int64)
     length = displays.lengths[row]
     shown = np.arange(displays.docs.shape[1]) < length[:, None]
     # The empty leading arrays fix the dtype when there is no record.
@@ -135,14 +131,12 @@ def display_top_k(policy: LinearRanker, dataset: Dataset, k: int) -> Displays:
     product and one sort over all of them."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    packed = dataset.packed
-    docs = top_k(policy.weights, packed, k)
-    grades = np.take_along_axis(packed.padded(packed.labels, 0), docs, axis=1)
+    docs = top_k(policy.weights, dataset, k)
+    grades = np.take_along_axis(dataset.padded(dataset.labels, 0), docs, axis=1)
     return Displays(
         docs=docs,
-        lengths=np.minimum(packed.lengths, k),
+        lengths=np.minimum(dataset.lengths, k),
         click_rates=click_given_examination(grades),
-        rows=packed.rows,
     )
 
 
@@ -244,7 +238,7 @@ def collect_round_clicks(
     if max_impressions < 1:
         raise ValueError("max_impressions must be >= 1")
     exam = examination_prob(np.arange(1, displays.docs.shape[1] + 1), user.gamma_s)
-    rows = [displays.rows[qid] for qid in user.query_pool]
+    rows = list(user.query_pool)  # a tuple would index numpy arrays as one multi-axis index
     lengths = displays.lengths[rows].tolist()
     probs = exam * displays.click_rates[rows]
     records: list[ClickRecord] = []
@@ -252,12 +246,7 @@ def collect_round_clicks(
     while clicks_total < m and len(records) < max_impressions:
         i = int(rng.integers(len(rows)))
         n = lengths[i]
-        record = ClickRecord(
-            query_id=user.query_pool[i],
-            displayed=displays.docs[rows[i], :n],
-            clicks=rng.random(n) < probs[i, :n],
-            propensities=exam[:n],
-        )
+        record = ClickRecord(rows[i], rng.random(n) < probs[i, :n], exam[:n])
         records.append(record)
         clicks_total += record.n_clicks
     if clicks_total < m:

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -38,30 +37,64 @@ class Query:
         return self.features.shape[0]
 
 
-@dataclass(frozen=True)
-class PackedQueries:
-    """A dataset's documents in one flat array, query after query.
+class Dataset:
+    """An immutable collection of queries sharing one feature dimension,
+    its documents in one flat array, query after query.
 
     Query r (the dataset's r-th query, id qids[r]) owns rows offsets[r] to
     offsets[r] + lengths[r] - 1 of `features` and `labels`, in document
-    order; `rows` maps a qid to r. No query is padded and every query has
-    a document. `ideal_dcg` holds each query's ideal DCG@k per k once
-    metrics has computed it.
+    order. No query is padded and every query has a document. `queries`
+    holds one Query per query whose arrays are views into the flat ones.
+    `ideal_dcg` holds each query's ideal DCG@k per k once metrics has
+    computed it.
     """
 
-    features: np.ndarray  # shape (n_total_docs, feature_dim)
-    labels: np.ndarray  # shape (n_total_docs,)
-    qids: np.ndarray  # shape (n_queries,)
-    lengths: np.ndarray  # shape (n_queries,)
-    ideal_dcg: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+    def __init__(self, queries: Sequence[Query], feature_dim: int) -> None:
+        # The empty leading arrays fix shape and dtype when there is no query.
+        self.features = np.concatenate(
+            [np.zeros((0, feature_dim))] + [q.features for q in queries]
+        )
+        self.labels = np.concatenate([np.zeros(0, dtype=np.int64)] + [q.labels for q in queries])
+        self.qids = np.array([q.qid for q in queries], dtype=np.int64)
+        self.lengths = np.array([q.n_docs for q in queries], dtype=np.int64)
+        self.ideal_dcg: dict[int, np.ndarray] = {}
+
+    @classmethod
+    def from_arrays(
+        cls, features: np.ndarray, labels: np.ndarray, qids: np.ndarray, lengths: np.ndarray
+    ) -> Dataset:
+        """A dataset of flat arrays laid out as the class describes."""
+        dataset = cls.__new__(cls)
+        dataset.__dict__.update(
+            features=features, labels=labels, qids=qids, lengths=lengths, ideal_dcg={}
+        )
+        return dataset
+
+    def __getstate__(self) -> dict:
+        # Pickle the one copy of the documents, not the query views into it.
+        return {name: value for name, value in self.__dict__.items() if name != "queries"}
+
+    @property
+    def feature_dim(self) -> int:
+        return self.features.shape[1]
+
+    @property
+    def n_queries(self) -> int:
+        return self.lengths.size
 
     @cached_property
     def offsets(self) -> np.ndarray:
         return np.cumsum(self.lengths) - self.lengths
 
     @cached_property
-    def rows(self) -> dict[int, int]:
-        return {qid: r for r, qid in enumerate(self.qids.tolist())}
+    def queries(self) -> tuple[Query, ...]:
+        cuts = self.offsets[1:]
+        return tuple(
+            Query(qid=qid, features=features, labels=labels)
+            for qid, features, labels in zip(
+                self.qids.tolist(), np.split(self.features, cuts), np.split(self.labels, cuts)
+            )
+        )
 
     def doc_rows(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Flat row indices of the documents of `queries`, one query per
@@ -78,57 +111,13 @@ class PackedQueries:
         index, valid = self.doc_rows(np.arange(self.lengths.size))
         return np.where(valid, values[index], fill)
 
-    def select(self, queries: np.ndarray) -> PackedQueries:
-        """A packed copy of the queries at indices `queries`, in that order."""
+    def select(self, queries: np.ndarray) -> Dataset:
+        """A copy of the queries at indices `queries`, in that order."""
         lengths = self.lengths[queries]
         starts = np.cumsum(lengths) - lengths
         docs = np.repeat(self.offsets[queries] - starts, lengths) + np.arange(lengths.sum())
-        return PackedQueries(self.features[docs], self.labels[docs], self.qids[queries], lengths)
-
-
-class Dataset:
-    """An immutable collection of queries sharing one feature dimension.
-
-    The documents are stored once, as `packed`. `queries` holds one Query
-    per query, in packed order, whose arrays are views into it.
-    """
-
-    def __init__(self, queries: Sequence[Query], feature_dim: int) -> None:
-        # The empty leading arrays fix shape and dtype when there is no query.
-        self.packed = PackedQueries(
-            features=np.concatenate([np.zeros((0, feature_dim))] + [q.features for q in queries]),
-            labels=np.concatenate([np.zeros(0, dtype=np.int64)] + [q.labels for q in queries]),
-            qids=np.array([q.qid for q in queries], dtype=np.int64),
-            lengths=np.array([q.n_docs for q in queries], dtype=np.int64),
-        )
-
-    @classmethod
-    def from_packed(cls, packed: PackedQueries) -> Dataset:
-        dataset = cls.__new__(cls)
-        dataset.packed = packed
-        return dataset
-
-    def __getstate__(self) -> dict:
-        # Pickle the one copy of the documents, not the query views too.
-        return {"packed": self.packed}
-
-    @property
-    def feature_dim(self) -> int:
-        return self.packed.features.shape[1]
-
-    @property
-    def n_queries(self) -> int:
-        return self.packed.lengths.size
-
-    @cached_property
-    def queries(self) -> tuple[Query, ...]:
-        p = self.packed
-        cuts = p.offsets[1:]
-        return tuple(
-            Query(qid=qid, features=features, labels=labels)
-            for qid, features, labels in zip(
-                p.qids.tolist(), np.split(p.features, cuts), np.split(p.labels, cuts)
-            )
+        return Dataset.from_arrays(
+            self.features[docs], self.labels[docs], self.qids[queries], lengths
         )
 
 
@@ -171,31 +160,13 @@ def load_svmlight(path: str) -> Dataset:
     seen anywhere in the file.
 
     Only the label and qid are parsed one line at a time. Each line's
-    tokens are converted in bulk into flat buffers, and the index and value
-    checks run over the whole file at once. Every error names its line.
+    tokens are converted in bulk into flat buffers and checked as a whole;
+    a line that fails goes token by token, which raises its error.
     """
     queries: dict[int, int] = {}  # qid -> query number, in order of first appearance
-    query_of_doc, labels, line_of_doc = array("q"), array("q"), array("q")
+    query_of_doc, labels = array("q"), array("q")
     ends = array("q")  # tokens read up to the end of each document
     index, values = array("q"), array("d")
-
-    def check(n_tokens: int) -> None:
-        """Raise the error of the first line with an index below 1 or a
-        non-finite value among the first `n_tokens` tokens."""
-        bad = np.frombuffer(index, dtype=np.int64, count=n_tokens) < 1
-        bad |= ~np.isfinite(np.frombuffer(values, dtype=np.float64, count=n_tokens))
-        if bad.any():
-            doc = int(
-                np.searchsorted(np.frombuffer(ends, dtype=np.int64), bad.argmax(), side="right")
-            )
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = next(islice(fh, line_of_doc[doc] - 1, None))
-            _parse_tokens(line_of_doc[doc], raw.split("#", 1)[0].split()[2:])
-
-    def fail(lineno: int, message: str) -> ValueError:
-        check(len(values))
-        return ValueError(f"line {lineno}: {message}")
-
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -203,19 +174,19 @@ def load_svmlight(path: str) -> Dataset:
                 continue
             parts = line.split(None, 2)
             if len(parts) < 2:
-                raise fail(lineno, "expected '<label> qid:<id> ...'")
+                raise ValueError(f"line {lineno}: expected '<label> qid:<id> ...'")
             try:
                 label = int(parts[0])
             except ValueError:
-                raise fail(lineno, f"bad label {parts[0]!r}") from None
+                raise ValueError(f"line {lineno}: bad label {parts[0]!r}") from None
             if not parts[1].startswith("qid:"):
-                raise fail(lineno, "missing qid field")
+                raise ValueError(f"line {lineno}: missing qid field")
             try:
                 qid = int(parts[1][4:])
             except ValueError:
-                raise fail(lineno, f"bad qid {parts[1]!r}") from None
+                raise ValueError(f"line {lineno}: bad qid {parts[1]!r}") from None
             if abs(qid) > _INT64_MAX:
-                raise fail(lineno, f"qid {qid} is too large")
+                raise ValueError(f"line {lineno}: qid {qid} is too large")
             tokens = parts[2] if len(parts) > 2 else ""
             done = len(values)
             try:
@@ -228,21 +199,19 @@ def load_svmlight(path: str) -> Dataset:
                     raise ValueError("malformed token")
                 index.extend(map(int, pieces[0::2]))
                 values.extend(map(float, pieces[1::2]))
+                # A nan or inf value makes the sum nan or inf.
+                if min(index[done:], default=1) < 1 or not math.isfinite(sum(values[done:])):
+                    raise ValueError("bad index or value")
             except (ValueError, OverflowError):
-                # Rare lines (bad tokens, non-ASCII text) go token by token.
+                # Rare lines (bad tokens or values, non-ASCII text, finite
+                # values whose sum overflows) go token by token.
                 del index[done:], values[done:]
-                try:
-                    line_index, line_values = _parse_tokens(lineno, tokens.split())
-                except ValueError:
-                    check(done)
-                    raise
+                line_index, line_values = _parse_tokens(lineno, tokens.split())
                 index.extend(line_index)
                 values.extend(line_values)
             query_of_doc.append(queries.setdefault(qid, len(queries)))
             labels.append(label)
-            line_of_doc.append(lineno)
             ends.append(len(values))
-    check(len(values))
     if not queries:
         raise ValueError(f"{path}: empty dataset")
 
@@ -268,13 +237,12 @@ def load_svmlight(path: str) -> Dataset:
         position, val = position[last], val[last]
     features = np.zeros((n_docs, feature_dim), dtype=np.float64)
     np.put(features, position, val)
-    packed = PackedQueries(
-        features=features,
-        labels=np.frombuffer(labels, dtype=np.int64)[order],
-        qids=np.array(list(queries), dtype=np.int64),
-        lengths=np.bincount(query, minlength=len(queries)),
+    return Dataset.from_arrays(
+        features,
+        np.frombuffer(labels, dtype=np.int64)[order],
+        np.array(list(queries), dtype=np.int64),
+        np.bincount(query, minlength=len(queries)),
     )
-    return Dataset.from_packed(packed)
 
 
 def write_svmlight(dataset: Dataset, path: str) -> None:
@@ -290,13 +258,13 @@ def write_svmlight(dataset: Dataset, path: str) -> None:
 
 def filter_uniform_queries(dataset: Dataset) -> Dataset:
     """Drop queries whose documents all carry the same relevance grade."""
-    p = dataset.packed
-    if p.lengths.size == 0:
+    if dataset.n_queries == 0:
         return dataset
-    mixed = np.maximum.reduceat(p.labels, p.offsets) != np.minimum.reduceat(p.labels, p.offsets)
+    labels, offsets = dataset.labels, dataset.offsets
+    mixed = np.maximum.reduceat(labels, offsets) != np.minimum.reduceat(labels, offsets)
     if mixed.all():
         return dataset
-    return Dataset.from_packed(p.select(np.flatnonzero(mixed)))
+    return dataset.select(np.flatnonzero(mixed))
 
 
 def normalize_query_level(dataset: Dataset) -> Dataset:
@@ -304,19 +272,19 @@ def normalize_query_level(dataset: Dataset) -> Dataset:
 
     Constant features map to 0 (deterministic degenerate rule).
     """
-    p = dataset.packed
-    if p.lengths.size == 0:
+    if dataset.n_queries == 0:
         return dataset
+    features, offsets = dataset.features, dataset.offsets
     # Minima and maxima are exact whatever the order of reduction, so each
     # value is the one a per-query (x - lo) / span gives.
-    lo = np.minimum.reduceat(p.features, p.offsets, axis=0)
-    span = np.maximum.reduceat(p.features, p.offsets, axis=0) - lo
-    query = np.repeat(np.arange(p.lengths.size), p.lengths)
+    lo = np.minimum.reduceat(features, offsets, axis=0)
+    span = np.maximum.reduceat(features, offsets, axis=0) - lo
+    query = np.repeat(np.arange(dataset.n_queries), dataset.lengths)
     positive = span > 0
-    scaled = p.features - lo[query]
+    scaled = features - lo[query]
     scaled /= np.where(positive, span, 1.0)[query]
     scaled[~positive[query]] = 0.0
-    return Dataset.from_packed(PackedQueries(scaled, p.labels, p.qids, p.lengths))
+    return Dataset.from_arrays(scaled, dataset.labels, dataset.qids, dataset.lengths)
 
 
 # Grade rule: grade = round(4 * sigmoid(scale * z + offset + noise)). The offset
@@ -360,13 +328,11 @@ def generate_synthetic(
         z = (x - 0.5) @ hidden / score_sd
         s = _GRADE_SCALE * z + _GRADE_OFFSET + rng.normal(0.0, noise_sd, size=docs_per_query)
         labels[docs] = np.clip(np.rint(4.0 / (1.0 + np.exp(-s))), 0, 4)
-    data = Dataset.from_packed(
-        PackedQueries(
-            features=features,
-            labels=labels,
-            qids=np.arange(1, queries + 1, dtype=np.int64),
-            lengths=np.full(queries, docs_per_query, dtype=np.int64),
-        )
+    data = Dataset.from_arrays(
+        features,
+        labels,
+        np.arange(1, queries + 1, dtype=np.int64),
+        np.full(queries, docs_per_query, dtype=np.int64),
     )
     if return_hidden:
         return data, hidden
@@ -386,6 +352,6 @@ def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, D
     is_test = np.zeros(n, dtype=bool)
     is_test[rng.permutation(n)[:n_test]] = True
     return (
-        Dataset.from_packed(dataset.packed.select(np.flatnonzero(~is_test))),
-        Dataset.from_packed(dataset.packed.select(np.flatnonzero(is_test))),
+        dataset.select(np.flatnonzero(~is_test)),
+        dataset.select(np.flatnonzero(is_test)),
     )

@@ -19,7 +19,7 @@ from .clicksim import (
     sample_user_bias,
     train_logging_policy,
 )
-from .dataset import Dataset, PackedQueries
+from .dataset import Dataset
 from .metrics import mean_ndcg
 from .objective import Clicks, click_gradients, client_loss, round_clicks
 from .propensity import EmEstimatorState, estimated_propensity, federated_em_round
@@ -138,7 +138,7 @@ class ExperimentState:
 
 def client_opt(
     w_t: LinearRanker,
-    corpus: PackedQueries,
+    corpus: Dataset,
     clicks: Clicks,
     eta_local: float,
     rngs: Sequence[np.random.Generator],
@@ -187,14 +187,11 @@ def init_state(
     population with sampled per-user bias and fixed query pools, and start
     from zero weights."""
     policy = train_logging_policy(train, cfg.logging_fraction, cfg.seed, cfg.logging_epochs)
-    qids = train.packed.qids.tolist()
     users = []
     for uid in range(cfg.num_users):
         stream = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1, uid)))
         gamma_s = sample_user_bias(cfg.gamma, cfg.gamma_sigma, stream)
-        pool = tuple(
-            qids[int(i)] for i in stream.integers(len(qids), size=cfg.queries_per_user)
-        )
+        pool = tuple(stream.integers(train.n_queries, size=cfg.queries_per_user).tolist())
         users.append(UserState(id=uid, gamma_s=gamma_s, query_pool=pool, rng_stream=stream))
     em = None
     if cfg.mode == "fedips" and cfg.propensity_mode == "estimated":
@@ -245,7 +242,7 @@ def run_round(state: ExperimentState, cfg: FederationConfig) -> tuple[Experiment
             propensity=estimated_propensity(state.em, sampled[clicks.client], clicks.position),
         )
 
-    corpus = state.train.packed
+    corpus = state.train
     losses = client_loss(state.model, corpus, clicks)
     deltas = client_opt(
         state.model, corpus, clicks, cfg.eta_local, [state.users[uid].rng_stream for uid in sampled]

@@ -7,7 +7,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, PackedQueries, Query
+from .dataset import Dataset, Query
 from .ranker import LinearRanker, rank, top_k
 
 # Graded relevance at or above this grade counts as relevant when the
@@ -44,17 +44,17 @@ def dcg_at_k(labels_in_rank_order: np.ndarray, k: int) -> float:
     return float(_dcg(labels, np.array([labels.shape[1]]))[0])
 
 
-def _dcgs(weights: np.ndarray, packed: PackedQueries, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """DCG@k of every query of a packed dataset under the weights, and its
-    ideal DCG@k, computed once per dataset and k."""
+def _dcgs(weights: np.ndarray, dataset: Dataset, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """DCG@k of every query of a dataset under the weights, and its ideal
+    DCG@k, computed once per dataset and k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    lengths = np.minimum(packed.lengths, k)
-    labels = packed.padded(packed.labels.astype(np.float64), -np.inf)
-    actual = _dcg(np.take_along_axis(labels, top_k(weights, packed, k), axis=1), lengths)
-    ideal = packed.ideal_dcg.get(k)
+    lengths = np.minimum(dataset.lengths, k)
+    labels = dataset.padded(dataset.labels.astype(np.float64), -np.inf)
+    actual = _dcg(np.take_along_axis(labels, top_k(weights, dataset, k), axis=1), lengths)
+    ideal = dataset.ideal_dcg.get(k)
     if ideal is None:
-        ideal = packed.ideal_dcg[k] = _dcg(-np.sort(-labels, axis=1)[:, :k], lengths)
+        ideal = dataset.ideal_dcg[k] = _dcg(-np.sort(-labels, axis=1)[:, :k], lengths)
     return actual, ideal
 
 
@@ -64,8 +64,8 @@ def ndcg_at_k(ranker: LinearRanker, query: Query, k: int) -> float:
     Raises ValueError when the ideal DCG is zero (all labels zero), since
     the ratio is undefined there.
     """
-    packed = Dataset(queries=(query,), feature_dim=query.features.shape[1]).packed
-    actual, ideal = _dcgs(ranker.weights, packed, k)
+    dataset = Dataset(queries=(query,), feature_dim=query.features.shape[1])
+    actual, ideal = _dcgs(ranker.weights, dataset, k)
     if ideal[0] == 0.0:
         raise ValueError(f"ideal DCG@{k} is zero for query {query.qid}")
     return float(actual[0] / ideal[0])
@@ -73,7 +73,7 @@ def ndcg_at_k(ranker: LinearRanker, query: Query, k: int) -> float:
 
 def mean_ndcg(ranker: LinearRanker, dataset: Dataset, k: int) -> float:
     """Mean NDCG@k over a dataset, skipping queries with zero ideal DCG."""
-    actual, ideal = _dcgs(ranker.weights, dataset.packed, k)
+    actual, ideal = _dcgs(ranker.weights, dataset, k)
     counted = ideal != 0.0
     if not np.any(counted):
         raise ValueError("no query has a nonzero ideal DCG")

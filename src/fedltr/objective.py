@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clicksim import Impressions
-from .dataset import Dataset, PackedQueries, Query
+from .dataset import Dataset, Query
 from .ranker import LinearRanker
 
 
@@ -18,7 +18,7 @@ class Clicks:
     ordered by client, then record, then display position.
 
     `client` indexes the round's clients 0..n_clients-1, `row` the query in
-    the packed training set, `doc` the document within its query and
+    the training set, `doc` the document within its query and
     `position` its 1-based display position. Every propensity is positive.
     """
 
@@ -75,7 +75,7 @@ def _hinge_sums(scores: np.ndarray, doc: np.ndarray, valid: np.ndarray) -> np.nd
 
 
 def click_gradients(
-    corpus: PackedQueries,
+    corpus: Dataset,
     row: np.ndarray,
     doc: np.ndarray,
     weights: np.ndarray,
@@ -126,13 +126,13 @@ def click_gradient(
     weights. Pairs exactly at the hinge kink contribute zero."""
     if propensity <= 0.0:
         raise ValueError("propensity must be positive")
-    corpus = Dataset(queries=(query,), feature_dim=query.features.shape[1]).packed
+    corpus = Dataset(queries=(query,), feature_dim=query.features.shape[1])
     return click_gradients(
         corpus, np.array([0]), np.array([d]), model.weights[None], np.array([propensity])
     )[0]
 
 
-def client_loss(model: LinearRanker, corpus: PackedQueries, clicks: Clicks) -> np.ndarray:
+def client_loss(model: LinearRanker, corpus: Dataset, clicks: Clicks) -> np.ndarray:
     """Each client's propensity-weighted hinge loss over its clicks.
 
     Client i's loss sums hinge_sum / p over its clicks, then divides by the
@@ -148,7 +148,7 @@ def client_loss(model: LinearRanker, corpus: PackedQueries, clicks: Clicks) -> n
     totals = np.bincount(
         clicks.client, weights=hinges / clicks.propensity, minlength=clicks.n_clients
     )
-    n_queries = corpus.lengths.size
+    n_queries = corpus.n_queries
     pairs = np.unique(clicks.client * n_queries + clicks.row)
     distinct = np.bincount(pairs // n_queries, minlength=clicks.n_clients)
     return np.divide(totals, distinct, out=np.zeros(clicks.n_clients), where=distinct > 0)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clicksim import Impressions
-from .dataset import PackedQueries
+from .dataset import Dataset
 from .ranker import LinearRanker
 
 # Served examination estimates never drop below FLOOR: a click's hinge
@@ -120,14 +120,14 @@ def _by_length(length: np.ndarray) -> list:
     return [(int(n), np.flatnonzero(length == n)) for n in np.unique(length)]
 
 
-def _features(corpus: PackedQueries, impressions: Impressions, records, n: int) -> np.ndarray:
+def _features(corpus: Dataset, impressions: Impressions, records, n: int) -> np.ndarray:
     """(records, n, F): the features of the n documents each record showed."""
     first = corpus.offsets[impressions.row[records]]
     return corpus.features[first[:, None] + impressions.docs[records, :n]]
 
 
 def em_m_step_local(
-    corpus: PackedQueries,
+    corpus: Dataset,
     impressions: Impressions,
     theta_prior: np.ndarray,
     weights: np.ndarray,
@@ -164,7 +164,7 @@ def em_m_step_local(
 
 
 def fit_relevance(
-    corpus: PackedQueries,
+    corpus: Dataset,
     impressions: Impressions,
     targets: np.ndarray,
     weights: np.ndarray,
@@ -194,7 +194,7 @@ def fit_relevance(
 
 
 def federated_em_round(
-    state: EmEstimatorState, impressions: Impressions, corpus: PackedQueries
+    state: EmEstimatorState, impressions: Impressions, corpus: Dataset
 ) -> EmEstimatorState:
     """One federated EM round over the round's clients.
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import PackedQueries, Query
+from .dataset import Dataset, Query
 
 
 @dataclass(frozen=True)
@@ -59,11 +59,11 @@ def rank(ranker: LinearRanker, query: Query) -> RankedList:
     return RankedList(order=order, positions=positions)
 
 
-def top_k(weights: np.ndarray, packed: PackedQueries, k: int) -> np.ndarray:
+def top_k(weights: np.ndarray, dataset: Dataset, k: int) -> np.ndarray:
     """The first k positions of every query's ranking, as `rank` orders
     them, from one product and one sort over all queries.
 
     Row r holds document indices of query r, best first, min(k, longest
     query) of them; entries at or past a query's length are padding.
     """
-    return _order(packed.padded(packed.features @ weights, -np.inf))[:, :k]
+    return _order(dataset.padded(dataset.features @ weights, -np.inf))[:, :k]

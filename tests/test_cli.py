@@ -328,6 +328,31 @@ class TestMain:
         assert "invalid configuration: FEDLTR_WORKERS must be an integer, got 'two'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_worker_count_below_one_is_rejected_before_running(
+        self, tmp_path, capsys, monkeypatch, value
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        config = _write_config(tmp_path / "spec.json")
+        out = tmp_path / "results"
+        monkeypatch.setenv(WORKERS_ENV, value)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"invalid configuration: FEDLTR_WORKERS must be >= 1, got '{value}'" in err
+        assert not out.exists()
+
+    def test_output_path_of_a_file_exits_two(self, tmp_path, capsys):
+        config = _write_config(tmp_path / "spec.json")
+        out = tmp_path / "results"
+        out.write_text("kept\n", encoding="utf-8")
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: ") and err.count("\n") == 1
+        assert out.read_text(encoding="utf-8") == "kept\n"
+
     def test_failed_run_leaves_marker(self, tmp_path, capsys):
         out = tmp_path / "results"
         code = main(

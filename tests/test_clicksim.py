@@ -42,7 +42,7 @@ def _impression(user, query, k, rng):
     return collect_round_clicks(user, _displays(query, k=k), 1, 1, rng)[0]
 
 
-def _user(gamma_s=1.0, pool=(1,), uid=0, seed=0):
+def _user(gamma_s=1.0, pool=(0,), uid=0, seed=0):
     return UserState(
         id=uid,
         gamma_s=gamma_s,
@@ -78,7 +78,6 @@ class TestTrainLoggingPolicy:
         q1 = _query([1.0, 3.0, 2.0], [0, 3, 0], qid=1)
         q2 = _query([5.0, 5.0], [4, 0], qid=2)
         displays = _displays(q1, q2, k=3)
-        assert displays.rows == {1: 0, 2: 1}
         np.testing.assert_array_equal(displays.lengths, [3, 2])
         np.testing.assert_array_equal(displays.docs[0], [1, 2, 0])
         # Tied scores keep document order.
@@ -168,15 +167,17 @@ class TestSimulateImpression:
 
     def test_displays_top_k_of_logging_order(self):
         q = _query([6.0, 5.0, 4.0, 3.0, 2.0, 1.0], [0, 0, 0, 0, 0, 3])
-        record = _impression(_user(), q, 5, np.random.default_rng(0))
-        np.testing.assert_array_equal(record.displayed, [0, 1, 2, 3, 4])
+        displays = _displays(q, k=5)
+        record = collect_round_clicks(_user(), displays, 1, 1, np.random.default_rng(0))[0]
+        displayed = displays.docs[record.row, : record.clicks.size]
+        np.testing.assert_array_equal(displayed, [0, 1, 2, 3, 4])
         # The document below the cutoff is never displayed, hence never clicked.
-        assert 5 not in record.displayed
+        assert 5 not in displayed
 
     def test_k_capped_at_document_count(self):
         q = _query([2.0, 1.0], [3, 0])
         record = _impression(_user(), q, 5, np.random.default_rng(0))
-        assert len(record.displayed) == 2
+        assert len(record.clicks) == 2
 
     def test_k_must_be_positive(self):
         q = _query([1.0], [3])
@@ -202,7 +203,7 @@ class TestSimulateImpression:
 class TestCollectRoundClicks:
     def test_guaranteed_click_stops_after_one_impression(self):
         q = _query([1.0], [4])
-        user = _user(gamma_s=0.0, pool=(1,))
+        user = _user(gamma_s=0.0, pool=(0,))
         records = collect_round_clicks(user, _displays(q, k=1), 1, 50, np.random.default_rng(0))
         assert len(records) == 1
         assert records[0].n_clicks == 1
@@ -221,15 +222,14 @@ class TestCollectRoundClicks:
         displays = _displays(q1, q2, k=3)
         runs = []
         for _ in range(2):
-            user = _user(gamma_s=1.0, pool=(1, 2))
+            user = _user(gamma_s=1.0, pool=(0, 1))
             runs.append(
                 collect_round_clicks(user, displays, 5, 100, np.random.default_rng(9))
             )
         first, second = runs
         assert len(first) == len(second)
         for a, b in zip(first, second):
-            assert a.query_id == b.query_id
-            np.testing.assert_array_equal(a.displayed, b.displayed)
+            assert a.row == b.row
             np.testing.assert_array_equal(a.clicks, b.clicks)
             np.testing.assert_array_equal(a.propensities, b.propensities)
 
@@ -259,11 +259,11 @@ class TestRoundImpressions:
         displays = _displays(q1, q2, k=3)
         records = [
             [
-                ClickRecord(2, np.array([1, 0]), np.array([False, True]), np.array([1.0, 0.5])),
-                ClickRecord(1, np.array([0, 1, 2]), np.array([True, False, True]), np.ones(3)),
+                ClickRecord(1, np.array([False, True]), np.array([1.0, 0.5])),
+                ClickRecord(0, np.array([True, False, True]), np.ones(3)),
             ],
             [],
-            [ClickRecord(1, np.array([0, 1, 2]), np.zeros(3, dtype=bool), np.full(3, 0.25))],
+            [ClickRecord(0, np.zeros(3, dtype=bool), np.full(3, 0.25))],
         ]
         impressions = round_impressions([3, 5, 8], records, displays)
         np.testing.assert_array_equal(impressions.users, [3, 5, 8])
@@ -281,13 +281,13 @@ class TestRoundImpressions:
 
     def test_rejects_records_that_disagree_with_the_displays(self):
         q = _query([2.0, 1.0], [3, 0])
-        record = ClickRecord(1, np.array([0]), np.array([True]), np.ones(1))
+        record = ClickRecord(0, np.array([True]), np.ones(1))
         with pytest.raises(ValueError, match="displayed documents"):
             round_impressions([0], [[record]], _displays(q, k=2))
 
     def test_rejects_unordered_users_and_records(self):
         q = _query([2.0, 1.0], [3, 0])
-        record = ClickRecord(1, np.array([0, 1]), np.array([True, False]), np.ones(2))
+        record = ClickRecord(0, np.array([True, False]), np.ones(2))
         with pytest.raises(ValueError, match="ascending"):
             round_impressions([4, 2], [[record], [record]], _displays(q, k=2))
         impressions = round_impressions([2, 4], [[record], [record]], _displays(q, k=2))
@@ -306,9 +306,4 @@ class TestStateValidation:
 
     def test_click_record_length_mismatch(self):
         with pytest.raises(ValueError, match="equal length"):
-            ClickRecord(
-                query_id=1,
-                displayed=np.array([0, 1]),
-                clicks=np.array([True]),
-                propensities=np.array([1.0, 0.5]),
-            )
+            ClickRecord(row=0, clicks=np.array([True]), propensities=np.array([1.0, 0.5]))

@@ -116,11 +116,14 @@ class TestLoadSvmlight:
             load_svmlight(path)
 
     def test_first_bad_line_is_reported(self, tmp_path):
-        # The value checks run after parsing, yet an earlier line's
-        # non-finite value still wins over a later line's bad label.
+        # An earlier line's non-finite value wins over a later line's bad label.
         path = _write(tmp_path, "1 qid:1 1:0.5\n1 qid:1 1:nan\nx qid:1 1:0.5\n")
         with pytest.raises(ValueError, match="line 2: non-finite"):
             load_svmlight(path)
+
+    def test_finite_values_whose_sum_overflows_are_kept(self, tmp_path):
+        data = load_svmlight(_write(tmp_path, "1 qid:1 1:1e308 2:1e308\n0 qid:1 1:0.5\n"))
+        np.testing.assert_array_equal(data.features, [[1e308, 1e308], [0.5, 0.0]])
 
     def test_duplicate_index_keeps_last_value(self, tmp_path):
         data = load_svmlight(_write(tmp_path, "1 qid:1 1:0.5 1:0.7\n0 qid:1 2:0.1 1:0.3\n"))
@@ -132,7 +135,7 @@ class TestLoadSvmlight:
         assert [q.qid for q in data.queries] == [7, 3]
         assert data.feature_dim == 5
         np.testing.assert_array_equal(
-            data.packed.features,
+            data.features,
             [
                 [0.0, 0.5, 0.0, 0.0, 0.0],
                 [0.0, 0.0, 0.0, 0.0, -1.25],
@@ -140,13 +143,13 @@ class TestLoadSvmlight:
                 [0.0, 0.125, 0.0, 4.0, 0.0],
             ],
         )
-        np.testing.assert_array_equal(data.packed.labels, [0, 2, 1, 3])
+        np.testing.assert_array_equal(data.labels, [0, 2, 1, 3])
         path = str(tmp_path / "again.txt")
         write_svmlight(data, path)
         again = load_svmlight(path)
         assert [q.qid for q in again.queries] == [7, 3]
-        np.testing.assert_array_equal(again.packed.features, data.packed.features)
-        np.testing.assert_array_equal(again.packed.labels, data.packed.labels)
+        np.testing.assert_array_equal(again.features, data.features)
+        np.testing.assert_array_equal(again.labels, data.labels)
 
     def test_queries_are_views_of_the_packed_arrays(self, tmp_path):
         path = str(tmp_path / "data.txt")
@@ -155,15 +158,15 @@ class TestLoadSvmlight:
         normalized = normalize_query_level(filter_uniform_queries(loaded))
         for data in (loaded, normalized, *split(normalized, 0.25, seed=1)):
             for q in data.queries:
-                assert np.shares_memory(q.features, data.packed.features)
-                assert np.shares_memory(q.labels, data.packed.labels)
+                assert np.shares_memory(q.features, data.features)
+                assert np.shares_memory(q.labels, data.labels)
 
     def test_pickled_dataset_keeps_one_copy(self):
         data = generate_synthetic(5, 3, 2, seed=1)
         data.queries  # noqa: B018 - builds the query views before pickling
         copy = pickle.loads(pickle.dumps(data))
-        np.testing.assert_array_equal(copy.packed.features, data.packed.features)
-        assert np.shares_memory(copy.queries[2].features, copy.packed.features)
+        np.testing.assert_array_equal(copy.features, data.features)
+        assert np.shares_memory(copy.queries[2].features, copy.features)
 
 
 class TestFilterUniformQueries:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from fedltr import federation
-from fedltr.clicksim import ClickRecord, display_top_k, round_impressions
-from fedltr.dataset import Dataset, Query
+from fedltr.clicksim import ClickRecord, collect_round_clicks, display_top_k, round_impressions
+from fedltr.dataset import Dataset, Query, load_svmlight
 from fedltr.federation import (
     FederationConfig,
     RoundMetrics,
@@ -30,13 +30,8 @@ def _query(features, qid=1):
 
 
 def _record(query, clicks):
-    n = query.n_docs
-    return ClickRecord(
-        query_id=query.qid,
-        displayed=np.arange(n),
-        clicks=np.asarray(clicks, dtype=bool),
-        propensities=np.ones(n),
-    )
+    # The tests' datasets hold queries 1, 2, ... in qid order: qid q is row q - 1.
+    return ClickRecord(query.qid - 1, np.asarray(clicks, dtype=bool), np.ones(query.n_docs))
 
 
 def _small_cfg(**kwargs):
@@ -66,11 +61,10 @@ def _client_opt(w_t, records, eta_local, rng, propensity=None):
     displays = display_top_k(
         LinearRanker.zeros(dataset.feature_dim), dataset, max(q.n_docs for q in queries)
     )
-    corpus = dataset.packed
     clicks = round_clicks(round_impressions([0], [[record for record, _ in records]], displays))
     if propensity is not None:
         clicks = replace(clicks, propensity=np.full(clicks.row.size, propensity))
-    return client_opt(w_t, corpus, clicks, eta_local, [rng])[0], clicks.row.size
+    return client_opt(w_t, dataset, clicks, eta_local, [rng])[0], clicks.row.size
 
 
 def _unbatched_gradient(w, query, d, p):
@@ -150,21 +144,20 @@ class TestClientOpt:
         # class; the reference runs each client alone, one click_gradient
         # call per click, on the same random streams.
         rng = np.random.default_rng(3)
-        corpus = ragged.packed
         client = np.repeat(np.arange(5), [9, 0, 1, 5, 14])
         row = rng.integers(ragged.n_queries, size=client.size)
         clicks = Clicks(
             n_clients=5,
             client=client,
             row=row,
-            doc=rng.integers(corpus.lengths[row]),
+            doc=rng.integers(ragged.lengths[row]),
             position=np.ones_like(client),
             propensity=rng.uniform(0.2, 1.0, size=client.size),
         )
         w_t = LinearRanker(rng.normal(size=ragged.feature_dim) * 0.1)
         eta = 0.05
         deltas = client_opt(
-            w_t, corpus, clicks, eta, [np.random.default_rng(100 + i) for i in range(5)]
+            w_t, ragged, clicks, eta, [np.random.default_rng(100 + i) for i in range(5)]
         )
         for i in range(5):
             steps = np.flatnonzero(client == i)
@@ -270,11 +263,32 @@ class TestInitState:
         cfg = _small_cfg()
         state = init_state(cfg, train, test)
         assert len(state.users) == cfg.num_users
-        qids = {q.qid for q in train.queries}
         for user in state.users:
             assert len(user.query_pool) == cfg.queries_per_user
-            assert set(user.query_pool) <= qids
+            assert set(user.query_pool) <= set(range(train.n_queries))
         np.testing.assert_array_equal(state.model.weights, np.zeros(train.feature_dim))
+
+    def test_pools_and_records_address_training_rows(self, tmp_path):
+        # Qids 30, 10 and 20 are neither the training set's rows nor in row
+        # order; the queries hold 2, 3 and 4 documents, all shown at k = 5.
+        lines = [
+            f"{doc % 3} qid:{qid} 1:{0.1 * doc} 2:{0.01 * qid}"
+            for qid, n_docs in ((30, 2), (10, 3), (20, 4))
+            for doc in range(n_docs)
+        ]
+        path = tmp_path / "corpus.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        train = load_svmlight(str(path))
+        cfg = _small_cfg(num_users=6, users_per_round=6, k=5, logging_fraction=1.0)
+        state = init_state(cfg, train, train)
+        for user in state.users:
+            assert set(user.query_pool) <= set(range(train.n_queries))
+            records = collect_round_clicks(user, state.displays, cfg.m, 20, user.rng_stream)
+            for record in records:
+                assert record.row in user.query_pool
+                n_docs = train.queries[record.row].n_docs
+                assert record.clicks.size == state.displays.lengths[record.row] == n_docs
+                assert sorted(state.displays.docs[record.row, :n_docs]) == list(range(n_docs))
 
     def test_em_state_only_in_estimated_mode(self, small_split):
         train, test = small_split
@@ -333,7 +347,7 @@ class TestRunRound:
         records = collect_round_clicks(user, shadow.displays, cfg.m, cap, user.rng_stream)
         clicks = round_clicks(round_impressions([0], [records], shadow.displays))
         delta = client_opt(
-            shadow.model, shadow.train.packed, clicks, cfg.eta_local, [user.rng_stream]
+            shadow.model, shadow.train, clicks, cfg.eta_local, [user.rng_stream]
         )[0]
         np.testing.assert_array_equal(state.model.weights, shadow.model.weights + delta)
 

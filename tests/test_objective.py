@@ -26,11 +26,10 @@ def _query(features, labels=None, qid=1):
 
 
 def _record(query, clicks, gamma_s=1.0):
-    n = query.n_docs
-    positions = np.arange(1, n + 1, dtype=np.float64)
+    positions = np.arange(1, query.n_docs + 1, dtype=np.float64)
+    # The tests' datasets hold queries 1, 2, ... in qid order: qid q is row q - 1.
     return ClickRecord(
-        query_id=query.qid,
-        displayed=np.arange(n),
+        row=query.qid - 1,
         clicks=np.asarray(clicks, dtype=bool),
         propensities=(1.0 / positions) ** gamma_s,
     )
@@ -165,7 +164,7 @@ def _loss(model, records, propensity=None):
     """One client's loss on its (record, query) pairs, weighted by the
     logged propensities or by one shared `propensity`."""
     queries = tuple({query.qid: query for _, query in records}.values())
-    corpus = Dataset(queries=queries, feature_dim=queries[0].features.shape[1]).packed
+    corpus = Dataset(queries=queries, feature_dim=queries[0].features.shape[1])
     clicks = _round_clicks([[record for record, _ in records]], queries)
     if propensity is not None:
         clicks = replace(clicks, propensity=np.full(clicks.row.size, propensity))
@@ -217,10 +216,9 @@ class TestClientLoss:
     def test_batched_loss_matches_per_click_hinge_sums(self, ragged):
         # Clients 0-3 click 7, 0, 1 and 12 times across every length class.
         rng = np.random.default_rng(5)
-        corpus = ragged.packed
         client = np.repeat(np.arange(4), [7, 0, 1, 12])
         row = rng.integers(ragged.n_queries, size=client.size)
-        doc = rng.integers(corpus.lengths[row])
+        doc = rng.integers(ragged.lengths[row])
         clicks = Clicks(
             n_clients=4,
             client=client,
@@ -239,4 +237,4 @@ class TestClientLoss:
                     for j in mine
                 )
                 expected[i] = total / len(set(row[mine].tolist()))
-        np.testing.assert_allclose(client_loss(model, corpus, clicks), expected, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(client_loss(model, ragged, clicks), expected, rtol=1e-12, atol=0)

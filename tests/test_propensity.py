@@ -32,7 +32,7 @@ from fedltr.ranker import LinearRanker
 
 def _user(gamma_s):
     return UserState(
-        id=0, gamma_s=gamma_s, query_pool=(1,), rng_stream=np.random.default_rng(0)
+        id=0, gamma_s=gamma_s, query_pool=(0,), rng_stream=np.random.default_rng(0)
     )
 
 
@@ -47,7 +47,7 @@ def _exact_prior_setup(seed, n_docs=12):
 
 
 def _corpus(query):
-    return Dataset(queries=(query,), feature_dim=query.features.shape[1]).packed
+    return Dataset(queries=(query,), feature_dim=query.features.shape[1])
 
 
 def _pbm_records(rng, n_records, rel, gamma_s=1.0, k=5):
@@ -63,7 +63,7 @@ def _pbm_records(rng, n_records, rel, gamma_s=1.0, k=5):
 
 
 def _impressions(client_records, k=5):
-    """Impressions of {user id: [(displayed, clicks), ...]} on the packed
+    """Impressions of {user id: [(displayed, clicks), ...]} on the
     corpus's only query, each record showing its own documents."""
     users = sorted(client_records)
     pairs = [pair for uid in users for pair in client_records[uid]]
@@ -297,20 +297,13 @@ class TestFederatedEmRound:
                 client = []
                 for row in rng.integers(len(queries), size=n_records):
                     n = int(displays.lengths[row])
-                    client.append(
-                        ClickRecord(
-                            query_id=queries[row].qid,
-                            displayed=displays.docs[row, :n],
-                            clicks=rng.random(n) < 0.4,
-                            propensities=np.ones(n),
-                        )
-                    )
+                    client.append(ClickRecord(int(row), rng.random(n) < 0.4, np.ones(n)))
                 records.append(client)
             impressions = round_impressions(users, records, displays)
             assert len(set(impressions.length.tolist())) > 2
-            state = federated_em_round(state, impressions, dataset.packed)
+            state = federated_em_round(state, impressions, dataset)
             _sequential_em_round(
-                reference, reference_local, dict(zip(users.tolist(), records)), dataset
+                reference, reference_local, dict(zip(users.tolist(), records)), dataset, displays
             )
             np.testing.assert_array_equal(
                 state.relevance_model.weights, reference.relevance_model.weights
@@ -321,15 +314,16 @@ class TestFederatedEmRound:
         assert np.all(state.participations >= 2)
 
 
-def _sequential_em_round(state, local_tables, client_records, dataset):
+def _sequential_em_round(state, local_tables, client_records, dataset, displays):
     """Reference federated EM round: each client's records one at a time,
-    clients one after another in ascending id. Row u of `local_tables` is
-    client u's local table, updated in place when it has records."""
+    clients one after another in ascending id, each record showing the
+    first documents of its query's row of `displays`. Row u of
+    `local_tables` is client u's local table, updated in place when it has
+    records."""
 
     def sigmoid(x):
         return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
 
-    queries = {q.qid: q for q in dataset.queries}
     broadcast = state.relevance_model.weights
     deltas = []
     for uid in sorted(client_records):
@@ -341,8 +335,9 @@ def _sequential_em_round(state, local_tables, client_records, dataset):
         exam_count = np.zeros(state.k)
         targets = []
         for record in records:
-            n = len(record.displayed)
-            features = queries[record.query_id].features[record.displayed]
+            n = len(record.clicks)
+            displayed = displays.docs[record.row, :n]
+            features = dataset.queries[record.row].features[displayed]
             rel = np.clip(sigmoid(features @ broadcast), 1e-6, 1.0 - 1e-6)
             p_exam, p_rel = em_e_step(record.clicks, prior[:n], rel)
             exam_sum[:n] += p_exam
