@@ -41,8 +41,6 @@ WORKERS_ENV = "FEDLTR_WORKERS"
 _SPEC_KEYS = {
     "dataset",
     "test_fraction",
-    "filter_uniform",
-    "normalize",
     "federation",
     "modes",
     "run_lambda",
@@ -68,14 +66,12 @@ _SWEEP_TAGS = {"gamma": "g", "users_per_round": "u", "m": "m"}
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A fully resolved experiment plan: data source, preprocessing,
-    base federated config, sweep axes, and output location."""
+    """A fully resolved experiment plan: data source, test split, base
+    federated config, sweep axes, and output location."""
 
     dataset_path: str | None
     synthetic: dict
     test_fraction: float
-    filter_uniform: bool
-    normalize: bool
     federation: FederationConfig
     modes: tuple[str, ...]
     run_lambda: bool
@@ -91,10 +87,8 @@ class ExperimentSpec:
             raise ValueError(f"dataset.path must be a string, got {self.dataset_path!r}")
         # bool("false") is True and int(2.7) is 2: wrongly typed values are
         # rejected rather than converted.
-        for name in ("filter_uniform", "normalize", "run_lambda"):
-            value = getattr(self, name)
-            if not isinstance(value, bool):
-                raise ValueError(f"{name} must be true or false, got {value!r}")
+        if not isinstance(self.run_lambda, bool):
+            raise ValueError(f"run_lambda must be true or false, got {self.run_lambda!r}")
         for name in ("repeats", "master_seed"):
             value = getattr(self, name)
             if not is_integer(value):
@@ -129,7 +123,8 @@ class ExperimentSpec:
 
     def sweep_points(self) -> list[tuple[str, FederationConfig]]:
         """The (tag, config) of every point of the cross product of sweep
-        values and modes, in run order. Configs carry the base seed."""
+        values and modes, in run order. Each run's seed is derived from
+        master_seed when it starts."""
         points = []
         axes = [self.sweep[axis] for axis in _SWEEP_TAGS]
         for *values, mode in itertools.product(*axes, self.modes):
@@ -185,9 +180,10 @@ def parse_spec(config_path: str | None = None, overrides: dict | None = None) ->
     synthetic = dict(_SYNTHETIC_DEFAULTS)
     synthetic.update(_section(dataset_cfg, "synthetic", _SYNTHETIC_DEFAULTS, "dataset.synthetic"))
 
-    # The mode is swept over `modes`; every other field may come from the
-    # file or, winning over it, from an override.
-    fed_fields = set(FederationConfig.__dataclass_fields__) - {"mode"}
+    # The mode is swept over `modes` and every run's seed derives from
+    # master_seed; every other field may come from the file or, winning over
+    # it, from an override.
+    fed_fields = set(FederationConfig.__dataclass_fields__) - {"mode", "seed"}
     fed_raw = _section(raw, "federation", fed_fields)
     fed_raw.update((k, v) for k, v in overrides.items() if k in fed_fields and v is not None)
     federation = FederationConfig(**fed_raw)
@@ -212,8 +208,6 @@ def parse_spec(config_path: str | None = None, overrides: dict | None = None) ->
         dataset_path=_override("dataset_path", dataset_cfg.get("path")),
         synthetic=synthetic,
         test_fraction=raw.get("test_fraction", 0.2),
-        filter_uniform=raw.get("filter_uniform", True),
-        normalize=raw.get("normalize", True),
         federation=federation,
         modes=modes,
         run_lambda=_override("run_lambda", raw.get("run_lambda", False)),
@@ -226,15 +220,13 @@ def parse_spec(config_path: str | None = None, overrides: dict | None = None) ->
 
 
 def load_experiment_data(spec: ExperimentSpec) -> tuple[Dataset, Dataset]:
-    """Load or generate the corpus, apply preprocessing, and split it."""
+    """Load or generate the corpus, drop the queries whose documents all
+    share one grade, scale features per query, and split it."""
     if spec.dataset_path is not None:
         data = load_svmlight(spec.dataset_path)
     else:
         data = generate_synthetic(**spec.synthetic)
-    if spec.filter_uniform:
-        data = filter_uniform_queries(data)
-    if spec.normalize:
-        data = normalize_query_level(data)
+    data = normalize_query_level(filter_uniform_queries(data))
     return split(data, spec.test_fraction, seed=spec.synthetic["seed"])
 
 
@@ -270,12 +262,14 @@ def run(spec: ExperimentSpec, workers: int = 1) -> int:
     soon as it finishes and one manifest per sweep point, and print a
     summary table of the points whose runs all finished. Returns a process
     exit status. A failed run does not stop the others: the FAILED marker
-    names it and its error, and the exit status is 1. With workers > 1
+    names it and its error, and the exit status is 1; a marker left by an
+    earlier run into the same directory is removed first. With workers > 1
     runs are spread over that many processes. An output directory that
     cannot be made exits 2, as a bad configuration does."""
     out = Path(spec.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
+        (out / "FAILED").unlink(missing_ok=True)
     except OSError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 2
@@ -323,8 +317,11 @@ def run(spec: ExperimentSpec, workers: int = 1) -> int:
 
         print("sweep_point,mean_final_ndcg5,stderr,repeats")
         for tag, point, runs in points:
+            federation = asdict(point)
+            del federation["seed"]
             manifest = {
-                "federation": asdict(point),
+                "federation": federation,
+                "master_seed": spec.master_seed,
                 "repeats": spec.repeats,
                 "seeds": [cfg.seed for _, cfg in runs],
                 "dataset": {"path": spec.dataset_path, "synthetic": spec.synthetic},
@@ -410,8 +407,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote {data.n_queries} queries to {args.out}")
         return 0
     overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
-    # --seed names the run's master seed; per-run seeds derive from it.
-    overrides["seed"] = overrides["master_seed"]
     try:
         spec = parse_spec(args.config, overrides)
         workers = _workers_from_env()

@@ -42,16 +42,10 @@ class UserState:
 @dataclass(frozen=True)
 class ClickRecord:
     """One logged impression of training-set query `row`: per-position
-    click indicators over the displayed prefix of the logging ranking, and
-    the user's true examination probability at each displayed position."""
+    click indicators over the displayed prefix of the logging ranking."""
 
     row: int
     clicks: np.ndarray
-    propensities: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.clicks) != len(self.propensities):
-            raise ValueError("clicks and propensities must have equal length")
 
     @property
     def n_clicks(self) -> int:
@@ -80,9 +74,8 @@ class Impressions:
 
     `users` holds the round's user ids in ascending order and `client[r]`
     indexes it. Record r showed `docs[r, :length[r]]`, documents of query
-    `row[r]` of the training set in display order; `clicked[r]` and
-    `propensity[r]` are its click indicators and logged examination
-    probabilities. Entries past length[r] are padding (False, 0).
+    `row[r]` of the training set in display order and `clicked[r]` its
+    click indicators. Entries past length[r] are padding (False).
     """
 
     users: np.ndarray
@@ -91,7 +84,6 @@ class Impressions:
     length: np.ndarray
     docs: np.ndarray
     clicked: np.ndarray
-    propensity: np.ndarray
 
     def __post_init__(self) -> None:
         if np.any(np.diff(self.users) <= 0):
@@ -113,8 +105,6 @@ def round_impressions(users, records, displays: Displays) -> Impressions:
         raise ValueError("records must show their query's displayed documents")
     clicked = np.zeros(shown.shape, dtype=bool)
     clicked[shown] = clicks
-    propensity = np.zeros(shown.shape)
-    propensity[shown] = np.concatenate([np.zeros(0)] + [record.propensities for record in flat])
     return Impressions(
         users=np.asarray(users),
         client=np.repeat(np.arange(len(records)), [len(client) for client in records]),
@@ -122,7 +112,6 @@ def round_impressions(users, records, displays: Displays) -> Impressions:
         length=length,
         docs=displays.docs[row],
         clicked=clicked,
-        propensity=propensity,
     )
 
 
@@ -218,6 +207,7 @@ def click_prob(grade, position, gamma_s: float) -> np.ndarray:
 
 def collect_round_clicks(
     user: UserState,
+    exam: np.ndarray,
     displays: Displays,
     m: int,
     max_impressions: int,
@@ -226,18 +216,17 @@ def collect_round_clicks(
     """Simulate impressions on queries drawn uniformly from the user's pool
     until at least m clicks accumulate or max_impressions is reached.
 
-    Each impression shows the query's displayed documents and clicks each
-    independently with click_prob at its display position. A record's
-    propensities are the user's true examination probabilities, regardless
-    of clicks. Returns every generated record, including zero-click ones.
-    Hitting the cap before the quota increments the user's capped_rounds
-    counter.
+    `exam` is the user's examination probability at each display position
+    of `displays`. Each impression shows the query's displayed documents
+    and clicks each independently with exam times click_given_examination
+    at its display position. Returns every generated record, including
+    zero-click ones. Hitting the cap before the quota increments the user's
+    capped_rounds counter.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if max_impressions < 1:
         raise ValueError("max_impressions must be >= 1")
-    exam = examination_prob(np.arange(1, displays.docs.shape[1] + 1), user.gamma_s)
     rows = list(user.query_pool)  # a tuple would index numpy arrays as one multi-axis index
     lengths = displays.lengths[rows].tolist()
     probs = exam * displays.click_rates[rows]
@@ -246,7 +235,7 @@ def collect_round_clicks(
     while clicks_total < m and len(records) < max_impressions:
         i = int(rng.integers(len(rows)))
         n = lengths[i]
-        record = ClickRecord(rows[i], rng.random(n) < probs[i, :n], exam[:n])
+        record = ClickRecord(rows[i], rng.random(n) < probs[i, :n])
         records.append(record)
         clicks_total += record.n_clicks
     if clicks_total < m:

@@ -4,7 +4,7 @@ weighted SGD, delta aggregation, and the server update."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Optional, Sequence
 
@@ -15,6 +15,7 @@ from .clicksim import (
     UserState,
     collect_round_clicks,
     display_top_k,
+    examination_prob,
     round_impressions,
     sample_user_bias,
     train_logging_policy,
@@ -22,7 +23,7 @@ from .clicksim import (
 from .dataset import Dataset
 from .metrics import mean_ndcg
 from .objective import Clicks, click_gradients, client_loss, round_clicks
-from .propensity import EmEstimatorState, estimated_propensity, federated_em_round
+from .propensity import EmEstimatorState, federated_em_round
 from .ranker import LinearRanker
 
 MODES = ("fedips", "fedavg")
@@ -54,8 +55,8 @@ class FederationConfig:
     """All knobs of one federated training run.
 
     `mode` selects propensity weighting ("fedips") or plain averaging of
-    unweighted updates ("fedavg"); `propensity_mode` selects the oracle
-    propensities logged with each impression or the federated EM estimate.
+    unweighted updates ("fedavg"); `propensity_mode` selects the users'
+    true examination curves or the federated EM estimate.
     """
 
     num_users: int = 200
@@ -123,12 +124,14 @@ class RoundMetrics:
 
 @dataclass
 class ExperimentState:
-    """Mutable state of a running experiment between rounds."""
+    """Mutable state of a running experiment between rounds. Row u of
+    `examination` is user u's true examination curve over display positions."""
 
     config: FederationConfig
     model: LinearRanker
     users: list
     displays: Displays
+    examination: np.ndarray
     train: Dataset
     test: Dataset
     em: Optional[EmEstimatorState]
@@ -184,8 +187,8 @@ def init_state(
     cfg: FederationConfig, train: Dataset, test: Dataset
 ) -> ExperimentState:
     """Set up an experiment: train the logging policy, create the user
-    population with sampled per-user bias and fixed query pools, and start
-    from zero weights."""
+    population with sampled per-user bias and fixed query pools, tabulate
+    their examination curves, and start from zero weights."""
     policy = train_logging_policy(train, cfg.logging_fraction, cfg.seed, cfg.logging_epochs)
     users = []
     for uid in range(cfg.num_users):
@@ -193,6 +196,11 @@ def init_state(
         gamma_s = sample_user_bias(cfg.gamma, cfg.gamma_sigma, stream)
         pool = tuple(stream.integers(train.n_queries, size=cfg.queries_per_user).tolist())
         users.append(UserState(id=uid, gamma_s=gamma_s, query_pool=pool, rng_stream=stream))
+    displays = display_top_k(policy, train, cfg.k)
+    # One call per user: with an array of exponents numpy would compute
+    # x ** 2.0 with pow rather than by squaring, one ulp away.
+    positions = np.arange(1, displays.docs.shape[1] + 1)
+    examination = np.array([examination_prob(positions, user.gamma_s) for user in users])
     em = None
     if cfg.mode == "fedips" and cfg.propensity_mode == "estimated":
         em = EmEstimatorState(
@@ -204,7 +212,8 @@ def init_state(
         config=cfg,
         model=LinearRanker.zeros(train.feature_dim),
         users=users,
-        displays=display_top_k(policy, train, cfg.k),
+        displays=displays,
+        examination=examination,
         train=train,
         test=test,
         em=em,
@@ -225,6 +234,7 @@ def run_round(state: ExperimentState, cfg: FederationConfig) -> tuple[Experiment
     records = [
         collect_round_clicks(
             state.users[uid],
+            state.examination[uid],
             state.displays,
             cfg.m,
             MAX_IMPRESSIONS_FACTOR * cfg.m,
@@ -233,14 +243,15 @@ def run_round(state: ExperimentState, cfg: FederationConfig) -> tuple[Experiment
         for uid in sampled
     ]
     impressions = round_impressions(sampled, records, state.displays)
-    clicks = round_clicks(impressions)
+    # The arm's (user, position) table of click weights. theta is floored, so
+    # it holds what estimated_propensity serves.
     if cfg.mode == "fedavg":
-        clicks = replace(clicks, propensity=np.ones(clicks.row.size))
+        propensity = np.ones_like(state.examination)
     elif state.em is not None:
-        clicks = replace(
-            clicks,
-            propensity=estimated_propensity(state.em, sampled[clicks.client], clicks.position),
-        )
+        propensity = state.em.theta
+    else:
+        propensity = state.examination
+    clicks = round_clicks(impressions, propensity)
 
     corpus = state.train
     losses = client_loss(state.model, corpus, clicks)

@@ -34,17 +34,18 @@ class Clicks:
             raise ValueError("clicked document has non-positive propensity")
 
 
-def round_clicks(impressions: Impressions) -> Clicks:
-    """The clicks of a round's impressions, weighted by the propensities
-    logged with each impression."""
+def round_clicks(impressions: Impressions, propensity: np.ndarray) -> Clicks:
+    """The clicks of a round's impressions, each weighted by the arm's
+    table at its user and display position: propensity[user, position - 1]."""
     record, slot = np.nonzero(impressions.clicked)
+    client = impressions.client[record]
     return Clicks(
         n_clients=impressions.users.size,
-        client=impressions.client[record],
+        client=client,
         row=impressions.row[record],
         doc=impressions.docs[record, slot],
         position=slot + 1,
-        propensity=impressions.propensity[record, slot],
+        propensity=propensity[impressions.users[client], slot],
     )
 
 

@@ -55,7 +55,6 @@ class TestParseSpec:
         }
         assert spec.repeats == 1
         assert spec.test_fraction == 0.2
-        assert spec.filter_uniform and spec.normalize
         assert not spec.run_lambda
 
     def test_negative_gamma_rejected(self):
@@ -169,6 +168,10 @@ class TestMain:
         assert manifest["repeats"] == 2
         assert len(manifest["seeds"]) == 2
         assert manifest["federation"]["rounds"] == 3
+        # Every run's seed derives from the master seed; the base config's
+        # own seed field is never used, so it is not recorded.
+        assert manifest["master_seed"] == 0
+        assert "seed" not in manifest["federation"]
         assert manifest["versions"] == {"fedltr": fedltr.__version__, "numpy": np.__version__}
 
         summary = capsys.readouterr().out.strip().split("\n")
@@ -190,6 +193,20 @@ class TestMain:
         assert names == sorted(p.name for p in out_b.iterdir())
         for name in names:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_seed_flag_and_master_seed_key_write_identical_outputs(self, tmp_path):
+        config = _write_config(tmp_path / "spec.json")
+        keyed = _write_config(tmp_path / "keyed.json", {"master_seed": 3})
+        out_a = tmp_path / "a"
+        out_b = tmp_path / "b"
+        assert main(["run", "--config", str(config), "--seed", "3", "--out", str(out_a)]) == 0
+        assert main(["run", "--config", str(keyed), "--out", str(out_b)]) == 0
+        names = sorted(p.name for p in out_a.iterdir())
+        assert names == sorted(p.name for p in out_b.iterdir())
+        for name in names:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+        manifest = json.loads((out_a / "manifest_g1.0_u4_m2_fedips.json").read_text())
+        assert manifest["master_seed"] == 3
 
     def test_lambda_flag_writes_baseline_score(self, tmp_path, capsys):
         config = _write_config(
@@ -230,11 +247,13 @@ class TestMain:
                 {"sweep": {"m": [2.5]}}, "sweep point g1.0_u4_m2.5_fedips: m must be an integer",
                 id="extra6",
             ),
-            # bool() of any nonempty string is True, int() truncates floats.
-            pytest.param({"normalize": "false"}, "normalize must be true or false", id="extra7"),
+            # Uniform queries are always dropped and features always scaled
+            # per query: the two switches are gone.
+            pytest.param({"normalize": True}, "unknown config keys: ['normalize']", id="extra7"),
             pytest.param(
-                {"filter_uniform": "no"}, "filter_uniform must be true or false", id="extra8"
+                {"filter_uniform": True}, "unknown config keys: ['filter_uniform']", id="extra8"
             ),
+            # bool() of any nonempty string is True, int() truncates floats.
             pytest.param({"run_lambda": "false"}, "run_lambda must be true or false", id="extra9"),
             pytest.param({"repeats": 2.7}, "repeats must be an integer", id="extra10"),
             pytest.param({"master_seed": 1.9}, "master_seed must be an integer", id="extra11"),
@@ -306,6 +325,11 @@ class TestMain:
             pytest.param({"sweep": {"m": "12"}}, "sweep.m must be a JSON list", id="extra31"),
             # open(5) read file descriptor 5.
             pytest.param({"dataset": {"path": 5}}, "dataset.path must be a string", id="extra32"),
+            # Every run's seed derives from master_seed; this one was never read.
+            pytest.param(
+                {"federation": {**_FEDERATION, "seed": 5}}, "unknown federation keys: ['seed']",
+                id="extra33",
+            ),
         ],
     )
     def test_bad_knobs_are_rejected_at_parse_time(self, tmp_path, capsys, extra, named):
@@ -360,6 +384,15 @@ class TestMain:
         )
         assert code == 1
         assert (out / "FAILED").exists()
+
+    def test_successful_rerun_removes_a_stale_marker(self, tmp_path, capsys):
+        out = tmp_path / "results"
+        missing = tmp_path / "missing.txt"
+        assert main(["run", "--dataset", str(missing), "--out", str(out)]) == 1
+        assert (out / "FAILED").exists()
+        config = _write_config(tmp_path / "spec.json")
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        assert not (out / "FAILED").exists()
 
     def test_failed_run_keeps_the_other_runs(self, tmp_path, capsys, monkeypatch):
         config = _write_config(tmp_path / "spec.json", {"sweep": {"m": [2, 3]}})

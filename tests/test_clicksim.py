@@ -37,9 +37,15 @@ def _displays(*queries, k):
     return display_top_k(W1, Dataset(queries=queries, feature_dim=1), k)
 
 
+def _collect(user, displays, m, max_impressions, rng):
+    """collect_round_clicks with the user's true examination curve."""
+    exam = examination_prob(np.arange(1, displays.docs.shape[1] + 1), user.gamma_s)
+    return collect_round_clicks(user, exam, displays, m, max_impressions, rng)
+
+
 def _impression(user, query, k, rng):
     """One impression of `query`, the only query of the user's pool."""
-    return collect_round_clicks(user, _displays(query, k=k), 1, 1, rng)[0]
+    return _collect(user, _displays(query, k=k), 1, 1, rng)[0]
 
 
 def _user(gamma_s=1.0, pool=(0,), uid=0, seed=0):
@@ -161,14 +167,27 @@ class TestClickProb:
 
 class TestSimulateImpression:
     def test_zero_bias_gives_unit_propensities(self):
-        q = _query([3.0, 2.0, 1.0], [3, 0, 0])
+        # A user without bias examines every position, so every relevant
+        # document is clicked wherever it is shown.
+        q = _query([3.0, 2.0, 1.0], [3, 4, 3])
         record = _impression(_user(gamma_s=0.0), q, 3, np.random.default_rng(0))
-        np.testing.assert_array_equal(record.propensities, [1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(record.clicks, [True, True, True])
+
+    def test_clicks_follow_the_given_examination_row(self):
+        # The row passed in, not the user's own bias, sets the examination:
+        # a row that never examines position 2 never clicks it.
+        q = _query([3.0, 2.0, 1.0], [3, 3, 3])
+        displays = _displays(q, k=3)
+        record = collect_round_clicks(
+            _user(gamma_s=0.0), np.array([1.0, 0.0, 1.0]), displays, 1, 1,
+            np.random.default_rng(0),
+        )[0]
+        np.testing.assert_array_equal(record.clicks, [True, False, True])
 
     def test_displays_top_k_of_logging_order(self):
         q = _query([6.0, 5.0, 4.0, 3.0, 2.0, 1.0], [0, 0, 0, 0, 0, 3])
         displays = _displays(q, k=5)
-        record = collect_round_clicks(_user(), displays, 1, 1, np.random.default_rng(0))[0]
+        record = _collect(_user(), displays, 1, 1, np.random.default_rng(0))[0]
         displayed = displays.docs[record.row, : record.clicks.size]
         np.testing.assert_array_equal(displayed, [0, 1, 2, 3, 4])
         # The document below the cutoff is never displayed, hence never clicked.
@@ -192,7 +211,7 @@ class TestSimulateImpression:
         n = 20_000
         counts = np.zeros(5)
         for _ in range(n):
-            counts += collect_round_clicks(user, displays, 1, 1, rng)[0].clicks
+            counts += _collect(user, displays, 1, 1, rng)[0].clicks
         expected = np.array([click_prob(g, p, 1.0) for g, p in zip([4, 3, 0, 0, 0], range(1, 6))])
         # Relevant doc at position 1 is clicked with probability exactly 1.
         assert counts[0] == n
@@ -204,14 +223,14 @@ class TestCollectRoundClicks:
     def test_guaranteed_click_stops_after_one_impression(self):
         q = _query([1.0], [4])
         user = _user(gamma_s=0.0, pool=(0,))
-        records = collect_round_clicks(user, _displays(q, k=1), 1, 50, np.random.default_rng(0))
+        records = _collect(user, _displays(q, k=1), 1, 50, np.random.default_rng(0))
         assert len(records) == 1
         assert records[0].n_clicks == 1
         assert user.capped_rounds == 0
 
     def test_click_quota_is_reached(self):
         q = _query([2.0, 1.0], [4, 3], qid=1)
-        records = collect_round_clicks(
+        records = _collect(
             _user(gamma_s=0.0), _displays(q, k=2), 10, 500, np.random.default_rng(3)
         )
         assert sum(r.n_clicks for r in records) >= 10
@@ -223,22 +242,19 @@ class TestCollectRoundClicks:
         runs = []
         for _ in range(2):
             user = _user(gamma_s=1.0, pool=(0, 1))
-            runs.append(
-                collect_round_clicks(user, displays, 5, 100, np.random.default_rng(9))
-            )
+            runs.append(_collect(user, displays, 5, 100, np.random.default_rng(9)))
         first, second = runs
         assert len(first) == len(second)
         for a, b in zip(first, second):
             assert a.row == b.row
             np.testing.assert_array_equal(a.clicks, b.clicks)
-            np.testing.assert_array_equal(a.propensities, b.propensities)
 
     def test_impression_cap_marks_round_capped(self):
         # k=1 allows at most one click per impression, so 3 impressions can
         # never reach a quota of 10.
         q = _query([2.0, 1.0], [0, 0])
         user = _user(gamma_s=1.0)
-        records = collect_round_clicks(user, _displays(q, k=1), 10, 3, np.random.default_rng(0))
+        records = _collect(user, _displays(q, k=1), 10, 3, np.random.default_rng(0))
         assert len(records) == 3
         assert user.capped_rounds == 1
 
@@ -246,9 +262,9 @@ class TestCollectRoundClicks:
         q = _query([1.0], [3])
         user = _user()
         with pytest.raises(ValueError, match="m must be"):
-            collect_round_clicks(user, _displays(q, k=1), 0, 5, np.random.default_rng(0))
+            _collect(user, _displays(q, k=1), 0, 5, np.random.default_rng(0))
         with pytest.raises(ValueError, match="max_impressions"):
-            collect_round_clicks(user, _displays(q, k=1), 1, 0, np.random.default_rng(0))
+            _collect(user, _displays(q, k=1), 1, 0, np.random.default_rng(0))
 
 
 class TestRoundImpressions:
@@ -259,11 +275,11 @@ class TestRoundImpressions:
         displays = _displays(q1, q2, k=3)
         records = [
             [
-                ClickRecord(1, np.array([False, True]), np.array([1.0, 0.5])),
-                ClickRecord(0, np.array([True, False, True]), np.ones(3)),
+                ClickRecord(1, np.array([False, True])),
+                ClickRecord(0, np.array([True, False, True])),
             ],
             [],
-            [ClickRecord(0, np.zeros(3, dtype=bool), np.full(3, 0.25))],
+            [ClickRecord(0, np.zeros(3, dtype=bool))],
         ]
         impressions = round_impressions([3, 5, 8], records, displays)
         np.testing.assert_array_equal(impressions.users, [3, 5, 8])
@@ -275,19 +291,16 @@ class TestRoundImpressions:
             impressions.clicked,
             [[False, True, False], [True, False, True], [False, False, False]],
         )
-        np.testing.assert_array_equal(
-            impressions.propensity, [[1.0, 0.5, 0.0], [1.0, 1.0, 1.0], [0.25, 0.25, 0.25]]
-        )
 
     def test_rejects_records_that_disagree_with_the_displays(self):
         q = _query([2.0, 1.0], [3, 0])
-        record = ClickRecord(0, np.array([True]), np.ones(1))
+        record = ClickRecord(0, np.array([True]))
         with pytest.raises(ValueError, match="displayed documents"):
             round_impressions([0], [[record]], _displays(q, k=2))
 
     def test_rejects_unordered_users_and_records(self):
         q = _query([2.0, 1.0], [3, 0])
-        record = ClickRecord(0, np.array([True, False]), np.ones(2))
+        record = ClickRecord(0, np.array([True, False]))
         with pytest.raises(ValueError, match="ascending"):
             round_impressions([4, 2], [[record], [record]], _displays(q, k=2))
         impressions = round_impressions([2, 4], [[record], [record]], _displays(q, k=2))
@@ -303,7 +316,3 @@ class TestStateValidation:
     def test_empty_query_pool_rejected(self):
         with pytest.raises(ValueError, match="query_pool"):
             _user(pool=())
-
-    def test_click_record_length_mismatch(self):
-        with pytest.raises(ValueError, match="equal length"):
-            ClickRecord(row=0, clicks=np.array([True]), propensities=np.array([1.0, 0.5]))

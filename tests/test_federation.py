@@ -1,12 +1,18 @@
 """Client-side SGD, server aggregation, and the federated round loop."""
 
-from dataclasses import replace
+import copy
 
 import numpy as np
 import pytest
 
 from fedltr import federation
-from fedltr.clicksim import ClickRecord, collect_round_clicks, display_top_k, round_impressions
+from fedltr.clicksim import (
+    ClickRecord,
+    collect_round_clicks,
+    display_top_k,
+    examination_prob,
+    round_impressions,
+)
 from fedltr.dataset import Dataset, Query, load_svmlight
 from fedltr.federation import (
     FederationConfig,
@@ -19,6 +25,7 @@ from fedltr.federation import (
     server_opt,
 )
 from fedltr.objective import Clicks, click_gradient, round_clicks
+from fedltr.propensity import estimated_propensity
 from fedltr.ranker import LinearRanker
 
 
@@ -31,7 +38,7 @@ def _query(features, qid=1):
 
 def _record(query, clicks):
     # The tests' datasets hold queries 1, 2, ... in qid order: qid q is row q - 1.
-    return ClickRecord(query.qid - 1, np.asarray(clicks, dtype=bool), np.ones(query.n_docs))
+    return ClickRecord(query.qid - 1, np.asarray(clicks, dtype=bool))
 
 
 def _small_cfg(**kwargs):
@@ -52,19 +59,39 @@ def _small_cfg(**kwargs):
     return FederationConfig(**base)
 
 
-def _client_opt(w_t, records, eta_local, rng, propensity=None):
+def _client_opt(w_t, records, eta_local, rng, propensity=1.0):
     """One client's delta and click count on its (record, query) pairs,
-    weighted by the logged propensities or by one shared `propensity`."""
+    every click weighted by `propensity`."""
     queries = tuple({query.qid: query for _, query in records}.values())
     dataset = Dataset(queries=queries, feature_dim=queries[0].features.shape[1])
+    k = max(q.n_docs for q in queries)
     # A zero-weight logging policy shows every query in document order.
-    displays = display_top_k(
-        LinearRanker.zeros(dataset.feature_dim), dataset, max(q.n_docs for q in queries)
-    )
-    clicks = round_clicks(round_impressions([0], [[record for record, _ in records]], displays))
-    if propensity is not None:
-        clicks = replace(clicks, propensity=np.full(clicks.row.size, propensity))
+    displays = display_top_k(LinearRanker.zeros(dataset.feature_dim), dataset, k)
+    impressions = round_impressions([0], [[record for record, _ in records]], displays)
+    clicks = round_clicks(impressions, np.full((1, k), propensity))
     return client_opt(w_t, dataset, clicks, eta_local, [rng])[0], clicks.row.size
+
+
+def _round_weights(state, cfg, monkeypatch):
+    """Run one round of `state`; return each click's user id, display
+    position and the weight that local SGD trained with."""
+    seen = {}
+    real_impressions, real_opt = federation.round_impressions, federation.client_opt
+
+    def spy_impressions(users, records, displays):
+        seen["users"] = np.asarray(users)
+        return real_impressions(users, records, displays)
+
+    def spy_opt(w_t, corpus, clicks, eta_local, rngs):
+        seen["clicks"] = clicks
+        return real_opt(w_t, corpus, clicks, eta_local, rngs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(federation, "round_impressions", spy_impressions)
+        patch.setattr(federation, "client_opt", spy_opt)
+        run_round(state, cfg)
+    clicks = seen["clicks"]
+    return seen["users"][clicks.client], clicks.position, clicks.propensity
 
 
 def _unbatched_gradient(w, query, d, p):
@@ -283,7 +310,9 @@ class TestInitState:
         state = init_state(cfg, train, train)
         for user in state.users:
             assert set(user.query_pool) <= set(range(train.n_queries))
-            records = collect_round_clicks(user, state.displays, cfg.m, 20, user.rng_stream)
+            records = collect_round_clicks(
+                user, state.examination[user.id], state.displays, cfg.m, 20, user.rng_stream
+            )
             for record in records:
                 assert record.row in user.query_pool
                 n_docs = train.queries[record.row].n_docs
@@ -299,6 +328,16 @@ class TestInitState:
         )
         assert est.em is not None
         assert est.em.k == 3
+
+    def test_examination_table_holds_each_users_curve(self, small_split):
+        train, test = small_split
+        state = init_state(_small_cfg(), train, test)
+        assert state.examination.shape == (8, state.displays.docs.shape[1])
+        for user in state.users:
+            np.testing.assert_array_equal(
+                state.examination[user.id],
+                examination_prob(np.arange(1, state.displays.docs.shape[1] + 1), user.gamma_s),
+            )
 
     def test_user_biases_vary_but_seed_fixes_them(self, small_split):
         train, test = small_split
@@ -340,12 +379,12 @@ class TestRunRound:
         shadow = init_state(cfg, train, test)
         state, _ = run_round(state, cfg)
 
-        from fedltr.clicksim import collect_round_clicks
-
         user = shadow.users[0]
         cap = federation.MAX_IMPRESSIONS_FACTOR * cfg.m
-        records = collect_round_clicks(user, shadow.displays, cfg.m, cap, user.rng_stream)
-        clicks = round_clicks(round_impressions([0], [records], shadow.displays))
+        records = collect_round_clicks(
+            user, shadow.examination[0], shadow.displays, cfg.m, cap, user.rng_stream
+        )
+        clicks = round_clicks(round_impressions([0], [records], shadow.displays), shadow.examination)
         delta = client_opt(
             shadow.model, shadow.train, clicks, cfg.eta_local, [user.rng_stream]
         )[0]
@@ -366,6 +405,38 @@ class TestRunRound:
             assert len(trace) == cfg.rounds
         np.testing.assert_array_equal(weights["fedips"], weights["fedavg"])
 
+
+    def test_fedavg_weights_every_click_one(self, small_split, monkeypatch):
+        train, test = small_split
+        cfg = _small_cfg(mode="fedavg")
+        _, _, weights = _round_weights(init_state(cfg, train, test), cfg, monkeypatch)
+        assert weights.size > 0
+        np.testing.assert_array_equal(weights, 1.0)
+
+    def test_known_weights_are_each_users_examination(self, small_split, monkeypatch):
+        train, test = small_split
+        cfg = _small_cfg()
+        state = init_state(cfg, train, test)
+        users, positions, weights = _round_weights(state, cfg, monkeypatch)
+        assert np.any(positions > 1)
+        expected = [
+            examination_prob(pos, state.users[uid].gamma_s) for uid, pos in zip(users, positions)
+        ]
+        np.testing.assert_allclose(weights, expected, rtol=1e-12, atol=0)
+
+    def test_estimated_weights_are_the_pre_round_estimates(self, small_split, monkeypatch):
+        train, test = small_split
+        cfg = _small_cfg(propensity_mode="estimated", rounds=3)
+        state = init_state(cfg, train, test)
+        for _ in range(2):
+            state, _ = run_round(state, cfg)
+        before = copy.deepcopy(state.em)
+        users, positions, weights = _round_weights(state, cfg, monkeypatch)
+        # Some clicking users were seen in earlier rounds, so the estimates
+        # are not the unseen clients' ones, and this round moved them.
+        assert np.any(weights != 1.0)
+        assert not np.array_equal(state.em.theta, before.theta)
+        np.testing.assert_array_equal(weights, estimated_propensity(before, users, positions))
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

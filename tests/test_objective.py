@@ -1,7 +1,5 @@
 """Hinge rank surrogate, its subgradient, and the weighted client loss."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -25,14 +23,9 @@ def _query(features, labels=None, qid=1):
     return Query(qid=qid, features=features, labels=np.asarray(labels, dtype=np.int64))
 
 
-def _record(query, clicks, gamma_s=1.0):
-    positions = np.arange(1, query.n_docs + 1, dtype=np.float64)
+def _record(query, clicks):
     # The tests' datasets hold queries 1, 2, ... in qid order: qid q is row q - 1.
-    return ClickRecord(
-        row=query.qid - 1,
-        clicks=np.asarray(clicks, dtype=bool),
-        propensities=(1.0 / positions) ** gamma_s,
-    )
+    return ClickRecord(row=query.qid - 1, clicks=np.asarray(clicks, dtype=bool))
 
 
 class TestHingeSum:
@@ -127,13 +120,15 @@ class TestClickGradient:
         np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-8)
 
 
-def _round_clicks(records, queries):
-    """round_clicks of records[i], client i's records, shown in document
-    order (the order a zero-weight logging policy gives)."""
+def _round_clicks(records, queries, propensity, users=None):
+    """round_clicks of records[i], the records of users[i] (default i),
+    shown in document order (the order a zero-weight logging policy gives),
+    weighted by the table `propensity`."""
     dataset = Dataset(queries=tuple(queries), feature_dim=queries[0].features.shape[1])
     k = max(q.n_docs for q in queries)
     displays = display_top_k(LinearRanker.zeros(dataset.feature_dim), dataset, k)
-    return round_clicks(round_impressions(np.arange(len(records)), records, displays))
+    users = np.arange(len(records)) if users is None else users
+    return round_clicks(round_impressions(users, records, displays), propensity)
 
 
 class TestClickSteps:
@@ -145,7 +140,8 @@ class TestClickSteps:
             [_record(q2, [False, False])],
             [_record(q2, [True, False])],
         ]
-        clicks = _round_clicks(records, (q1, q2))
+        # Every user's table row is 1 / position.
+        clicks = _round_clicks(records, (q1, q2), np.tile(1.0 / np.arange(1, 4), (3, 1)))
         assert clicks.n_clients == 3
         np.testing.assert_array_equal(clicks.client, [0, 0, 0, 2])
         np.testing.assert_array_equal(clicks.row, [0, 0, 1, 1])
@@ -155,26 +151,39 @@ class TestClickSteps:
 
     def test_no_clicks_gives_no_steps(self):
         q = _query([[1.0], [-1.0]])
-        clicks = _round_clicks([[_record(q, [False, False])]], (q,))
+        clicks = _round_clicks([[_record(q, [False, False])]], (q,), np.ones((1, 2)))
         assert clicks.n_clients == 1
         assert clicks.row.size == 0 and clicks.propensity.size == 0
 
+    def test_weights_are_read_at_each_clicks_user(self):
+        # Clients 0 and 1 are users 3 and 7, whose table rows differ: a
+        # click's weight is its user's entry at its display position.
+        q = _query([[1.0], [-1.0], [0.0]])
+        table = np.arange(1.0, 25.0).reshape(8, 3) / 24.0
+        records = [[_record(q, [True, False, True])], [_record(q, [False, True, True])]]
+        clicks = _round_clicks(records, (q,), table, users=np.array([3, 7]))
+        np.testing.assert_array_equal(clicks.client, [0, 0, 1, 1])
+        np.testing.assert_array_equal(
+            clicks.propensity, [table[3, 0], table[3, 2], table[7, 1], table[7, 2]]
+        )
 
-def _loss(model, records, propensity=None):
-    """One client's loss on its (record, query) pairs, weighted by the
-    logged propensities or by one shared `propensity`."""
+
+def _loss(model, records, propensity=1.0):
+    """One client's loss on its (record, query) pairs, every click weighted
+    by `propensity`."""
     queries = tuple({query.qid: query for _, query in records}.values())
     corpus = Dataset(queries=queries, feature_dim=queries[0].features.shape[1])
-    clicks = _round_clicks([[record for record, _ in records]], queries)
-    if propensity is not None:
-        clicks = replace(clicks, propensity=np.full(clicks.row.size, propensity))
+    k = max(q.n_docs for q in queries)
+    clicks = _round_clicks(
+        [[record for record, _ in records]], queries, np.full((1, k), propensity)
+    )
     return client_loss(model, corpus, clicks)[0]
 
 
 class TestClientLoss:
     def test_single_click_unit_propensity(self):
         q = _query([[1.0], [-1.0]])
-        record = _record(q, [False, True], gamma_s=0.0)
+        record = _record(q, [False, True])
         assert _loss(LinearRanker(np.array([1.0])), ((record, q),)) == 3.0
 
     def test_half_propensity_doubles_loss(self):
@@ -191,9 +200,9 @@ class TestClientLoss:
         q1 = _query([[1.0], [-1.0]], qid=1)
         q2 = _query([[1.0], [-1.0]], qid=2)
         records = (
-            (_record(q1, [False, True], gamma_s=0.0), q1),
-            (_record(q1, [False, True], gamma_s=0.0), q1),
-            (_record(q2, [False, True], gamma_s=0.0), q2),
+            (_record(q1, [False, True]), q1),
+            (_record(q1, [False, True]), q1),
+            (_record(q2, [False, True]), q2),
         )
         # Three clicked impressions over two distinct queries: 9 / 2.
         assert _loss(LinearRanker(np.array([1.0])), records, 1.0) == 4.5

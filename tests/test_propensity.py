@@ -79,7 +79,6 @@ def _impressions(client_records, k=5):
         length=np.array([len(displayed) for displayed, _ in pairs], dtype=np.int64),
         docs=docs,
         clicked=clicked,
-        propensity=np.ones((len(pairs), k)),
     )
 
 
@@ -297,7 +296,7 @@ class TestFederatedEmRound:
                 client = []
                 for row in rng.integers(len(queries), size=n_records):
                     n = int(displays.lengths[row])
-                    client.append(ClickRecord(int(row), rng.random(n) < 0.4, np.ones(n)))
+                    client.append(ClickRecord(int(row), rng.random(n) < 0.4))
                 records.append(client)
             impressions = round_impressions(users, records, displays)
             assert len(set(impressions.length.tolist())) > 2
