@@ -8,12 +8,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, Query
-from .federation import is_finite_real, is_integer
 from .metrics import DCG, dcg_at_k
 from .ranker import LinearRanker, rank
+from .rules import check
 
 # exp() argument cap; larger score gaps already give a vanishing weight.
 _EXP_CLIP = 50.0
+# The value rule of every field of LambdaConfig; see `rules`.
+LAMBDA_RULES = {
+    "learning_rate": "real (0, inf)",
+    "epochs": "integer [0, inf)",
+    "ndcg_k": "integer [1, inf)",
+}
 
 
 @dataclass(frozen=True)
@@ -23,20 +29,7 @@ class LambdaConfig:
     ndcg_k: int = 5
 
     def __post_init__(self) -> None:
-        if not is_finite_real(self.learning_rate):
-            raise ValueError(
-                f"learning_rate must be a finite real number, got {self.learning_rate!r}"
-            )
-        for name in ("epochs", "ndcg_k"):
-            value = getattr(self, name)
-            if not is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.ndcg_k < 1:
-            raise ValueError("ndcg_k must be >= 1")
+        check("lambda", LAMBDA_RULES, vars(self))
 
 
 def lambda_gradient(model: LinearRanker, query: Query, cfg: LambdaConfig) -> np.ndarray:

@@ -4,6 +4,7 @@ seeds, CSV traces, and a summary table."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
@@ -18,6 +19,8 @@ import numpy as np
 from . import __version__
 from .baseline import LambdaConfig, train_lambda_linear
 from .dataset import (
+    SPLIT_RULES,
+    SYNTHETIC_RULES,
     Dataset,
     filter_uniform_queries,
     generate_synthetic,
@@ -30,11 +33,10 @@ from .federation import (
     FederationConfig,
     RoundMetrics,
     final_ndcg,
-    is_finite_real,
-    is_integer,
     run_experiment,
 )
 from .metrics import mean_ndcg
+from .rules import check
 
 WORKERS_ENV = "FEDLTR_WORKERS"
 
@@ -62,6 +64,16 @@ _SYNTHETIC_DEFAULTS = {
 }
 # The sweep axes in tag order, each with its tag prefix.
 _SWEEP_TAGS = {"gamma": "g", "users_per_round": "u", "m": "m"}
+# The value rule of each of the spec's own values, by its key in the spec;
+# see `rules`. A value of the wrong type is rejected, not converted:
+# bool("false") is True, int(2.7) is 2 and open(5) reads file descriptor 5.
+_SPEC_RULES = {
+    **SPLIT_RULES,
+    "repeats": "integer [1, inf)",
+    "master_seed": "integer",
+    "run_lambda": "bool",
+    "dataset.path": "string",
+}
 
 
 @dataclass(frozen=True)
@@ -82,41 +94,13 @@ class ExperimentSpec:
     master_seed: int
 
     def __post_init__(self) -> None:
-        # open(5) would read file descriptor 5.
-        if self.dataset_path is not None and not isinstance(self.dataset_path, str):
-            raise ValueError(f"dataset.path must be a string, got {self.dataset_path!r}")
-        # bool("false") is True and int(2.7) is 2: wrongly typed values are
-        # rejected rather than converted.
-        if not isinstance(self.run_lambda, bool):
-            raise ValueError(f"run_lambda must be true or false, got {self.run_lambda!r}")
-        for name in ("repeats", "master_seed"):
-            value = getattr(self, name)
-            if not is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
+        path = {} if self.dataset_path is None else {"dataset.path": self.dataset_path}
+        check("", _SPEC_RULES, {**vars(self), **path})
+        check("dataset.synthetic", SYNTHETIC_RULES, self.synthetic)
         if not self.modes:
             raise ValueError("modes must be nonempty")
         if not all(self.sweep[axis] for axis in _SWEEP_TAGS):
             raise ValueError("sweep lists must be nonempty")
-        if not is_finite_real(self.test_fraction) or not 0.0 < self.test_fraction < 1.0:
-            raise ValueError(
-                f"test_fraction must be a number in (0, 1), got {self.test_fraction!r}"
-            )
-        # The synthetic corpus's values are checked here rather than
-        # converted when it is generated.
-        synthetic = self.synthetic
-        for name, low in (("queries", 1), ("docs_per_query", 1), ("feature_dim", 1), ("seed", 0)):
-            value = synthetic[name]
-            if not is_integer(value) or value < low:
-                raise ValueError(
-                    f"dataset.synthetic.{name} must be an integer >= {low}, got {value!r}"
-                )
-        if not is_finite_real(synthetic["noise_sd"]) or synthetic["noise_sd"] < 0:
-            raise ValueError(
-                "dataset.synthetic.noise_sd must be a real number >= 0, "
-                f"got {synthetic['noise_sd']!r}"
-            )
         # Building every point's config checks the sweep values and modes
         # here, at parse time, rather than when their run starts.
         self.sweep_points()
@@ -226,8 +210,13 @@ def load_experiment_data(spec: ExperimentSpec) -> tuple[Dataset, Dataset]:
         data = load_svmlight(spec.dataset_path)
     else:
         data = generate_synthetic(**spec.synthetic)
-    data = normalize_query_level(filter_uniform_queries(data))
-    return split(data, spec.test_fraction, seed=spec.synthetic["seed"])
+    kept = filter_uniform_queries(data)
+    if kept.n_queries == 0:
+        raise ValueError(
+            f"the corpus's {data.n_queries} queries are all dropped: "
+            "each one's documents share one grade"
+        )
+    return split(normalize_query_level(kept), spec.test_fraction, seed=spec.synthetic["seed"])
 
 
 def derive_seed(master_seed: int, sweep_index: int, repeat_index: int) -> int:
@@ -248,13 +237,11 @@ def _workers_from_env() -> int:
     """The number of worker processes FEDLTR_WORKERS asks for; 1 when it
     is unset."""
     value = os.environ.get(WORKERS_ENV, "1")
-    try:
-        workers = int(value)
-    except ValueError:
-        raise ValueError(f"{WORKERS_ENV} must be an integer, got {value!r}") from None
-    if workers < 1:
-        raise ValueError(f"{WORKERS_ENV} must be >= 1, got {value!r}")
-    return workers
+    # A string that int() cannot read fails the check as it stands.
+    with contextlib.suppress(ValueError):
+        value = int(value)
+    check("", {WORKERS_ENV: "integer [1, inf)"}, {WORKERS_ENV: value})
+    return value
 
 
 def run(spec: ExperimentSpec, workers: int = 1) -> int:

@@ -10,6 +10,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .rules import check
+
 
 @dataclass(frozen=True)
 class Query:
@@ -292,29 +294,30 @@ def normalize_query_level(dataset: Dataset) -> Dataset:
 # public LTR collections.
 _GRADE_SCALE = 2.5
 _GRADE_OFFSET = -0.75
+# The value rule of every argument of generate_synthetic, the spec's
+# `dataset.synthetic` section; see `rules`.
+SYNTHETIC_RULES = {
+    "queries": "integer [1, inf)",
+    "docs_per_query": "integer [1, inf)",
+    "feature_dim": "integer [1, inf)",
+    "seed": "integer [0, inf)",
+    "noise_sd": "real [0, inf)",
+}
+# The value rule of split's test fraction, the spec's `test_fraction`.
+SPLIT_RULES = {"test_fraction": "real (0, 1)"}
 
 
 def generate_synthetic(
-    queries: int,
-    docs_per_query: int,
-    feature_dim: int,
-    seed: int,
-    noise_sd: float = 1.5,
-    return_hidden: bool = False,
-) -> Dataset | tuple[Dataset, np.ndarray]:
+    queries: int, docs_per_query: int, feature_dim: int, seed: int, noise_sd: float = 1.5
+) -> Dataset:
     """Generate a learnable graded-relevance dataset from a hidden linear model.
 
     Features are uniform on [0, 1]; grades follow a noisy sigmoid of a hidden
     linear score, so every grade occurs with positive probability and a linear
     ranker can do well above random. Deterministic given the seed.
-
-    With ``return_hidden=True`` also returns the hidden weight vector (used by
-    oracle checks).
     """
-    if queries < 1 or docs_per_query < 1 or feature_dim < 1:
-        raise ValueError("all counts must be >= 1")
-    if not (math.isfinite(noise_sd) and noise_sd >= 0):
-        raise ValueError(f"noise_sd must be a finite number >= 0, got {noise_sd!r}")
+    # Before any other name is bound, locals() holds just the arguments.
+    check("dataset.synthetic", SYNTHETIC_RULES, locals())
     rng = np.random.default_rng(seed)
     hidden = rng.normal(size=feature_dim)
     # Std of (x - 1/2) @ hidden with x ~ U[0,1]^F, used to put the hidden score
@@ -328,27 +331,26 @@ def generate_synthetic(
         z = (x - 0.5) @ hidden / score_sd
         s = _GRADE_SCALE * z + _GRADE_OFFSET + rng.normal(0.0, noise_sd, size=docs_per_query)
         labels[docs] = np.clip(np.rint(4.0 / (1.0 + np.exp(-s))), 0, 4)
-    data = Dataset.from_arrays(
+    return Dataset.from_arrays(
         features,
         labels,
         np.arange(1, queries + 1, dtype=np.int64),
         np.full(queries, docs_per_query, dtype=np.int64),
     )
-    if return_hidden:
-        return data, hidden
-    return data
 
 
 def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Query-level train/test split: disjoint, union = input, seed-deterministic.
-    Both parts keep the input's query order."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    if dataset.n_queries == 0:
-        raise ValueError("cannot split an empty dataset")
-    rng = np.random.default_rng(seed)
+    Both parts keep the input's query order, and neither may be empty."""
+    check("", SPLIT_RULES, {"test_fraction": test_fraction})
     n = dataset.n_queries
     n_test = int(round(n * test_fraction))
+    if not 0 < n_test < n:
+        raise ValueError(
+            f"the split of {n} queries at test_fraction {test_fraction!r} leaves "
+            f"{n - n_test} train and {n_test} test queries; each part needs one"
+        )
+    rng = np.random.default_rng(seed)
     is_test = np.zeros(n, dtype=bool)
     is_test[rng.permutation(n)[:n_test]] = True
     return (

@@ -3,9 +3,7 @@ weighted SGD, delta aggregation, and the server update."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from numbers import Integral, Real
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,29 +23,32 @@ from .metrics import mean_ndcg
 from .objective import Clicks, click_gradients, client_loss, round_clicks
 from .propensity import EmEstimatorState, federated_em_round
 from .ranker import LinearRanker
+from .rules import check
 
 MODES = ("fedips", "fedavg")
 PROPENSITY_MODES = ("known", "estimated")
 # A client's impressions per round are capped at this many times its click
 # quota m.
 MAX_IMPRESSIONS_FACTOR = 50
-# Configuration fields that count something and so must be integers.
-_COUNTS = (
-    "num_users", "users_per_round", "queries_per_user", "k", "m", "rounds",
-    "eval_every", "logging_epochs",
-)
-# Configuration fields that are real numbers and so must be finite reals.
-_REALS = ("gamma", "gamma_sigma", "eta_local", "eta_global", "logging_fraction")
-
-
-def is_integer(value) -> bool:
-    """Whether `value` is an integer and not a bool."""
-    return not isinstance(value, bool) and isinstance(value, Integral)
-
-
-def is_finite_real(value) -> bool:
-    """Whether `value` is a finite real number and not a bool."""
-    return not isinstance(value, bool) and isinstance(value, Real) and math.isfinite(value)
+# The value rule of every configuration field but the seed, which each run
+# derives; see `rules`.
+FEDERATION_RULES = {
+    "num_users": "integer [1, inf)",
+    "users_per_round": "integer [1, inf)",
+    "queries_per_user": "integer [1, inf)",
+    "k": "integer [1, inf)",
+    "m": "integer [1, inf)",
+    "gamma": "real [0, inf)",
+    "gamma_sigma": "real [0, inf)",
+    "eta_local": "real (0, inf)",
+    "eta_global": "real (0, inf)",
+    "rounds": "integer [1, inf)",
+    "mode": MODES,
+    "propensity_mode": PROPENSITY_MODES,
+    "eval_every": "integer [1, inf)",
+    "logging_fraction": "real (0, 1]",
+    "logging_epochs": "integer [0, inf)",
+}
 
 
 @dataclass(frozen=True)
@@ -77,38 +78,12 @@ class FederationConfig:
     logging_epochs: int = 30
 
     def __post_init__(self) -> None:
-        for name in _COUNTS:
-            value = getattr(self, name)
-            if not is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in _REALS:
-            value = getattr(self, name)
-            if not is_finite_real(value):
-                raise ValueError(f"{name} must be a finite real number, got {value!r}")
-        if self.num_users < 1 or self.users_per_round < 1:
-            raise ValueError("user counts must be >= 1")
+        check("federation", FEDERATION_RULES, vars(self))
         if self.users_per_round > self.num_users:
-            raise ValueError("users_per_round must not exceed num_users")
-        if self.queries_per_user < 1:
-            raise ValueError("queries_per_user must be >= 1")
-        if self.k < 1 or self.m < 1:
-            raise ValueError("k and m must be >= 1")
-        if self.gamma < 0 or self.gamma_sigma < 0:
-            raise ValueError("gamma and gamma_sigma must be >= 0")
-        if self.eta_local <= 0 or self.eta_global <= 0:
-            raise ValueError("learning rates must be positive")
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
-        if self.propensity_mode not in PROPENSITY_MODES:
-            raise ValueError(f"propensity_mode must be one of {PROPENSITY_MODES}")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
-        if not 0.0 < self.logging_fraction <= 1.0:
-            raise ValueError("logging_fraction must be in (0, 1]")
-        if self.logging_epochs < 0:
-            raise ValueError("logging_epochs must be >= 0")
+            raise ValueError(
+                f"federation.users_per_round must be <= num_users ({self.num_users}), "
+                f"got {self.users_per_round!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -264,10 +239,17 @@ def run_round(state: ExperimentState, cfg: FederationConfig) -> tuple[Experiment
             f"round {round_number}: client {sampled[np.argmax(diverged)]} "
             "produced a non-finite weight delta"
         )
-    new_model = server_opt(state.model, deltas, cfg.eta_global)
-
+    # A LinearRanker raises on non-finite weights, such as those of a server
+    # step that overflows; the error gains the round and the step.
+    try:
+        new_model = server_opt(state.model, deltas, cfg.eta_global)
+    except ValueError as exc:
+        raise ValueError(f"round {round_number}: server step: {exc}") from None
     if state.em is not None:
-        state.em = federated_em_round(state.em, impressions, corpus)
+        try:
+            state.em = federated_em_round(state.em, impressions, corpus)
+        except ValueError as exc:
+            raise ValueError(f"round {round_number}: EM round: {exc}") from None
 
     state.model = new_model
     state.rounds_done = round_number

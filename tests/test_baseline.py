@@ -26,11 +26,11 @@ class TestLambdaConfig:
         assert cfg.ndcg_k == 5
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="learning_rate"):
+        with pytest.raises(ValueError, match=r"^lambda\.learning_rate must be a finite real > 0"):
             LambdaConfig(learning_rate=0.0)
-        with pytest.raises(ValueError, match="epochs"):
+        with pytest.raises(ValueError, match=r"^lambda\.epochs must be an integer >= 0, got -1$"):
             LambdaConfig(epochs=-1)
-        with pytest.raises(ValueError, match="ndcg_k"):
+        with pytest.raises(ValueError, match=r"^lambda\.ndcg_k must be an integer >= 1, got 0$"):
             LambdaConfig(ndcg_k=0)
 
 

@@ -37,6 +37,10 @@ def _write_config(path, extra=None):
     return path
 
 
+def _no_run(cfg, train, test):
+    raise AssertionError("a run was started")
+
+
 class TestParseSpec:
     def test_empty_spec_takes_defaults(self):
         spec = parse_spec(None, {})
@@ -230,21 +234,35 @@ class TestMain:
     @pytest.mark.parametrize(
         "extra, named",
         [
-            pytest.param({"modes": ["bogus"]}, "bogus", id="extra0"),
+            pytest.param(
+                {"modes": ["bogus"]},
+                "sweep point g1.0_u4_m2_bogus: federation.mode must be one of "
+                "('fedips', 'fedavg'), got 'bogus'",
+                id="extra0",
+            ),
             # em_pooling was removed with the other EM knobs.
             pytest.param({"federation": {"em_pooling": 5}}, "em_pooling", id="extra1"),
             pytest.param({"federation": {"logging_lr": -3}}, "logging_lr", id="extra2"),
             # The spec's num_users is 8: m=0 and 50 users per round are invalid.
-            pytest.param({"sweep": {"m": [2, 0]}}, "sweep point g1.0_u4_m0_fedips", id="extra3"),
             pytest.param(
-                {"sweep": {"users_per_round": [4, 50]}}, "sweep point g1.0_u50_m2_fedips", id="extra4"
+                {"sweep": {"m": [2, 0]}},
+                "sweep point g1.0_u4_m0_fedips: federation.m must be an integer >= 1, got 0",
+                id="extra3",
             ),
             pytest.param(
-                {"federation": {"users_per_round": 2.5}}, "users_per_round must be an integer",
+                {"sweep": {"users_per_round": [4, 50]}},
+                "sweep point g1.0_u50_m2_fedips: federation.users_per_round must be "
+                "<= num_users (8), got 50",
+                id="extra4",
+            ),
+            pytest.param(
+                {"federation": {"users_per_round": 2.5}},
+                "federation.users_per_round must be an integer >= 1, got 2.5",
                 id="extra5",
             ),
             pytest.param(
-                {"sweep": {"m": [2.5]}}, "sweep point g1.0_u4_m2.5_fedips: m must be an integer",
+                {"sweep": {"m": [2.5]}},
+                "sweep point g1.0_u4_m2.5_fedips: federation.m must be an integer >= 1, got 2.5",
                 id="extra6",
             ),
             # Uniform queries are always dropped and features always scaled
@@ -254,29 +272,41 @@ class TestMain:
                 {"filter_uniform": True}, "unknown config keys: ['filter_uniform']", id="extra8"
             ),
             # bool() of any nonempty string is True, int() truncates floats.
-            pytest.param({"run_lambda": "false"}, "run_lambda must be true or false", id="extra9"),
-            pytest.param({"repeats": 2.7}, "repeats must be an integer", id="extra10"),
-            pytest.param({"master_seed": 1.9}, "master_seed must be an integer", id="extra11"),
+            pytest.param(
+                {"run_lambda": "false"}, "run_lambda must be true or false, got 'false'",
+                id="extra9",
+            ),
+            pytest.param(
+                {"repeats": 2.7}, "repeats must be an integer >= 1, got 2.7", id="extra10"
+            ),
+            pytest.param(
+                {"master_seed": 1.9}, "master_seed must be an integer, got 1.9", id="extra11"
+            ),
             # A string once escaped as a TypeError traceback; a bool ran as 1.0.
             pytest.param(
                 {"federation": {**_FEDERATION, "gamma": "1.0"}},
-                "gamma must be a finite real number, got '1.0'",
+                "federation.gamma must be a finite real >= 0, got '1.0'",
                 id="extra12",
             ),
             pytest.param(
                 {"federation": {**_FEDERATION, "eta_local": True}},
-                "eta_local must be a finite real number, got True",
+                "federation.eta_local must be a finite real > 0, got True",
                 id="extra13",
             ),
             pytest.param(
-                {"test_fraction": "0.2"}, "test_fraction must be a number in (0, 1)", id="extra14"
+                {"test_fraction": "0.2"},
+                "test_fraction must be a finite real in (0, 1), got '0.2'",
+                id="extra14",
             ),
             pytest.param(
                 {"lambda": {"learning_rate": True}},
-                "learning_rate must be a finite real number",
+                "lambda.learning_rate must be a finite real > 0, got True",
                 id="extra15",
             ),
-            pytest.param({"lambda": {"epochs": 2.5}}, "epochs must be an integer", id="extra16"),
+            pytest.param(
+                {"lambda": {"epochs": 2.5}}, "lambda.epochs must be an integer >= 0, got 2.5",
+                id="extra16",
+            ),
             # Synthetic values were passed through int(), or failed at run time.
             pytest.param(
                 {"dataset": {"synthetic": {**_SYNTHETIC, "queries": 120.9}}},
@@ -290,12 +320,12 @@ class TestMain:
             ),
             pytest.param(
                 {"dataset": {"synthetic": {**_SYNTHETIC, "seed": 3.7}}},
-                "dataset.synthetic.seed must be an integer >= 0",
+                "dataset.synthetic.seed must be an integer >= 0, got 3.7",
                 id="extra19",
             ),
             pytest.param(
                 {"dataset": {"synthetic": {**_SYNTHETIC, "noise_sd": -1.0}}},
-                "dataset.synthetic.noise_sd must be a real number >= 0",
+                "dataset.synthetic.noise_sd must be a finite real >= 0, got -1.0",
                 id="extra20",
             ),
             # Constants now: a spec setting one is rejected.
@@ -324,11 +354,38 @@ class TestMain:
             pytest.param({"modes": "fedavg"}, "modes must be a JSON list", id="extra30"),
             pytest.param({"sweep": {"m": "12"}}, "sweep.m must be a JSON list", id="extra31"),
             # open(5) read file descriptor 5.
-            pytest.param({"dataset": {"path": 5}}, "dataset.path must be a string", id="extra32"),
+            pytest.param(
+                {"dataset": {"path": 5}}, "dataset.path must be a string, got 5", id="extra32"
+            ),
             # Every run's seed derives from master_seed; this one was never read.
             pytest.param(
                 {"federation": {**_FEDERATION, "seed": 5}}, "unknown federation keys: ['seed']",
                 id="extra33",
+            ),
+            # Range rules that had no case of their own.
+            pytest.param(
+                {"federation": {**_FEDERATION, "logging_fraction": 0}},
+                "federation.logging_fraction must be a finite real in (0, 1], got 0",
+                id="extra34",
+            ),
+            pytest.param(
+                {"federation": {**_FEDERATION, "eta_global": 0}},
+                "federation.eta_global must be a finite real > 0, got 0",
+                id="extra35",
+            ),
+            pytest.param(
+                {"lambda": {"ndcg_k": 0}}, "lambda.ndcg_k must be an integer >= 1, got 0",
+                id="extra36",
+            ),
+            pytest.param(
+                {"federation": {**_FEDERATION, "eval_every": 0}},
+                "federation.eval_every must be an integer >= 1, got 0",
+                id="extra37",
+            ),
+            pytest.param(
+                {"federation": {**_FEDERATION, "gamma_sigma": -0.1}},
+                "federation.gamma_sigma must be a finite real >= 0, got -0.1",
+                id="extra38",
             ),
         ],
     )
@@ -349,7 +406,7 @@ class TestMain:
         monkeypatch.setenv(WORKERS_ENV, "two")
         assert main(["run", "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "invalid configuration: FEDLTR_WORKERS must be an integer, got 'two'" in err
+        assert "invalid configuration: FEDLTR_WORKERS must be an integer >= 1, got 'two'" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["0", "-3"])
@@ -365,7 +422,7 @@ class TestMain:
         monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
         assert main(["run", "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert f"invalid configuration: FEDLTR_WORKERS must be >= 1, got '{value}'" in err
+        assert f"invalid configuration: FEDLTR_WORKERS must be an integer >= 1, got {value}" in err
         assert not out.exists()
 
     def test_output_path_of_a_file_exits_two(self, tmp_path, capsys):
@@ -376,6 +433,35 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("run failed: ") and err.count("\n") == 1
         assert out.read_text(encoding="utf-8") == "kept\n"
+
+    def test_empty_split_part_fails_before_any_run(self, tmp_path, capsys, monkeypatch):
+        # Two queries at test_fraction 0.2 leave no test query; every run
+        # once failed at round 1 as "no query has a nonzero ideal DCG".
+        corpus = tmp_path / "two.txt"
+        assert main(["gen-data", "--queries", "2", "--docs", "8", "--out", str(corpus)]) == 0
+        monkeypatch.setattr(cli, "run_experiment", _no_run)
+        out = tmp_path / "results"
+        assert main(["run", "--dataset", str(corpus), "--repeats", "2", "--out", str(out)]) == 1
+        assert (out / "FAILED").read_text(encoding="utf-8") == (
+            "ValueError: the split of 2 queries at test_fraction 0.2 leaves "
+            "2 train and 0 test queries; each part needs one\n"
+        )
+        assert not list(out.glob("run_*.csv"))
+
+    def test_corpus_of_uniform_queries_fails_naming_them(self, tmp_path, capsys, monkeypatch):
+        # One document per query gives every query one grade; the error once
+        # read "cannot split an empty dataset".
+        config = _write_config(
+            tmp_path / "spec.json",
+            {"dataset": {"synthetic": {**_SYNTHETIC, "docs_per_query": 1}}},
+        )
+        monkeypatch.setattr(cli, "run_experiment", _no_run)
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+        assert (out / "FAILED").read_text(encoding="utf-8") == (
+            "ValueError: the corpus's 120 queries are all dropped: "
+            "each one's documents share one grade\n"
+        )
 
     def test_failed_run_leaves_marker(self, tmp_path, capsys):
         out = tmp_path / "results"
@@ -422,14 +508,19 @@ class TestMain:
     @pytest.mark.parametrize(
         "flags, named",
         [
-            pytest.param(["--queries", "0"], "all counts must be >= 1", id="queries0"),
             pytest.param(
-                ["--noise-sd", "-1"], "noise_sd must be a finite number >= 0, got -1.0",
+                ["--queries", "0"], "dataset.synthetic.queries must be an integer >= 1, got 0",
+                id="queries0",
+            ),
+            pytest.param(
+                ["--noise-sd", "-1"],
+                "dataset.synthetic.noise_sd must be a finite real >= 0, got -1.0",
                 id="negative_noise",
             ),
             # NaN noise once wrote every label as the smallest int64.
             pytest.param(
-                ["--noise-sd", "nan"], "noise_sd must be a finite number >= 0, got nan",
+                ["--noise-sd", "nan"],
+                "dataset.synthetic.noise_sd must be a finite real >= 0, got nan",
                 id="nan_noise",
             ),
         ],

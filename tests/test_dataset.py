@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+from fedltr.baseline import LambdaConfig, train_lambda_linear
 from fedltr.dataset import (
     Dataset,
     Query,
@@ -249,16 +250,20 @@ class TestGenerateSynthetic:
 
     @pytest.mark.parametrize("noise_sd", [-1.0, float("nan"), float("inf")])
     def test_noise_sd_must_be_finite_and_nonnegative(self, noise_sd):
-        with pytest.raises(ValueError, match="noise_sd must be a finite number >= 0"):
+        with pytest.raises(
+            ValueError, match=r"^dataset\.synthetic\.noise_sd must be a finite real >= 0, got "
+        ):
             generate_synthetic(3, 2, 1, seed=0, noise_sd=noise_sd)
 
-    def test_hidden_model_beats_random_ranker(self):
-        data, hidden = generate_synthetic(100, 15, 8, seed=9, return_hidden=True)
-        data = filter_uniform_queries(data)
+    def test_trained_ranker_beats_random_ranker(self):
+        # The corpus is learnable: a ranker trained on its grades ranks
+        # held-out queries well above a random one.
+        data = normalize_query_level(filter_uniform_queries(generate_synthetic(100, 15, 8, seed=9)))
+        train, test = split(data, 0.25, seed=9)
+        trained = train_lambda_linear(train, LambdaConfig(), seed=1)
         rng = np.random.default_rng(1)
-        hidden_score = mean_ndcg(LinearRanker(hidden), data, 5)
-        random_score = mean_ndcg(LinearRanker(rng.normal(size=8)), data, 5)
-        assert hidden_score > random_score + 0.1
+        random_score = mean_ndcg(LinearRanker(rng.normal(size=8)), test, 5)
+        assert mean_ndcg(trained, test, 5) > random_score + 0.1
 
 
 class TestSplit:
@@ -291,3 +296,11 @@ class TestSplit:
     def test_empty_dataset_errors(self):
         with pytest.raises(ValueError):
             split(Dataset((), 2), 0.5, seed=0)
+
+    @pytest.mark.parametrize(
+        "n, test_fraction, counts",
+        [(2, 0.2, "2 train and 0 test"), (1, 0.6, "0 train and 1 test")],
+    )
+    def test_empty_part_errors_with_both_counts(self, n, test_fraction, counts):
+        with pytest.raises(ValueError, match=f"the split of {n} queries .* leaves {counts} queries"):
+            split(generate_synthetic(n, 3, 2, seed=1), test_fraction, seed=0)

@@ -230,21 +230,28 @@ class TestFederationConfig:
         assert cfg.m == 10
 
     def test_rejects_oversubscribed_round(self):
-        with pytest.raises(ValueError, match="users_per_round"):
+        with pytest.raises(
+            ValueError,
+            match=r"^federation\.users_per_round must be <= num_users \(10\), got 20$",
+        ):
             FederationConfig(num_users=10, users_per_round=20)
 
     def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="mode"):
+        with pytest.raises(ValueError, match=r"^federation\.mode must be one of \("):
             FederationConfig(mode="centralized")
 
     def test_rejects_unknown_propensity_mode(self):
-        with pytest.raises(ValueError, match="propensity_mode"):
+        with pytest.raises(ValueError, match=r"^federation\.propensity_mode must be one of \("):
             FederationConfig(propensity_mode="oracle")
 
     def test_rejects_bad_rates(self):
-        with pytest.raises(ValueError, match="learning rates"):
+        with pytest.raises(
+            ValueError, match=r"^federation\.eta_local must be a finite real > 0, got 0\.0$"
+        ):
             FederationConfig(eta_local=0.0)
-        with pytest.raises(ValueError, match="gamma"):
+        with pytest.raises(
+            ValueError, match=r"^federation\.gamma must be a finite real >= 0, got -1\.0$"
+        ):
             FederationConfig(gamma=-1.0)
 
 
@@ -280,7 +287,8 @@ class TestFederationConfig:
         ],
     )
     def test_rejects_non_integer_counts(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        message = rf"^federation\.{field} must be an integer >= \d, got "
+        with pytest.raises(ValueError, match=message):
             FederationConfig(**{field: value})
 
 
@@ -445,6 +453,25 @@ class TestRunRound:
         cfg = _small_cfg(eta_local=1e308)
         state = init_state(cfg, train, test)
         with pytest.raises(ValueError, match=r"round 1: client \d+ produced a non-finite"):
+            run_round(state, cfg)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_server_step_names_round(self, small_split):
+        # Every client delta is finite; eta_global times their mean is not.
+        train, test = small_split
+        cfg = _small_cfg(eta_local=1e300, eta_global=1e300)
+        state = init_state(cfg, train, test)
+        with pytest.raises(ValueError, match=r"^round 1: server step: weights must be finite$"):
+            run_round(state, cfg)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_em_relevance_model_names_round(self, small_split, monkeypatch):
+        train, test = small_split
+        cfg = _small_cfg(propensity_mode="estimated")
+        state = init_state(cfg, train, test)
+        monkeypatch.setattr("fedltr.propensity.FIT_LR", 1e308)
+        with pytest.raises(ValueError, match=r"^round 1: EM round: weights must be finite$"):
             run_round(state, cfg)
 
 
