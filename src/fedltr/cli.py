@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baseline import LambdaConfig, train_lambda_linear
+from .baseline import train_lambda_linear
 from .dataset import (
     SPLIT_RULES,
     SYNTHETIC_RULES,
@@ -46,7 +46,6 @@ _SPEC_KEYS = {
     "federation",
     "modes",
     "run_lambda",
-    "lambda",
     "sweep",
     "repeats",
     "out_dir",
@@ -60,7 +59,6 @@ _SYNTHETIC_DEFAULTS = {
     "docs_per_query": 20,
     "feature_dim": 50,
     "seed": 7,
-    "noise_sd": 1.5,
 }
 # The sweep axes in tag order, each with its tag prefix.
 _SWEEP_TAGS = {"gamma": "g", "users_per_round": "u", "m": "m"}
@@ -70,7 +68,7 @@ _SWEEP_TAGS = {"gamma": "g", "users_per_round": "u", "m": "m"}
 _SPEC_RULES = {
     **SPLIT_RULES,
     "repeats": "integer [1, inf)",
-    "master_seed": "integer",
+    "master_seed": "integer [0, inf)",
     "run_lambda": "bool",
     "dataset.path": "string",
 }
@@ -87,7 +85,6 @@ class ExperimentSpec:
     federation: FederationConfig
     modes: tuple[str, ...]
     run_lambda: bool
-    lambda_config: LambdaConfig
     sweep: dict
     repeats: int
     out_dir: str
@@ -112,8 +109,10 @@ class ExperimentSpec:
         points = []
         axes = [self.sweep[axis] for axis in _SWEEP_TAGS]
         for *values, mode in itertools.product(*axes, self.modes):
+            # A mode that is not a string is formatted as the axis values
+            # are, so the mode rule, not the join, reports it.
             labels = [f"{prefix}{value}" for prefix, value in zip(_SWEEP_TAGS.values(), values)]
-            tag = "_".join([*labels, mode])
+            tag = "_".join([*labels, f"{mode}"])
             try:
                 point = replace(self.federation, mode=mode, **dict(zip(_SWEEP_TAGS, values)))
             except ValueError as exc:
@@ -172,8 +171,6 @@ def parse_spec(config_path: str | None = None, overrides: dict | None = None) ->
     fed_raw.update((k, v) for k, v in overrides.items() if k in fed_fields and v is not None)
     federation = FederationConfig(**fed_raw)
 
-    lambda_config = LambdaConfig(**_section(raw, "lambda", LambdaConfig.__dataclass_fields__))
-
     sweep_raw = _section(raw, "sweep", _SWEEP_TAGS)
     sweep = {
         axis: _list(sweep_raw.get(axis, [getattr(federation, axis)]), f"sweep.{axis}")
@@ -195,7 +192,6 @@ def parse_spec(config_path: str | None = None, overrides: dict | None = None) ->
         federation=federation,
         modes=modes,
         run_lambda=_override("run_lambda", raw.get("run_lambda", False)),
-        lambda_config=lambda_config,
         sweep=sweep,
         repeats=_override("repeats", raw.get("repeats", 1)),
         out_dir=str(_override("out_dir", raw.get("out_dir", "results"))),
@@ -228,8 +224,7 @@ def derive_seed(master_seed: int, sweep_index: int, repeat_index: int) -> int:
 def _write_csv(path: Path, trace: list[RoundMetrics]) -> None:
     lines = ["round,ndcg5,mean_client_loss,total_clicks"]
     for m in trace:
-        if m.ndcg5 is not None:
-            lines.append(f"{m.round_index},{m.ndcg5!r},{m.mean_client_loss!r},{m.total_clicks}")
+        lines.append(f"{m.round_index},{m.ndcg5!r},{m.mean_client_loss!r},{m.total_clicks}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -324,16 +319,10 @@ def run(spec: ExperimentSpec, workers: int = 1) -> int:
             print(f"{tag},{values.mean():.4f},{stderr:.4f},{len(values)}")
 
         if spec.run_lambda:
-            model = train_lambda_linear(train, spec.lambda_config, spec.master_seed)
+            model = train_lambda_linear(train, spec.master_seed)
             lam_ndcg = mean_ndcg(model, test, 5)
             (out / "lambda.json").write_text(
-                json.dumps(
-                    {"ndcg5": lam_ndcg, "config": asdict(spec.lambda_config)},
-                    indent=2,
-                    sort_keys=True,
-                )
-                + "\n",
-                encoding="utf-8",
+                json.dumps({"ndcg5": lam_ndcg}, indent=2) + "\n", encoding="utf-8"
             )
             print(f"lambda_linear,{lam_ndcg:.4f},0.0000,1")
         return 1 if failures else 0
@@ -363,7 +352,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--k", type=int, help="displayed positions")
     run_p.add_argument("--eta-local", dest="eta_local", type=float)
     run_p.add_argument("--eta-global", dest="eta_global", type=float)
-    run_p.add_argument("--eval-every", dest="eval_every", type=int)
     run_p.add_argument("--seed", dest="master_seed", type=int)
     run_p.add_argument("--repeats", type=int)
     run_p.add_argument("--lambda", dest="run_lambda", action="store_const", const=True,
@@ -376,7 +364,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gen_p.add_argument("--docs", dest="docs_per_query", type=int)
     gen_p.add_argument("--features", dest="feature_dim", type=int)
     gen_p.add_argument("--seed", type=int)
-    gen_p.add_argument("--noise-sd", dest="noise_sd", type=float)
     gen_p.add_argument("--out", required=True)
     gen_p.set_defaults(**_SYNTHETIC_DEFAULTS)
     return parser

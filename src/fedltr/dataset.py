@@ -289,11 +289,12 @@ def normalize_query_level(dataset: Dataset) -> Dataset:
     return Dataset.from_arrays(scaled, dataset.labels, dataset.qids, dataset.lengths)
 
 
-# Grade rule: grade = round(4 * sigmoid(scale * z + offset + noise)). The offset
-# skews mass toward low grades, mimicking the irrelevant-heavy label balance of
-# public LTR collections.
+# Grade rule: grade = round(4 * sigmoid(scale * z + offset + noise)), the noise
+# normal with sd _NOISE_SD. The offset skews mass toward low grades, mimicking
+# the irrelevant-heavy label balance of public LTR collections.
 _GRADE_SCALE = 2.5
 _GRADE_OFFSET = -0.75
+_NOISE_SD = 1.5
 # The value rule of every argument of generate_synthetic, the spec's
 # `dataset.synthetic` section; see `rules`.
 SYNTHETIC_RULES = {
@@ -301,15 +302,12 @@ SYNTHETIC_RULES = {
     "docs_per_query": "integer [1, inf)",
     "feature_dim": "integer [1, inf)",
     "seed": "integer [0, inf)",
-    "noise_sd": "real [0, inf)",
 }
 # The value rule of split's test fraction, the spec's `test_fraction`.
 SPLIT_RULES = {"test_fraction": "real (0, 1)"}
 
 
-def generate_synthetic(
-    queries: int, docs_per_query: int, feature_dim: int, seed: int, noise_sd: float = 1.5
-) -> Dataset:
+def generate_synthetic(queries: int, docs_per_query: int, feature_dim: int, seed: int) -> Dataset:
     """Generate a learnable graded-relevance dataset from a hidden linear model.
 
     Features are uniform on [0, 1]; grades follow a noisy sigmoid of a hidden
@@ -329,7 +327,7 @@ def generate_synthetic(
         docs = slice(start, start + docs_per_query)
         features[docs] = x = rng.uniform(size=(docs_per_query, feature_dim))
         z = (x - 0.5) @ hidden / score_sd
-        s = _GRADE_SCALE * z + _GRADE_OFFSET + rng.normal(0.0, noise_sd, size=docs_per_query)
+        s = _GRADE_SCALE * z + _GRADE_OFFSET + rng.normal(0.0, _NOISE_SD, size=docs_per_query)
         labels[docs] = np.clip(np.rint(4.0 / (1.0 + np.exp(-s))), 0, 4)
     return Dataset.from_arrays(
         features,

@@ -45,7 +45,6 @@ FEDERATION_RULES = {
     "rounds": "integer [1, inf)",
     "mode": MODES,
     "propensity_mode": PROPENSITY_MODES,
-    "eval_every": "integer [1, inf)",
     "logging_fraction": "real (0, 1]",
     "logging_epochs": "integer [0, inf)",
 }
@@ -73,7 +72,6 @@ class FederationConfig:
     mode: str = "fedips"
     propensity_mode: str = "known"
     seed: int = 0
-    eval_every: int = 1
     logging_fraction: float = 0.01
     logging_epochs: int = 30
 
@@ -88,11 +86,10 @@ class FederationConfig:
 
 @dataclass(frozen=True)
 class RoundMetrics:
-    """Per-round trace entry. ndcg5 is None on rounds the evaluation
-    cadence skips; total_clicks is cumulative over the run."""
+    """Per-round trace entry; total_clicks is cumulative over the run."""
 
     round_index: int
-    ndcg5: Optional[float]
+    ndcg5: float
     mean_client_loss: float
     total_clicks: int
 
@@ -198,7 +195,7 @@ def init_state(
 def run_round(state: ExperimentState, cfg: FederationConfig) -> tuple[ExperimentState, RoundMetrics]:
     """One federated round: sample clients, collect their clicks, run
     local optimization at the broadcast weights, aggregate, then update
-    the propensity estimator (estimated mode) and evaluate if due."""
+    the propensity estimator (estimated mode) and evaluate."""
     round_number = state.rounds_done + 1
     round_rng = np.random.default_rng(
         np.random.SeedSequence(cfg.seed, spawn_key=(2, state.rounds_done))
@@ -255,11 +252,9 @@ def run_round(state: ExperimentState, cfg: FederationConfig) -> tuple[Experiment
     state.rounds_done = round_number
     state.total_clicks += clicks.row.size
 
-    evaluate = round_number % cfg.eval_every == 0 or round_number == cfg.rounds
-    ndcg5 = mean_ndcg(new_model, state.test, 5) if evaluate else None
     metrics = RoundMetrics(
         round_index=round_number,
-        ndcg5=ndcg5,
+        ndcg5=mean_ndcg(new_model, state.test, 5),
         mean_client_loss=float(np.mean(losses)),
         total_clicks=state.total_clicks,
     )
@@ -280,8 +275,7 @@ def run_experiment(
 
 def final_ndcg(trace: Sequence[RoundMetrics], tail: int = 10) -> float:
     """A run's converged score: mean test NDCG@5 over the last `tail`
-    evaluated rounds. Less noisy than the single last round."""
-    evaluated = [m.ndcg5 for m in trace if m.ndcg5 is not None]
-    if not evaluated:
-        raise ValueError("trace has no evaluated rounds")
-    return float(np.mean(evaluated[-tail:]))
+    rounds. Less noisy than the single last round."""
+    if not trace:
+        raise ValueError("trace has no rounds")
+    return float(np.mean([m.ndcg5 for m in trace[-tail:]]))

@@ -9,12 +9,15 @@ end, a parenthesis opens it. No integer or real is a bool; a real is finite.
 
 from __future__ import annotations
 
-import math
+import sys
 from numbers import Integral, Real
 
+# A real must lie within float range, which rules out nan and the infinities;
+# unlike math.isfinite, the comparison does not raise on an integer too large
+# for a float.
 _KINDS = {
     "integer": ("an integer", lambda value: isinstance(value, Integral)),
-    "real": ("a finite real", lambda value: isinstance(value, Real) and math.isfinite(value)),
+    "real": ("a finite real", lambda v: isinstance(v, Real) and abs(v) <= sys.float_info.max),
     "bool": ("true or false", lambda value: isinstance(value, bool)),
     "string": ("a string", lambda value: isinstance(value, str)),
 }

@@ -37,7 +37,7 @@ def small_split(small_corpus: Dataset) -> tuple[Dataset, Dataset]:
 def bench() -> tuple[Dataset, Dataset]:
     """The standard synthetic benchmark: 500 queries x 20 docs x 50
     features, filtered, query-level normalized, 80/20 query split."""
-    data = prepare(generate_synthetic(500, 20, 50, seed=7, noise_sd=1.5))
+    data = prepare(generate_synthetic(500, 20, 50, seed=7))
     return split(data, 0.2, seed=7)
 
 

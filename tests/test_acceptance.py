@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from fedltr.baseline import LambdaConfig, train_lambda_linear
+from fedltr.baseline import train_lambda_linear
 from fedltr.cli import main
 from fedltr.dataset import filter_uniform_queries, generate_synthetic, normalize_query_level
 from fedltr.federation import (
@@ -331,7 +331,7 @@ def test_criterion_09_reruns_are_byte_identical(capsys, tmp_path):
         },
         "federation": {
             "num_users": 8, "users_per_round": 4, "queries_per_user": 3,
-            "k": 3, "m": 2, "rounds": 6, "eval_every": 1,
+            "k": 3, "m": 2, "rounds": 6,
             "logging_fraction": 0.2, "logging_epochs": 5,
         },
         "repeats": 2,
@@ -354,7 +354,7 @@ def test_criterion_09_reruns_are_byte_identical(capsys, tmp_path):
 
 def test_criterion_10_full_information_baseline_bounds(capsys, bench):
     train, test = bench
-    model = train_lambda_linear(train, LambdaConfig(), seed=0)
+    model = train_lambda_linear(train, seed=0)
     lam = mean_ndcg(model, test, 5)
     fedips = float(
         np.mean([final_ndcg(_trace(_fedips_cfg(seed=s), train, test)) for s in SEEDS])

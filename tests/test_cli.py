@@ -20,7 +20,6 @@ _FEDERATION = {
     "k": 3,
     "m": 2,
     "rounds": 3,
-    "eval_every": 1,
     "logging_fraction": 0.2,
     "logging_epochs": 5,
 }
@@ -55,7 +54,6 @@ class TestParseSpec:
             "docs_per_query": 20,
             "feature_dim": 50,
             "seed": 7,
-            "noise_sd": 1.5,
         }
         assert spec.repeats == 1
         assert spec.test_fraction == 0.2
@@ -213,14 +211,12 @@ class TestMain:
         assert manifest["master_seed"] == 3
 
     def test_lambda_flag_writes_baseline_score(self, tmp_path, capsys):
-        config = _write_config(
-            tmp_path / "spec.json", {"repeats": 1, "lambda": {"epochs": 5}}
-        )
+        config = _write_config(tmp_path / "spec.json", {"repeats": 1})
         out = tmp_path / "results"
         assert main(["run", "--config", str(config), "--out", str(out), "--lambda"]) == 0
         payload = json.loads((out / "lambda.json").read_text(encoding="utf-8"))
+        assert list(payload) == ["ndcg5"]
         assert 0.0 <= payload["ndcg5"] <= 1.0
-        assert payload["config"]["epochs"] == 5
         assert any(
             line.startswith("lambda_linear,")
             for line in capsys.readouterr().out.strip().split("\n")
@@ -280,7 +276,8 @@ class TestMain:
                 {"repeats": 2.7}, "repeats must be an integer >= 1, got 2.7", id="extra10"
             ),
             pytest.param(
-                {"master_seed": 1.9}, "master_seed must be an integer, got 1.9", id="extra11"
+                {"master_seed": 1.9}, "master_seed must be an integer >= 0, got 1.9",
+                id="extra11",
             ),
             # A string once escaped as a TypeError traceback; a bool ran as 1.0.
             pytest.param(
@@ -298,14 +295,14 @@ class TestMain:
                 "test_fraction must be a finite real in (0, 1), got '0.2'",
                 id="extra14",
             ),
+            # The baseline's step size, epochs and NDCG cutoff are constants:
+            # the `lambda` section is gone.
             pytest.param(
-                {"lambda": {"learning_rate": True}},
-                "lambda.learning_rate must be a finite real > 0, got True",
+                {"lambda": {"learning_rate": 0.1}}, "unknown config keys: ['lambda']",
                 id="extra15",
             ),
             pytest.param(
-                {"lambda": {"epochs": 2.5}}, "lambda.epochs must be an integer >= 0, got 2.5",
-                id="extra16",
+                {"lambda": {"epochs": 30}}, "unknown config keys: ['lambda']", id="extra16"
             ),
             # Synthetic values were passed through int(), or failed at run time.
             pytest.param(
@@ -323,9 +320,10 @@ class TestMain:
                 "dataset.synthetic.seed must be an integer >= 0, got 3.7",
                 id="extra19",
             ),
+            # The label noise of the synthetic corpus is a constant.
             pytest.param(
-                {"dataset": {"synthetic": {**_SYNTHETIC, "noise_sd": -1.0}}},
-                "dataset.synthetic.noise_sd must be a finite real >= 0, got -1.0",
+                {"dataset": {"synthetic": {**_SYNTHETIC, "noise_sd": 1.5}}},
+                "unknown dataset.synthetic keys: ['noise_sd']",
                 id="extra20",
             ),
             # Constants now: a spec setting one is rejected.
@@ -346,7 +344,7 @@ class TestMain:
                 {"dataset": {"synthetic": 5}}, "dataset.synthetic must be a JSON object",
                 id="extra24",
             ),
-            pytest.param({"lambda": [1]}, "lambda must be a JSON object", id="extra25"),
+            pytest.param({"lambda": [1]}, "unknown config keys: ['lambda']", id="extra25"),
             pytest.param({"federation": 5}, "federation must be a JSON object", id="extra26"),
             pytest.param({"federation": []}, "federation must be a JSON object", id="extra27"),
             pytest.param({"sweep": []}, "sweep must be a JSON object", id="extra28"),
@@ -374,18 +372,44 @@ class TestMain:
                 id="extra35",
             ),
             pytest.param(
-                {"lambda": {"ndcg_k": 0}}, "lambda.ndcg_k must be an integer >= 1, got 0",
-                id="extra36",
+                {"lambda": {"ndcg_k": 5}}, "unknown config keys: ['lambda']", id="extra36"
             ),
+            # Every round is evaluated: the cadence is gone.
             pytest.param(
-                {"federation": {**_FEDERATION, "eval_every": 0}},
-                "federation.eval_every must be an integer >= 1, got 0",
+                {"federation": {**_FEDERATION, "eval_every": 1}},
+                "unknown federation keys: ['eval_every']",
                 id="extra37",
             ),
             pytest.param(
                 {"federation": {**_FEDERATION, "gamma_sigma": -0.1}},
                 "federation.gamma_sigma must be a finite real >= 0, got -0.1",
                 id="extra38",
+            ),
+            # A mode that is not a string escaped as a TypeError traceback
+            # from building the sweep point's tag.
+            pytest.param(
+                {"modes": [0]},
+                "sweep point g1.0_u4_m2_0: federation.mode must be one of "
+                "('fedips', 'fedavg'), got 0",
+                id="extra39",
+            ),
+            pytest.param(
+                {"modes": [True]}, "federation.mode must be one of ('fedips', 'fedavg'), got True",
+                id="extra40",
+            ),
+            pytest.param(
+                {"modes": [1.5]}, "federation.mode must be one of ('fedips', 'fedavg'), got 1.5",
+                id="extra41",
+            ),
+            # An integer beyond float range escaped as an OverflowError traceback.
+            pytest.param(
+                {"federation": {**_FEDERATION, "gamma": 10**400}},
+                f"federation.gamma must be a finite real >= 0, got {10**400}",
+                id="extra42",
+            ),
+            # A negative seed once failed every run in np.random.SeedSequence.
+            pytest.param(
+                {"master_seed": -1}, "master_seed must be an integer >= 0, got -1", id="extra43"
             ),
         ],
     )
@@ -396,6 +420,26 @@ class TestMain:
         err = capsys.readouterr().err
         assert "invalid configuration" in err
         assert named in err
+        assert not out.exists()
+
+    def test_negative_seed_flag_is_rejected_at_parse_time(self, tmp_path, capsys):
+        out = tmp_path / "results"
+        assert main(["run", "--seed", "-1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration: master_seed must be an integer >= 0, got -1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--eval-every", "2"], ["gen-data", "--noise-sd", "1.5"]],
+        ids=["eval_every", "noise_sd"],
+    )
+    def test_removed_flags_are_rejected(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_integer_worker_count_is_rejected_before_running(
@@ -511,17 +555,6 @@ class TestMain:
             pytest.param(
                 ["--queries", "0"], "dataset.synthetic.queries must be an integer >= 1, got 0",
                 id="queries0",
-            ),
-            pytest.param(
-                ["--noise-sd", "-1"],
-                "dataset.synthetic.noise_sd must be a finite real >= 0, got -1.0",
-                id="negative_noise",
-            ),
-            # NaN noise once wrote every label as the smallest int64.
-            pytest.param(
-                ["--noise-sd", "nan"],
-                "dataset.synthetic.noise_sd must be a finite real >= 0, got nan",
-                id="nan_noise",
             ),
         ],
     )
