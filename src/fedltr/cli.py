@@ -10,7 +10,6 @@ import json
 import os
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -206,13 +205,16 @@ def load_experiment_data(spec: ExperimentSpec) -> tuple[Dataset, Dataset]:
         data = load_svmlight(spec.dataset_path)
     else:
         data = generate_synthetic(**spec.synthetic)
-    kept = filter_uniform_queries(data)
-    if kept.n_queries == 0:
+    # Rebinding `data` frees each stage's input once its output exists.
+    n_queries = data.n_queries
+    data = filter_uniform_queries(data)
+    if data.n_queries == 0:
         raise ValueError(
-            f"the corpus's {data.n_queries} queries are all dropped: "
+            f"the corpus's {n_queries} queries are all dropped: "
             "each one's documents share one grade"
         )
-    return split(normalize_query_level(kept), spec.test_fraction, seed=spec.synthetic["seed"])
+    data = normalize_query_level(data)
+    return split(data, spec.test_fraction, seed=spec.synthetic["seed"])
 
 
 def derive_seed(master_seed: int, sweep_index: int, repeat_index: int) -> int:
@@ -287,6 +289,8 @@ def run(spec: ExperimentSpec, workers: int = 1) -> int:
             finals[name] = final_ndcg(trace)
 
         if workers > 1 and len(jobs) > 1:
+            # Imported here, as a serial run never needs its resident memory.
+            from concurrent.futures import ProcessPoolExecutor, as_completed
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = {
                     pool.submit(run_experiment, cfg, train, test): name for name, cfg in jobs

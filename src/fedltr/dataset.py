@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .rules import check
+from .rules import INT64_MAX, check
 
 
 @dataclass(frozen=True)
@@ -126,8 +126,6 @@ class Dataset:
 # str.translate table deleting every ASCII character but the colon and
 # whitespace, which leaves the separators of a line's `idx:val` tokens.
 _NOT_SEPARATOR = {c: None for c in range(128) if not (chr(c).isspace() or chr(c) == ":")}
-# The largest index or qid the flat int64 arrays hold.
-_INT64_MAX = 2**63 - 1
 
 
 def _parse_tokens(lineno: int, tokens: list[str]) -> tuple[list[int], list[float]]:
@@ -143,7 +141,7 @@ def _parse_tokens(lineno: int, tokens: list[str]) -> tuple[list[int], list[float
             raise ValueError(f"line {lineno}: bad feature {tok!r}") from None
         if idx < 1:
             raise ValueError(f"line {lineno}: feature indices are 1-based, got {idx}")
-        if idx > _INT64_MAX:
+        if idx > INT64_MAX:
             raise ValueError(f"line {lineno}: feature index {idx} is too large")
         if not math.isfinite(val):
             raise ValueError(f"line {lineno}: non-finite feature {tok!r}")
@@ -187,7 +185,7 @@ def load_svmlight(path: str) -> Dataset:
                 qid = int(parts[1][4:])
             except ValueError:
                 raise ValueError(f"line {lineno}: bad qid {parts[1]!r}") from None
-            if abs(qid) > _INT64_MAX:
+            if abs(qid) > INT64_MAX:
                 raise ValueError(f"line {lineno}: qid {qid} is too large")
             tokens = parts[2] if len(parts) > 2 else ""
             done = len(values)
@@ -222,18 +220,20 @@ def load_svmlight(path: str) -> Dataset:
     query = np.frombuffer(query_of_doc, dtype=np.int64)
     doc_ends = np.frombuffer(ends, dtype=np.int64)
     n_docs, feature_dim = query.size, int(idx.max(initial=0))
-    # Documents grouped by query, in file order within each query.
-    order = np.argsort(query, kind="stable")
-    row = np.empty(n_docs, dtype=np.int64)
-    row[order] = np.arange(n_docs)
-    # Each token's position in the flat (document, feature) array.
-    position = np.repeat(row * feature_dim - 1, np.diff(doc_ends, prepend=0))
-    position += idx
     # A line whose indices do not rise may repeat one: keep its last value.
     rising = idx[1:] > idx[:-1]
     starts = doc_ends[:-1]
     rising[starts[(starts > 0) & (starts < idx.size)] - 1] = True
-    if not rising.all():
+    repeats = not rising.all()
+    del rising
+    # Documents grouped by query, in file order within each query.
+    order = np.argsort(query, kind="stable")
+    row = np.empty(n_docs, dtype=np.int64)
+    row[order] = np.arange(n_docs)
+    # Each token's position in the flat (document, feature) array, over its index.
+    position = idx
+    position += np.repeat(row * feature_dim - 1, np.diff(doc_ends, prepend=0))
+    if repeats:
         _, first_from_end = np.unique(position[::-1], return_index=True)
         last = position.size - 1 - first_from_end
         position, val = position[last], val[last]
@@ -283,9 +283,14 @@ def normalize_query_level(dataset: Dataset) -> Dataset:
     span = np.maximum.reduceat(features, offsets, axis=0) - lo
     query = np.repeat(np.arange(dataset.n_queries), dataset.lengths)
     positive = span > 0
-    scaled = features - lo[query]
-    scaled /= np.where(positive, span, 1.0)[query]
-    scaled[~positive[query]] = 0.0
+    divisor = np.where(positive, span, 1.0)
+    # Blocks of 256 rows keep the per-document copies of lo and divisor small.
+    scaled = np.empty_like(features)
+    for start in range(0, features.shape[0], 256):
+        block, q = scaled[start : start + 256], query[start : start + 256]
+        np.subtract(features[start : start + 256], lo[q], out=block)
+        block /= divisor[q]
+        block[~positive[q]] = 0.0
     return Dataset.from_arrays(scaled, dataset.labels, dataset.qids, dataset.lengths)
 
 

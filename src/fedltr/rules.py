@@ -4,7 +4,8 @@ one function that checks a table.
 A table maps each field to a tuple of the values it may take, or to a kind
 ("integer", "real", "bool" or "string") and, for a number, the interval it
 must lie in, as in "integer [1, inf)" or "real (0, 1]": a bracket closes its
-end, a parenthesis opens it. No integer or real is a bool; a real is finite.
+end, a parenthesis opens it. No integer or real is a bool; a real is finite,
+and an integer lies within int64 range.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from numbers import Integral, Real
 
 # A real must lie within float range, which rules out nan and the infinities;
 # unlike math.isfinite, the comparison does not raise on an integer too large
-# for a float.
+# for a float. An integer must lie within int64 range, as numpy stores it.
+INT64_MAX = 2**63 - 1
 _KINDS = {
     "integer": ("an integer", lambda value: isinstance(value, Integral)),
     "real": ("a finite real", lambda v: isinstance(v, Real) and abs(v) <= sys.float_info.max),
@@ -45,6 +47,8 @@ def check(section: str, rules: dict, values: dict) -> None:
                 ok = ok and (value <= float(high) if bounds[-1] == "]" else value < float(high))
                 at_least = ">=" if bounds[0] == "[" else ">"
                 words += f" in {bounds}" if high != "inf" else f" {at_least} {low}"
+            if ok and kind == "integer" and abs(value) > INT64_MAX:
+                ok, words = False, f"{words} within int64 range"
         if not ok:
             where = f"{section}.{field}" if section else field
             raise ValueError(f"{where} must be {words}, got {value!r}")

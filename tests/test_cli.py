@@ -1,5 +1,6 @@
 """Configuration parsing and the experiment harness end to end."""
 
+import concurrent.futures
 import json
 from dataclasses import replace
 
@@ -463,11 +464,64 @@ class TestMain:
         config = _write_config(tmp_path / "spec.json")
         out = tmp_path / "results"
         monkeypatch.setenv(WORKERS_ENV, value)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         assert main(["run", "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"invalid configuration: FEDLTR_WORKERS must be an integer >= 1, got {value}" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            pytest.param(
+                ["--config", "huge.json"],
+                f"federation.num_users must be an integer >= 1 within int64 range, got {10**400}",
+                id="num_users",
+            ),
+            pytest.param(
+                ["--seed", str(2**63)],
+                f"master_seed must be an integer >= 0 within int64 range, got {2**63}",
+                id="master_seed",
+            ),
+        ],
+    )
+    def test_integer_beyond_int64_is_rejected_at_parse_time(
+        self, tmp_path, capsys, monkeypatch, argv, named
+    ):
+        # A population of 10**400 once passed parse time, and building its
+        # users looped until the process was killed.
+        _write_config(tmp_path / "huge.json", {"federation": {**_FEDERATION, "num_users": 10**400}})
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_experiment", _no_run)
+        assert main(["run", *argv, "--out", "results"]) == 2
+        assert f"invalid configuration: {named}\n" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
+    def test_integers_up_to_the_int64_bound_are_accepted(self):
+        assert parse_spec(None, {"master_seed": 2**63 - 1}).master_seed == 2**63 - 1
+
+    def test_worker_pool_writes_the_serial_outputs(self, tmp_path, monkeypatch):
+        started = []
+
+        class Pool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        config = _write_config(tmp_path / "spec.json", {"sweep": {"m": [2, 3]}, "repeats": 1})
+        monkeypatch.delenv(WORKERS_ENV, raising=False)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "serial")]) == 0
+        assert not started
+        monkeypatch.setenv(WORKERS_ENV, "2")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "pooled")]) == 0
+        assert started == [{"max_workers": 2}]
+        names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+        assert len([n for n in names if n.endswith(".csv")]) == 2
+        assert names == sorted(p.name for p in (tmp_path / "pooled").iterdir())
+        for name in names:
+            serial = (tmp_path / "serial" / name).read_bytes()
+            assert serial == (tmp_path / "pooled" / name).read_bytes(), name
 
     def test_output_path_of_a_file_exits_two(self, tmp_path, capsys):
         config = _write_config(tmp_path / "spec.json")

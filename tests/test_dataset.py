@@ -219,6 +219,20 @@ class TestNormalizeQueryLevel:
                 np.argsort(q.features[:, j], kind="stable"),
             )
 
+    def test_blocks_give_the_per_query_formula(self):
+        # Queries of 1 to 700 documents straddle the row blocks.
+        rng = np.random.default_rng(12)
+        queries = tuple(
+            Query(qid=i, features=rng.normal(size=(n, 3)), labels=np.arange(n) % 5)
+            for i, n in enumerate([700, 1, 255, 2, 300, 513])
+        )
+        queries[4].features[:, 1] = 2.5  # a constant feature
+        data = Dataset(queries, 3)
+        for got, q in zip(normalize_query_level(data).queries, data.queries):
+            lo, span = q.features.min(axis=0), np.ptp(q.features, axis=0)
+            want = np.where(span > 0, (q.features - lo) / np.where(span > 0, span, 1.0), 0.0)
+            np.testing.assert_array_equal(got.features, want)
+
     def test_output_in_unit_interval(self):
         data = normalize_query_level(generate_synthetic(10, 6, 5, seed=4))
         for q in data.queries:

@@ -1,0 +1,41 @@
+"""Peak memory of loading and preparing a corpus, in multiples of the
+feature bytes it yields. numpy reports its array allocations to
+tracemalloc, so the traced peak counts every full-size temporary."""
+
+import tracemalloc
+from dataclasses import replace
+
+from fedltr.cli import load_experiment_data, parse_spec
+from fedltr.dataset import generate_synthetic, load_svmlight, write_svmlight
+
+
+def _traced_peak(build):
+    """The result of `build()` and the peak bytes traced while it ran.
+    A first untraced call keeps lazy imports out of the count."""
+    build()
+    tracemalloc.start()
+    try:
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_preparing_a_corpus_holds_at_most_two_copies():
+    # Filter, scale and split: each stage's input is freed once its output
+    # exists, and scaling builds no full-size temporary.
+    spec = parse_spec(None, {})
+    spec = replace(
+        spec, synthetic={"queries": 200, "docs_per_query": 20, "feature_dim": 50, "seed": 3}
+    )
+    (train, test), peak = _traced_peak(lambda: load_experiment_data(spec))
+    assert peak <= 2.5 * (train.features.nbytes + test.features.nbytes)
+
+
+def test_loading_a_dense_file_holds_at_most_three_copies(tmp_path):
+    # The token values, their positions and the dense matrix; no second
+    # token-sized index array.
+    path = str(tmp_path / "dense.txt")
+    write_svmlight(generate_synthetic(60, 20, 50, seed=4), path)
+    data, peak = _traced_peak(lambda: load_svmlight(path))
+    assert peak <= 3.5 * data.features.nbytes

@@ -1,0 +1,160 @@
+"""Check that this checkout computes what a git revision computes, bit for bit.
+
+Run from anywhere in the checkout:
+
+    python tools/identity.py <rev> --seeds 1 7 90210
+
+It makes a git worktree of <rev> in a temporary directory. Then, for that
+tree and for this checkout (uncommitted changes included), each in fresh
+processes, it
+- runs perfbench's `one_run` on the workloads known, em and ragged at
+  every seed, as `perfbench/run.py` sets them up;
+- runs criterion 09's spec through `python -m fedltr.cli run`, once with
+  FEDLTR_WORKERS unset and once with FEDLTR_WORKERS=2.
+
+It prints one line per comparison: a workload at a seed (weight digest,
+final_ndcg5, clicks and capped clients) or a CLI output directory under
+`diff -r`. The exit status is 0 when every comparison is identical, 1 when
+any differs and 2 when a tree cannot be set up or run. It needs git and
+diff, no network, and it changes no file of either tree.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Criterion 09's spec, as tests/test_acceptance.py writes it.
+CRITERION_09_SPEC = {
+    "dataset": {
+        "synthetic": {"queries": 120, "docs_per_query": 10, "feature_dim": 12, "seed": 3}
+    },
+    "federation": {
+        "num_users": 8, "users_per_round": 4, "queries_per_user": 3,
+        "k": 3, "m": 2, "rounds": 6,
+        "logging_fraction": 0.2, "logging_epochs": 5,
+    },
+    "repeats": 2,
+}
+
+# Run from the root of a tree with the seeds as arguments: one perfbench
+# run per workload and seed, printed as one JSON object.
+_ONE_RUNS = """
+import json, sys, tempfile
+from pathlib import Path
+sys.path.insert(0, "perfbench")
+import workloads
+rows = {}
+with tempfile.TemporaryDirectory() as tmp:
+    for seed in map(int, sys.argv[1:]):
+        for name in ("known", "em", "ragged"):
+            workload = workloads.WORKLOADS[name]
+            corpus = None
+            if workload.ragged:
+                corpus = Path(tmp) / f"ragged_{seed}.svmlight"
+                workloads.write_ragged_corpus(corpus, workloads.derive_seeds(seed).corpus)
+            result, _ = workloads.one_run(workloads.build_spec(workload, seed, corpus, 100))
+            rows[f"{name} seed {seed}"] = [
+                result.digest, result.final_ndcg5, result.total_clicks, result.capped_clients
+            ]
+print(json.dumps(rows))
+"""
+_FIELDS = ("digest", "final_ndcg5", "clicks", "capped")
+
+
+class TreeError(Exception):
+    """A tree could not be set up or run."""
+
+
+def _run(cmd: list[str], cwd: Path, env: dict | None = None) -> str:
+    proc = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise TreeError(f"{' '.join(cmd[:4])} ... in {cwd} exited {proc.returncode}\n{proc.stderr}")
+    return proc.stdout
+
+
+def one_runs(tree: Path, seeds: list[int]) -> dict:
+    """Each workload-and-seed's [digest, final_ndcg5, clicks, capped] in `tree`."""
+    out = _run([sys.executable, "-c", _ONE_RUNS, *map(str, seeds)], tree)
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def cli_run(tree: Path, spec: Path, out: Path, workers: str | None) -> None:
+    """Criterion 09's spec through `tree`'s CLI into `out`."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    env.pop("FEDLTR_WORKERS", None)
+    if workers is not None:
+        env["FEDLTR_WORKERS"] = workers
+    _run([sys.executable, "-m", "fedltr.cli", "run", "--config", str(spec), "--out", str(out)],
+         tree, env)
+
+
+def compare(rev: str, seeds: list[int], scratch: Path) -> bool:
+    """Print one line per comparison of `rev` with this checkout; True when
+    all are identical."""
+    commit = _run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], ROOT).strip()
+    base = scratch / "rev"
+    _run(["git", "worktree", "add", "--detach", str(base), commit], ROOT)
+    try:
+        print(f"comparing {rev} ({commit[:12]}) with {ROOT}", file=sys.stderr)
+        identical = True
+        theirs, ours = one_runs(base, seeds), one_runs(ROOT, seeds)
+        for key, want in theirs.items():
+            got = ours[key]
+            # Digests are compared whole and shown by their first 16 hex digits.
+            shown_want, shown_got = ([v[0][:16], *v[1:]] for v in (want, got))
+            if got == want:
+                detail = ", ".join(f"{f} {v}" for f, v in zip(_FIELDS, shown_got))
+                print(f"{key}: identical ({detail})")
+            else:
+                identical = False
+                detail = ", ".join(
+                    f"{f} {sw} vs {sg}"
+                    for f, w, g, sw, sg in zip(_FIELDS, want, got, shown_want, shown_got)
+                    if w != g
+                )
+                print(f"{key}: DIFFERS ({detail})")
+        spec = scratch / "criterion_09.json"
+        spec.write_text(json.dumps(CRITERION_09_SPEC), encoding="utf-8")
+        for workers in (None, "2"):
+            label = " unset" if workers is None else f"={workers}"
+            outs = [scratch / f"cli_{name}_{workers}" for name in ("rev", "checkout")]
+            cli_run(base, spec, outs[0], workers)
+            cli_run(ROOT, spec, outs[1], workers)
+            diff = subprocess.run(["diff", "-r", *map(str, outs)], capture_output=True, text=True)
+            files = len(list(outs[0].iterdir()))
+            if diff.returncode == 0:
+                print(f"criterion 09 CLI, FEDLTR_WORKERS{label}: identical ({files} files)")
+            else:
+                identical = False
+                print(f"criterion 09 CLI, FEDLTR_WORKERS{label}: DIFFERS "
+                      f"({len(diff.stdout.splitlines())} lines of diff -r)")
+        return identical
+    finally:
+        subprocess.run(["git", "worktree", "remove", "--force", str(base)], cwd=ROOT,
+                       capture_output=True)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", help="git revision to compare this checkout with")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 7, 90210])
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="fedltr-identity-") as scratch:
+        try:
+            identical = compare(args.rev, args.seeds, Path(scratch))
+        except TreeError as exc:
+            print(f"identity check failed: {exc}", file=sys.stderr)
+            return 2
+    return 0 if identical else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
