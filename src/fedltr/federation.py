@@ -20,7 +20,7 @@ from .clicksim import (
 )
 from .dataset import Dataset
 from .metrics import mean_ndcg
-from .objective import Clicks, click_gradients, client_loss, round_clicks
+from .objective import Clicks, client_loss, gradient_groups, hinge_gradients, round_clicks
 from .propensity import EmEstimatorState, federated_em_round
 from .ranker import LinearRanker
 from .rules import check
@@ -125,22 +125,24 @@ def client_opt(
     stream rngs[i] (drawn only when it has clicks), stepping against each
     click's subgradient at its current local weights. No clicks means a
     zero delta. Clients are independent within a round, so they run in
-    lockstep: step t of every client that has a t-th click is one batched
-    step, with the same result as running the clients one by one.
+    lockstep: step t of every client that has a t-th click is batched, with
+    the same result as running the clients one by one. The round is planned
+    once: its (client, step) lines are grouped by step, then by the length
+    class of the clicked query, and each group is one `hinge_gradients`
+    call padded to the group's longest query.
     """
     counts = np.bincount(clicks.client, minlength=clicks.n_clients)
     first = np.cumsum(counts) - counts
-    schedule = np.zeros((clicks.n_clients, counts.max(initial=0)), dtype=np.int64)
+    # Clicks run client by client, so line l is step l - first[client] of
+    # client clicks.client[l], which visits click visit[l].
+    visit = np.empty(clicks.client.size, dtype=np.int64)
     for i, rng in enumerate(rngs):
         if counts[i]:
-            schedule[i, : counts[i]] = first[i] + rng.permutation(counts[i])
+            visit[first[i] : first[i] + counts[i]] = first[i] + rng.permutation(counts[i])
+    step = np.arange(visit.size) - first[clicks.client]
     weights = np.tile(w_t.weights, (clicks.n_clients, 1))
-    for t in range(schedule.shape[1]):
-        stepping = np.flatnonzero(counts > t)
-        step = schedule[stepping, t]
-        weights[stepping] -= eta_local * click_gradients(
-            corpus, clicks.row[step], clicks.doc[step], weights[stepping], clicks.propensity[step]
-        )
+    for rows, *lines in gradient_groups(corpus, clicks, visit, step):
+        weights[rows] -= eta_local * hinge_gradients(corpus.features, weights[rows], *lines)
     return weights - w_t.weights
 
 
@@ -162,17 +164,20 @@ def init_state(
     population with sampled per-user bias and fixed query pools, tabulate
     their examination curves, and start from zero weights."""
     policy = train_logging_policy(train, cfg.logging_fraction, cfg.seed, cfg.logging_epochs)
+    displays = display_top_k(policy, train, cfg.k)
+    positions = np.arange(1, displays.docs.shape[1] + 1)
+    # Allocated first, so a population too large to tabulate fails here
+    # rather than after building its users one by one.
+    examination = np.empty((cfg.num_users, positions.size))
     users = []
     for uid in range(cfg.num_users):
         stream = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1, uid)))
         gamma_s = sample_user_bias(cfg.gamma, cfg.gamma_sigma, stream)
         pool = tuple(stream.integers(train.n_queries, size=cfg.queries_per_user).tolist())
         users.append(UserState(id=uid, gamma_s=gamma_s, query_pool=pool, rng_stream=stream))
-    displays = display_top_k(policy, train, cfg.k)
-    # One call per user: with an array of exponents numpy would compute
-    # x ** 2.0 with pow rather than by squaring, one ulp away.
-    positions = np.arange(1, displays.docs.shape[1] + 1)
-    examination = np.array([examination_prob(positions, user.gamma_s) for user in users])
+        # One call per user: with an array of exponents numpy would compute
+        # x ** 2.0 with pow rather than by squaring, one ulp away.
+        examination[uid] = examination_prob(positions, gamma_s)
     em = None
     if cfg.mode == "fedips" and cfg.propensity_mode == "estimated":
         em = EmEstimatorState(

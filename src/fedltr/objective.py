@@ -49,59 +49,96 @@ def round_clicks(impressions: Impressions, propensity: np.ndarray) -> Clicks:
     )
 
 
+def _length_class(lengths: np.ndarray) -> np.ndarray:
+    """ceil(log2(length)), the class a batch of queries is grouped by. A
+    batch padded to its longest query then pads each query to less than
+    twice its length, where padding to the corpus's longest query can cost
+    40 times the work on a skewed corpus."""
+    return np.ceil(np.log2(lengths))
+
+
 def _length_classes(lengths: np.ndarray) -> list:
-    """Indices grouped by ceil(log2(length)), or one slice when all share a
-    class. A batch padded to its longest query then pads each query to less
-    than twice its length, where padding to the corpus's longest query can
-    cost 40 times the work on a skewed corpus."""
-    classes = np.ceil(np.log2(lengths))
+    """Indices grouped by length class, or one slice when all share one."""
+    classes = _length_class(lengths)
     if np.all(classes == classes[:1]):
         return [slice(None)]
     order = np.argsort(classes, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(classes[order])) + 1)
 
 
-def _margins(scores: np.ndarray, doc: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """1 - (f(d) - f(d')) for each line's clicked document d and every
-    document d' of its query; 0 for d' = d and for padding."""
+def _hinge_sums(scores: np.ndarray, doc: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Sum of max(0, 1 - (f(d) - f(d'))) over each line's clicked document
+    d and the other documents d' of its query, skipping the padding."""
     line = np.arange(doc.size)
     margins = 1.0 - (scores[line, doc][:, None] - scores)
     margins[line, doc] = 0.0
     margins[~valid] = 0.0
-    return margins
+    return np.sum(np.maximum(margins, 0.0), axis=1)
 
 
-def _hinge_sums(scores: np.ndarray, doc: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    return np.sum(np.maximum(_margins(scores, doc, valid), 0.0), axis=1)
+def gradient_groups(corpus: Dataset, clicks: Clicks, visit: np.ndarray, step: np.ndarray) -> list:
+    """Local SGD's lines batched for `hinge_gradients`: line l visits click
+    visit[l] at its client's step step[l]. One group per (step, length
+    class of the clicked query), in that order, keeps its lines' order and
+    is padded to its longest query. A group is (client, index, eligible,
+    doc, clicked, propensity), the arguments of `hinge_gradients` after
+    each line's client.
+    """
+    if not visit.size:
+        return []
+    classes = _length_class(corpus.lengths[clicks.row[visit]])
+    order = np.lexsort((classes, step))
+    new_group = (np.diff(step[order], prepend=-1) != 0) | (np.diff(classes[order], prepend=-1) != 0)
+    first = np.flatnonzero(new_group)
+    size = np.diff(np.append(first, order.size))
+    picked = visit[order]
+    row, doc = clicks.row[picked], clicks.doc[picked]
+    offset, length = corpus.offsets[row], corpus.lengths[row]
+    width = np.maximum.reduceat(length, first)
+    # Every line's padded documents, line by line within each group.
+    pad = np.repeat(width, size)
+    start = np.cumsum(pad) - pad
+    line = np.repeat(np.arange(pad.size), pad)
+    j = np.arange(line.size) - start[line]
+    valid = j < length[line]
+    index = offset[line] + np.where(valid, j, 0)
+    # As floats: einsum casts a bool operand in buffers, two to three times slower.
+    eligible = (valid & (j != doc[line])).astype(np.float64)
+    clicked = corpus.features[offset + doc]
+    client, propensity = clicks.client[picked], clicks.propensity[picked]
+    groups = []
+    for lo, n, w in zip(first.tolist(), size.tolist(), width.tolist()):
+        lines, docs = slice(lo, lo + n), slice(start[lo], start[lo] + n * w)
+        padded = (index[docs].reshape(n, w).T, eligible[docs].reshape(n, w))
+        groups.append((client[lines], *padded, doc[lines], clicked[lines], propensity[lines]))
+    return groups
 
 
-def click_gradients(
-    corpus: Dataset,
-    row: np.ndarray,
-    doc: np.ndarray,
+def hinge_gradients(
+    features: np.ndarray,
     weights: np.ndarray,
+    index: np.ndarray,
+    eligible: np.ndarray,
+    doc: np.ndarray,
+    clicked: np.ndarray,
     propensity: np.ndarray,
 ) -> np.ndarray:
     """Subgradient of hinge_sum / propensity for a batch of clicks, line i
-    at weights[i]: document doc[i] of query row[i] of the corpus."""
-    grads = np.empty_like(weights)
-    for group in _length_classes(corpus.lengths[row]):
-        index, valid = corpus.doc_rows(row[group])
-        picked = doc[group]
-        # Document-major: features[j, i] is the j-th document of line i's query.
-        features = corpus.features[index.T]
-        scores = np.matmul(features.transpose(1, 0, 2), weights[group][:, :, None])[:, :, 0]
-        active = _margins(scores, picked, valid) > 0.0
-        clicked = features[picked, np.arange(picked.size)]
-        # Zeroing inactive documents and summing over the document axis adds
-        # the active rows in document order, exactly as summing the selected
-        # rows of one query does. A segment sum such as np.add.reduceat adds
-        # them in another order.
-        features[~active.T] = 0.0
-        summed = features.sum(axis=0)
-        n_active = np.count_nonzero(active, axis=1)
-        grads[group] = -(n_active[:, None] * clicked - summed) / propensity[group][:, None]
-    return grads
+    at weights[i]. features[index[j, i]] is the j-th document of line i's
+    query, padded with its first; doc[i] is the clicked one, with features
+    clicked[i]. eligible[i, j] is 1.0 for the query's other documents and
+    0.0 for the clicked one and the padding."""
+    feats = features.take(index, axis=0)
+    scores = np.matmul(feats.transpose(1, 0, 2), weights[:, :, None])[:, :, 0]
+    line = np.arange(doc.size)
+    active = (1.0 - (scores[line, doc][:, None] - scores) > 0.0) * eligible
+    # Adds each line's active rows in document order, as summing the
+    # selected rows of one query does; a pinned test checks it. A segment
+    # sum such as np.add.reduceat adds them in another order. The exception
+    # is one line of a one-feature corpus: numpy then sums its lone column
+    # in an unrolled order.
+    summed = np.einsum("nd,dnf->nf", active, feats)
+    return -(active.sum(axis=1)[:, None] * clicked - summed) / propensity[:, None]
 
 
 def hinge_sum(model: LinearRanker, query: Query, d: int) -> float:
@@ -127,10 +164,9 @@ def click_gradient(
     weights. Pairs exactly at the hinge kink contribute zero."""
     if propensity <= 0.0:
         raise ValueError("propensity must be positive")
-    corpus = Dataset(queries=(query,), feature_dim=query.features.shape[1])
-    return click_gradients(
-        corpus, np.array([0]), np.array([d]), model.weights[None], np.array([propensity])
-    )[0]
+    docs = np.arange(query.n_docs)
+    lines = (docs[:, None], (docs != d)[None] * 1.0, np.array([d]), query.features[d][None])
+    return hinge_gradients(query.features, model.weights[None], *lines, np.array([propensity]))[0]
 
 
 def client_loss(model: LinearRanker, corpus: Dataset, clicks: Clicks) -> np.ndarray:

@@ -198,6 +198,46 @@ class TestClientOpt:
             assert np.array_equal(deltas[i], w - w_t.weights)
         assert np.any(deltas[0] != 0.0) and np.all(deltas[1] == 0.0)
 
+    def test_lockstep_matches_sequential_reference_on_narrow_classes(self):
+        # Queries of 1, 2, 3, 4, 6 and 9 documents: length classes 0 to 4.
+        # Clients 0 and 1 click only the 1- and 2-document queries, so at
+        # every step each is alone in its class; clients 2 and 3 share
+        # class 2, and client 4 steps on alone after the others stop.
+        rng = np.random.default_rng(8)
+        corpus = Dataset(
+            queries=tuple(
+                _query(rng.normal(size=(n, 4)), qid=1 + i) for i, n in enumerate((1, 2, 3, 4, 6, 9))
+            ),
+            feature_dim=4,
+        )
+        counts = [2, 3, 4, 3, 7]
+        row = np.concatenate(
+            [[0, 0], [1, 1, 1], rng.integers(2, 4, size=7), [4, 5, 4, 5, 4, 5, 5]]
+        )
+        client = np.repeat(np.arange(5), counts)
+        clicks = Clicks(
+            n_clients=5,
+            client=client,
+            row=row,
+            doc=rng.integers(corpus.lengths[row]),
+            position=np.ones_like(client),
+            propensity=rng.uniform(0.2, 1.0, size=client.size),
+        )
+        w_t = LinearRanker(rng.normal(size=4) * 0.1)
+        eta = 0.05
+        rngs = [np.random.default_rng(50 + i) for i in range(5)]
+        deltas = client_opt(w_t, corpus, clicks, eta, rngs)
+        for i in range(5):
+            steps = np.flatnonzero(client == i)
+            w = w_t.weights.copy()
+            for j in steps[np.random.default_rng(50 + i).permutation(steps.size)]:
+                query, d, p = corpus.queries[row[j]], clicks.doc[j], clicks.propensity[j]
+                grad = click_gradient(LinearRanker(w), query, d, p)
+                assert np.array_equal(grad, _unbatched_gradient(w, query, d, p))
+                w = w - eta * grad
+            assert np.array_equal(deltas[i], w - w_t.weights)
+        assert np.all(deltas[0] == 0.0) and np.all(deltas[1:] != 0.0)
+
 
 class TestServerOpt:
     def test_averages_deltas(self):
@@ -346,6 +386,19 @@ class TestInitState:
                 state.examination[user.id],
                 examination_prob(np.arange(1, state.displays.docs.shape[1] + 1), user.gamma_s),
             )
+
+    def test_population_too_large_to_tabulate_fails_before_any_user(
+        self, small_split, monkeypatch
+    ):
+        # 2**62 users can never be tabulated; building them one by one first
+        # would loop for ever, so a user built at all fails the test.
+        def no_user(*args):
+            raise AssertionError("init_state built a user before allocating its tables")
+
+        monkeypatch.setattr(federation, "sample_user_bias", no_user)
+        train, test = small_split
+        with pytest.raises(ValueError, match="too big"):
+            init_state(_small_cfg(num_users=2**62), train, test)
 
     def test_user_biases_vary_but_seed_fixes_them(self, small_split):
         train, test = small_split

@@ -9,6 +9,7 @@ from fedltr.objective import (
     Clicks,
     click_gradient,
     client_loss,
+    hinge_gradients,
     hinge_sum,
     rank_upper_bound,
     round_clicks,
@@ -118,6 +119,61 @@ class TestClickGradient:
                 hinge_sum(LinearRanker(hi), q, 1) - hinge_sum(LinearRanker(lo), q, 1)
             ) / (2.0 * delta * p)
         np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-8)
+
+
+def _mask_then_sum_gradients(features, weights, offset, length, doc, propensity):
+    """The hinge gradient of the batch as summed before the one-pass sum:
+    zero the inactive documents' rows, then sum over the document axis."""
+    j = np.arange(length.max())
+    valid = j < length[:, None]
+    feats = features[(offset[:, None] + np.where(valid, j, 0)).T]
+    scores = np.matmul(feats.transpose(1, 0, 2), weights[:, :, None])[:, :, 0]
+    line = np.arange(doc.size)
+    margins = 1.0 - (scores[line, doc][:, None] - scores)
+    margins[line, doc] = 0.0
+    margins[~valid] = 0.0
+    active = margins > 0.0
+    clicked = feats[doc, line]
+    feats[~active.T] = 0.0
+    n_active = np.count_nonzero(active, axis=1)
+    return -(n_active[:, None] * clicked - feats.sum(axis=0)) / propensity[:, None]
+
+
+class TestHingeGradients:
+    @pytest.mark.parametrize("width", [1, 2, 3, 7, 8, 9, 16, 17, 33, 64, 200])
+    @pytest.mark.parametrize("draw", ["uniform", "normal"])
+    def test_one_pass_sum_matches_mask_then_sum(self, width, draw):
+        # Batches of 1 to 6 lines as wide as `width`, on features in [0, 1)
+        # (as query-level scaling leaves them) or of either sign spread over
+        # six decades. Summing in another order changes the last bits.
+        rng = np.random.default_rng(width)
+        for n in (1, 2, 6):
+            length = rng.integers(1, width + 1, size=n)
+            length[0] = width
+            shape = (int(length.sum()), 7)
+            if draw == "uniform":
+                features = rng.random(shape)
+            else:
+                features = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+            offset = np.cumsum(length) - length
+            doc = rng.integers(length)
+            weights, propensity = rng.normal(size=(n, 7)), rng.uniform(0.1, 1.0, size=n)
+            j = np.arange(width)
+            valid = j < length[:, None]
+            got = hinge_gradients(
+                features,
+                weights,
+                (offset[:, None] + np.where(valid, j, 0)).T,
+                (valid & (j != doc[:, None])) * 1.0,
+                doc,
+                features[offset + doc],
+                propensity,
+            )
+            expected = _mask_then_sum_gradients(features, weights, offset, length, doc, propensity)
+            assert np.array_equal(got, expected), (
+                f"hinge_gradients' einsum no longer adds a line's active rows in "
+                f"document order (width {width}, {n} lines, {draw} features)"
+            )
 
 
 def _round_clicks(records, queries, propensity, users=None):
