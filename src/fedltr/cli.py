@@ -112,6 +112,9 @@ class ExperimentSpec:
             # are, so the mode rule, not the join, reports it.
             labels = [f"{prefix}{value}" for prefix, value in zip(_SWEEP_TAGS.values(), values)]
             tag = "_".join([*labels, f"{mode}"])
+            # Runs are named by their tag, so a repeated one would overwrite files.
+            if any(tag == seen for seen, _ in points):
+                raise ValueError(f"sweep point {tag} appears twice")
             try:
                 point = replace(self.federation, mode=mode, **dict(zip(_SWEEP_TAGS, values)))
             except ValueError as exc:

@@ -140,16 +140,14 @@ def train_logging_policy(
     if not 0.0 < sample_fraction <= 1.0:
         raise ValueError("sample_fraction must be in (0, 1]")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    n_sample = int(np.ceil(sample_fraction * len(train.queries)))
+    n_sample = int(np.ceil(sample_fraction * train.n_queries))
     if n_sample == 0:
         raise ValueError("sampled query set is empty")
-    chosen = rng.choice(len(train.queries), size=n_sample, replace=False)
-    sample = [train.queries[i] for i in chosen]
+    chosen = rng.choice(train.n_queries, size=n_sample, replace=False)
 
     pairs = []
-    for query in sample:
-        labels = query.labels
-        i_idx, j_idx = np.nonzero(labels[:, None] > labels[None, :])
+    for query in train.select(chosen).queries:
+        i_idx, j_idx = np.nonzero(query.labels[:, None] > query.labels[None, :])
         pairs.append((query, i_idx, j_idx))
 
     w = np.zeros(train.feature_dim)
@@ -197,12 +195,6 @@ def click_given_examination(grade) -> np.ndarray:
     """Probability that an examined document is clicked: 1 for relevant
     grades, the noise rate otherwise, elementwise."""
     return np.where(np.asarray(grade) >= RELEVANCE_THRESHOLD, 1.0, NOISE_CLICK_RATE)
-
-
-def click_prob(grade, position, gamma_s: float) -> np.ndarray:
-    """Click probability of displayed documents: examination times
-    click_given_examination, elementwise."""
-    return examination_prob(position, gamma_s) * click_given_examination(grade)
 
 
 def collect_round_clicks(

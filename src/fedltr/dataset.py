@@ -45,10 +45,10 @@ class Dataset:
 
     Query r (the dataset's r-th query, id qids[r]) owns rows offsets[r] to
     offsets[r] + lengths[r] - 1 of `features` and `labels`, in document
-    order. No query is padded and every query has a document. `queries`
-    holds one Query per query whose arrays are views into the flat ones.
-    `ideal_dcg` holds each query's ideal DCG@k per k once metrics has
-    computed it.
+    order. No query is padded and every query has a document. Reading
+    `queries` builds one Query per query, its arrays views into the flat
+    ones; nothing keeps them. `ideal_dcg` holds each query's ideal DCG@k
+    per k once metrics has computed it.
     """
 
     def __init__(self, queries: Sequence[Query], feature_dim: int) -> None:
@@ -72,10 +72,6 @@ class Dataset:
         )
         return dataset
 
-    def __getstate__(self) -> dict:
-        # Pickle the one copy of the documents, not the query views into it.
-        return {name: value for name, value in self.__dict__.items() if name != "queries"}
-
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
@@ -88,7 +84,7 @@ class Dataset:
     def offsets(self) -> np.ndarray:
         return np.cumsum(self.lengths) - self.lengths
 
-    @cached_property
+    @property
     def queries(self) -> tuple[Query, ...]:
         cuts = self.offsets[1:]
         return tuple(

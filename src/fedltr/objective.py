@@ -18,15 +18,14 @@ class Clicks:
     ordered by client, then record, then display position.
 
     `client` indexes the round's clients 0..n_clients-1, `row` the query in
-    the training set, `doc` the document within its query and
-    `position` its 1-based display position. Every propensity is positive.
+    the training set and `doc` the document within its query. Every
+    propensity is positive.
     """
 
     n_clients: int
     client: np.ndarray
     row: np.ndarray
     doc: np.ndarray
-    position: np.ndarray
     propensity: np.ndarray
 
     def __post_init__(self) -> None:
@@ -44,7 +43,6 @@ def round_clicks(impressions: Impressions, propensity: np.ndarray) -> Clicks:
         client=client,
         row=impressions.row[record],
         doc=impressions.docs[record, slot],
-        position=slot + 1,
         propensity=propensity[impressions.users[client], slot],
     )
 

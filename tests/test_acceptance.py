@@ -5,8 +5,8 @@ it reaches the real stdout) and then asserts. Federated runs are cached
 by their full config so later criteria reuse earlier runs.
 """
 
-import json
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -323,21 +323,8 @@ def test_criterion_08_estimated_propensities_close_the_gap(capsys, bench):
 
 
 def test_criterion_09_reruns_are_byte_identical(capsys, tmp_path):
-    config = {
-        "dataset": {
-            "synthetic": {
-                "queries": 120, "docs_per_query": 10, "feature_dim": 12, "seed": 3,
-            }
-        },
-        "federation": {
-            "num_users": 8, "users_per_round": 4, "queries_per_user": 3,
-            "k": 3, "m": 2, "rounds": 6,
-            "logging_fraction": 0.2, "logging_epochs": 5,
-        },
-        "repeats": 2,
-    }
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(config), encoding="utf-8")
+    # tools/identity.py runs the same spec file.
+    spec_path = Path(__file__).with_name("criterion_09_spec.json")
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     code_a = main(["run", "--config", str(spec_path), "--out", str(out_a)])
     code_b = main(["run", "--config", str(spec_path), "--out", str(out_b)])

@@ -140,6 +140,14 @@ class TestParseSpec:
                 mode=base.mode,
             ) == base
 
+    def test_distinct_tags_of_one_config_are_distinct_points(self, tmp_path):
+        # JSON 1 and 1.0 give the same gamma under two tags, so no run
+        # overwrites the other's files.
+        path = _write_config(tmp_path / "sweep.json", {"sweep": {"gamma": [1, 1.0]}})
+        points = parse_spec(str(path), {}).sweep_points()
+        assert [tag for tag, _ in points] == ["g1_u4_m2_fedips", "g1.0_u4_m2_fedips"]
+        assert points[0][1] == points[1][1]
+
     def test_derive_seed_is_pure_and_spread(self):
         assert derive_seed(0, 1, 2) == derive_seed(0, 1, 2)
         seeds = {derive_seed(0, si, ri) for si in range(4) for ri in range(3)}
@@ -412,6 +420,19 @@ class TestMain:
             pytest.param(
                 {"master_seed": -1}, "master_seed must be an integer >= 0, got -1", id="extra43"
             ),
+            # Nothing to run.
+            pytest.param({"modes": []}, "modes must be nonempty", id="extra44"),
+            pytest.param({"sweep": {"gamma": []}}, "sweep lists must be nonempty", id="extra45"),
+            # Runs are named by their sweep point: a repeated one wrote its
+            # CSV over the other's and printed its summary line twice.
+            pytest.param(
+                {"sweep": {"gamma": [1.0, 1.0]}}, "sweep point g1.0_u4_m2_fedips appears twice",
+                id="extra46",
+            ),
+            pytest.param(
+                {"modes": ["fedips", "fedips"]}, "sweep point g1.0_u4_m2_fedips appears twice",
+                id="extra47",
+            ),
         ],
     )
     def test_bad_knobs_are_rejected_at_parse_time(self, tmp_path, capsys, extra, named):
@@ -422,6 +443,13 @@ class TestMain:
         assert "invalid configuration" in err
         assert named in err
         assert not out.exists()
+
+    def test_config_root_that_is_not_an_object_exits_two(self, tmp_path, capsys):
+        config = tmp_path / "spec.json"
+        config.write_text("[1]", encoding="utf-8")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration: config root must be a JSON object" in err
 
     def test_negative_seed_flag_is_rejected_at_parse_time(self, tmp_path, capsys):
         out = tmp_path / "results"

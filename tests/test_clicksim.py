@@ -9,7 +9,7 @@ from fedltr.clicksim import (
     NOISE_CLICK_RATE,
     ClickRecord,
     UserState,
-    click_prob,
+    click_given_examination,
     collect_round_clicks,
     display_top_k,
     examination_prob,
@@ -17,7 +17,8 @@ from fedltr.clicksim import (
     sample_user_bias,
     train_logging_policy,
 )
-from fedltr.dataset import Dataset, Query
+from fedltr import dataset as dataset_module
+from fedltr.dataset import Dataset, Query, generate_synthetic
 from fedltr.metrics import mean_ndcg
 from fedltr.ranker import LinearRanker
 
@@ -74,6 +75,20 @@ class TestTrainLoggingPolicy:
         trained = mean_ndcg(policy, small_corpus, 5)
         untrained = mean_ndcg(LinearRanker.zeros(small_corpus.feature_dim), small_corpus, 5)
         assert trained > untrained
+
+    def test_builds_query_views_only_for_its_sample(self, monkeypatch):
+        # ceil(0.1 * 40) = 4 sampled queries of a corpus whose views have
+        # never been built.
+        corpus = generate_synthetic(40, 5, 3, seed=1)
+        built = []
+
+        def counting_query(**fields):
+            built.append(fields["qid"])
+            return Query(**fields)
+
+        monkeypatch.setattr(dataset_module, "Query", counting_query)
+        train_logging_policy(corpus, 0.1, seed=5, epochs=2)
+        assert len(built) == 4
 
     def test_fraction_out_of_range_errors(self, small_corpus):
         for bad in (0.0, -0.1, 1.5):
@@ -141,28 +156,35 @@ class TestExaminationProb:
 
 
 class TestClickProb:
+    """The click probability of the position-based model (Joachims et al.,
+    WSDM 2017): examination_prob times click_given_examination, the
+    product collect_round_clicks draws with."""
+
     def test_relevant_top_position(self):
-        assert click_prob(4, 1, 1.0) == 1.0
+        assert examination_prob(1, 1.0) * click_given_examination(4) == 1.0
 
     def test_irrelevant_top_position_is_noise_rate(self):
-        assert click_prob(1, 1, 1.0) == 0.1
+        assert examination_prob(1, 1.0) * click_given_examination(1) == 0.1
 
     def test_relevant_position_two(self):
-        assert click_prob(3, 2, 1.0) == 0.5
+        assert examination_prob(2, 1.0) * click_given_examination(3) == 0.5
 
     def test_factorizes_into_examination_and_relevance(self):
-        for grade in range(5):
-            for pos in range(1, 11):
-                for gamma_s in (0.0, 0.5, 1.0, 2.0):
-                    rel = 1.0 if grade >= 3 else NOISE_CLICK_RATE
-                    assert click_prob(grade, pos, gamma_s) == (
-                        examination_prob(pos, gamma_s) * rel
-                    )
+        # Grades 0-4 displayed at positions 1-5: a user's examination row
+        # times the displays' click rates is, position by position, the
+        # examination there times the grade's click rate.
+        q = _query([5.0, 4.0, 3.0, 2.0, 1.0], [0, 1, 2, 3, 4])
+        rates = _displays(q, k=5).click_rates[0]
+        rel = [NOISE_CLICK_RATE] * 3 + [1.0, 1.0]
+        np.testing.assert_array_equal(rates, rel)
+        for gamma_s in (0.0, 0.5, 1.0, 2.0):
+            expected = [examination_prob(pos, gamma_s) * r for pos, r in zip(range(1, 6), rel)]
+            np.testing.assert_array_equal(examination_prob(np.arange(1, 6), gamma_s) * rates, expected)
 
     def test_nonincreasing_in_position(self):
         for grade in (0, 4):
-            probs = [click_prob(grade, pos, 1.0) for pos in range(1, 11)]
-            assert all(a >= b for a, b in zip(probs, probs[1:]))
+            probs = examination_prob(np.arange(1, 11), 1.0) * click_given_examination(grade)
+            assert np.all(probs[:-1] >= probs[1:])
 
 
 class TestSimulateImpression:
@@ -212,7 +234,7 @@ class TestSimulateImpression:
         counts = np.zeros(5)
         for _ in range(n):
             counts += _collect(user, displays, 1, 1, rng)[0].clicks
-        expected = np.array([click_prob(g, p, 1.0) for g, p in zip([4, 3, 0, 0, 0], range(1, 6))])
+        expected = examination_prob(np.arange(1, 6), 1.0) * click_given_examination([4, 3, 0, 0, 0])
         # Relevant doc at position 1 is clicked with probability exactly 1.
         assert counts[0] == n
         se = np.sqrt(expected[1:] * (1.0 - expected[1:]) / n)

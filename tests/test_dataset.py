@@ -1,6 +1,7 @@
 """Dataset loading, preprocessing, synthetic generation, and splitting."""
 
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -111,6 +112,19 @@ class TestLoadSvmlight:
         with pytest.raises(ValueError, match=f"^line 2: {message}$"):
             load_svmlight(path)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("1", "expected '<label> qid:<id> ...'"),
+            ("1 1:0.5", "missing qid field"),
+            ("1 qid:x 1:0.5", "bad qid 'qid:x'"),
+        ],
+    )
+    def test_malformed_qid_field_names_line(self, tmp_path, line, message):
+        path = _write(tmp_path, f"1 qid:1 1:0.5\n{line}\n")
+        with pytest.raises(ValueError, match=f"^line 2: {re.escape(message)}$"):
+            load_svmlight(path)
+
     def test_qid_beyond_64_bits_names_line(self, tmp_path):
         path = _write(tmp_path, "1 qid:1 1:0.5\n2 qid:9223372036854775808 1:0.5\n")
         with pytest.raises(ValueError, match="line 2: qid 9223372036854775808 is too large"):
@@ -164,10 +178,26 @@ class TestLoadSvmlight:
 
     def test_pickled_dataset_keeps_one_copy(self):
         data = generate_synthetic(5, 3, 2, seed=1)
-        data.queries  # noqa: B018 - builds the query views before pickling
+        # Reading the views keeps none of them, so none is pickled.
+        assert data.queries[2].qid == 3 and "queries" not in vars(data)
         copy = pickle.loads(pickle.dumps(data))
         np.testing.assert_array_equal(copy.features, data.features)
         assert np.shares_memory(copy.queries[2].features, copy.features)
+
+
+class TestQuery:
+    @pytest.mark.parametrize(
+        "features, n_labels, message",
+        [
+            (np.zeros(3), 3, "features must be a 2-d array"),
+            (np.zeros((3, 2)), 2, "features/labels length mismatch"),
+            (np.zeros((0, 2)), 0, "query has no documents"),
+        ],
+        ids=["1-d", "mismatch", "empty"],
+    )
+    def test_malformed_query_is_rejected(self, features, n_labels, message):
+        with pytest.raises(ValueError, match=f"^query 5: {message}$"):
+            Query(qid=5, features=features, labels=np.zeros(n_labels, dtype=np.int64))
 
 
 class TestFilterUniformQueries:

@@ -79,8 +79,8 @@ def _round_weights(state, cfg, monkeypatch):
     real_impressions, real_opt = federation.round_impressions, federation.client_opt
 
     def spy_impressions(users, records, displays):
-        seen["users"] = np.asarray(users)
-        return real_impressions(users, records, displays)
+        seen["impressions"] = real_impressions(users, records, displays)
+        return seen["impressions"]
 
     def spy_opt(w_t, corpus, clicks, eta_local, rngs):
         seen["clicks"] = clicks
@@ -90,8 +90,10 @@ def _round_weights(state, cfg, monkeypatch):
         patch.setattr(federation, "round_impressions", spy_impressions)
         patch.setattr(federation, "client_opt", spy_opt)
         run_round(state, cfg)
-    clicks = seen["clicks"]
-    return seen["users"][clicks.client], clicks.position, clicks.propensity
+    impressions, clicks = seen["impressions"], seen["clicks"]
+    # round_clicks reads the clicks in np.nonzero order of `clicked`.
+    slot = np.nonzero(impressions.clicked)[1]
+    return impressions.users[clicks.client], slot + 1, clicks.propensity
 
 
 def _unbatched_gradient(w, query, d, p):
@@ -178,7 +180,6 @@ class TestClientOpt:
             client=client,
             row=row,
             doc=rng.integers(ragged.lengths[row]),
-            position=np.ones_like(client),
             propensity=rng.uniform(0.2, 1.0, size=client.size),
         )
         w_t = LinearRanker(rng.normal(size=ragged.feature_dim) * 0.1)
@@ -186,12 +187,13 @@ class TestClientOpt:
         deltas = client_opt(
             w_t, ragged, clicks, eta, [np.random.default_rng(100 + i) for i in range(5)]
         )
+        queries = ragged.queries
         for i in range(5):
             steps = np.flatnonzero(client == i)
             w = w_t.weights.copy()
             if steps.size:
                 for j in steps[np.random.default_rng(100 + i).permutation(steps.size)]:
-                    query, d, p = ragged.queries[clicks.row[j]], clicks.doc[j], clicks.propensity[j]
+                    query, d, p = queries[clicks.row[j]], clicks.doc[j], clicks.propensity[j]
                     grad = click_gradient(LinearRanker(w), query, d, p)
                     assert np.array_equal(grad, _unbatched_gradient(w, query, d, p))
                     w = w - eta * grad
@@ -220,18 +222,18 @@ class TestClientOpt:
             client=client,
             row=row,
             doc=rng.integers(corpus.lengths[row]),
-            position=np.ones_like(client),
             propensity=rng.uniform(0.2, 1.0, size=client.size),
         )
         w_t = LinearRanker(rng.normal(size=4) * 0.1)
         eta = 0.05
         rngs = [np.random.default_rng(50 + i) for i in range(5)]
         deltas = client_opt(w_t, corpus, clicks, eta, rngs)
+        queries = corpus.queries
         for i in range(5):
             steps = np.flatnonzero(client == i)
             w = w_t.weights.copy()
             for j in steps[np.random.default_rng(50 + i).permutation(steps.size)]:
-                query, d, p = corpus.queries[row[j]], clicks.doc[j], clicks.propensity[j]
+                query, d, p = queries[row[j]], clicks.doc[j], clicks.propensity[j]
                 grad = click_gradient(LinearRanker(w), query, d, p)
                 assert np.array_equal(grad, _unbatched_gradient(w, query, d, p))
                 w = w - eta * grad

@@ -196,13 +196,13 @@ class TestClickSteps:
             [_record(q2, [False, False])],
             [_record(q2, [True, False])],
         ]
-        # Every user's table row is 1 / position.
+        # Every user's table row is 1 / position, so each click's weight
+        # shows its display position.
         clicks = _round_clicks(records, (q1, q2), np.tile(1.0 / np.arange(1, 4), (3, 1)))
         assert clicks.n_clients == 3
         np.testing.assert_array_equal(clicks.client, [0, 0, 0, 2])
         np.testing.assert_array_equal(clicks.row, [0, 0, 1, 1])
         np.testing.assert_array_equal(clicks.doc, [0, 2, 1, 0])
-        np.testing.assert_array_equal(clicks.position, [1, 3, 2, 1])
         np.testing.assert_array_equal(clicks.propensity, [1.0, 1.0 / 3.0, 0.5, 1.0])
 
     def test_no_clicks_gives_no_steps(self):
@@ -289,16 +289,16 @@ class TestClientLoss:
             client=client,
             row=row,
             doc=doc,
-            position=np.ones_like(client),
             propensity=rng.uniform(0.1, 1.0, size=client.size),
         )
         model = LinearRanker(rng.normal(size=ragged.feature_dim) * 0.3)
         expected = np.zeros(4)
+        queries = ragged.queries
         for i in range(4):
             mine = np.flatnonzero(client == i)
             if mine.size:
                 total = sum(
-                    hinge_sum(model, ragged.queries[row[j]], doc[j]) / clicks.propensity[j]
+                    hinge_sum(model, queries[row[j]], doc[j]) / clicks.propensity[j]
                     for j in mine
                 )
                 expected[i] = total / len(set(row[mine].tolist()))

@@ -324,6 +324,7 @@ def _sequential_em_round(state, local_tables, client_records, dataset, displays)
         return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
 
     broadcast = state.relevance_model.weights
+    queries = dataset.queries
     deltas = []
     for uid in sorted(client_records):
         records = client_records[uid]
@@ -336,7 +337,7 @@ def _sequential_em_round(state, local_tables, client_records, dataset, displays)
         for record in records:
             n = len(record.clicks)
             displayed = displays.docs[record.row, :n]
-            features = dataset.queries[record.row].features[displayed]
+            features = queries[record.row].features[displayed]
             rel = np.clip(sigmoid(features @ broadcast), 1e-6, 1.0 - 1e-6)
             p_exam, p_rel = em_e_step(record.clicks, prior[:n], rel)
             exam_sum[:n] += p_exam

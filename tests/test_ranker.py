@@ -21,6 +21,10 @@ class TestLinearRanker:
         with pytest.raises(ValueError):
             LinearRanker(np.array([1.0, np.nan]))
 
+    def test_weights_must_be_a_vector(self):
+        with pytest.raises(ValueError, match="^weights must be a 1-d vector$"):
+            LinearRanker(np.zeros((2, 3)))
+
 
 class TestRank:
     def test_sorts_by_score_descending(self):

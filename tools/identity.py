@@ -9,8 +9,9 @@ tree and for this checkout (uncommitted changes included), each in fresh
 processes, it
 - runs perfbench's `one_run` on the workloads known, em and ragged at
   every seed, as `perfbench/run.py` sets them up;
-- runs criterion 09's spec through `python -m fedltr.cli run`, once with
-  FEDLTR_WORKERS unset and once with FEDLTR_WORKERS=2.
+- runs criterion 09's spec, this checkout's `tests/criterion_09_spec.json`,
+  through `python -m fedltr.cli run`, once with FEDLTR_WORKERS unset and
+  once with FEDLTR_WORKERS=2.
 
 It prints one line per comparison: a workload at a seed (weight digest,
 final_ndcg5, clicks and capped clients) or a CLI output directory under
@@ -31,18 +32,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Criterion 09's spec, as tests/test_acceptance.py writes it.
-CRITERION_09_SPEC = {
-    "dataset": {
-        "synthetic": {"queries": 120, "docs_per_query": 10, "feature_dim": 12, "seed": 3}
-    },
-    "federation": {
-        "num_users": 8, "users_per_round": 4, "queries_per_user": 3,
-        "k": 3, "m": 2, "rounds": 6,
-        "logging_fraction": 0.2, "logging_epochs": 5,
-    },
-    "repeats": 2,
-}
+# Criterion 09's spec, the file tests/test_acceptance.py runs.
+CRITERION_09_SPEC = ROOT / "tests" / "criterion_09_spec.json"
 
 # Run from the root of a tree with the seeds as arguments: one perfbench
 # run per workload and seed, printed as one JSON object.
@@ -121,13 +112,11 @@ def compare(rev: str, seeds: list[int], scratch: Path) -> bool:
                     if w != g
                 )
                 print(f"{key}: DIFFERS ({detail})")
-        spec = scratch / "criterion_09.json"
-        spec.write_text(json.dumps(CRITERION_09_SPEC), encoding="utf-8")
         for workers in (None, "2"):
             label = " unset" if workers is None else f"={workers}"
             outs = [scratch / f"cli_{name}_{workers}" for name in ("rev", "checkout")]
-            cli_run(base, spec, outs[0], workers)
-            cli_run(ROOT, spec, outs[1], workers)
+            cli_run(base, CRITERION_09_SPEC, outs[0], workers)
+            cli_run(ROOT, CRITERION_09_SPEC, outs[1], workers)
             diff = subprocess.run(["diff", "-r", *map(str, outs)], capture_output=True, text=True)
             files = len(list(outs[0].iterdir()))
             if diff.returncode == 0:
