@@ -29,6 +29,7 @@ from .dataset import (
     write_svmlight,
 )
 from .federation import (
+    FEDERATION_RULES,
     FederationConfig,
     RoundMetrics,
     final_ndcg,
@@ -39,18 +40,6 @@ from .rules import check
 
 WORKERS_ENV = "FEDLTR_WORKERS"
 
-_SPEC_KEYS = {
-    "dataset",
-    "test_fraction",
-    "federation",
-    "modes",
-    "run_lambda",
-    "sweep",
-    "repeats",
-    "out_dir",
-    "master_seed",
-}
-_DATASET_KEYS = {"path", "synthetic"}
 # generate_synthetic's arguments and their defaults, for `dataset.synthetic`
 # and for `gen-data`.
 _SYNTHETIC_DEFAULTS = {
@@ -69,7 +58,25 @@ _SPEC_RULES = {
     "repeats": "integer [1, inf)",
     "master_seed": "integer [0, inf)",
     "run_lambda": "bool",
+    "out_dir": "string",
     "dataset.path": "string",
+}
+# The defaults of the spec's own values but `modes` and `dataset.path`.
+_SPEC_DEFAULTS = {
+    "test_fraction": 0.2, "run_lambda": False, "repeats": 1, "out_dir": "results", "master_seed": 0
+}
+# The spec's layout: every key it may hold, each with its rule; see `rules`.
+# A file's values are checked as written, so a flag that replaces one does
+# not hide it; the ExperimentSpec and FederationConfig built from them check
+# the values they take. A null `dataset.path` names no file. The mode is
+# swept over `modes` and every run's seed derives from master_seed, so
+# `federation` holds neither.
+_SPEC_LAYOUT = {
+    "dataset": {"path": None, "synthetic": SYNTHETIC_RULES},
+    "federation": {field: rule for field, rule in FEDERATION_RULES.items() if field != "mode"},
+    "sweep": dict.fromkeys(_SWEEP_TAGS, "list"),
+    "modes": "list",
+    **{key: _SPEC_RULES[key] for key in _SPEC_DEFAULTS},
 }
 
 
@@ -123,81 +130,29 @@ class ExperimentSpec:
         return points
 
 
-def _check_keys(mapping: dict, allowed, where: str) -> None:
-    unknown = set(mapping) - set(allowed)
-    if unknown:
-        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
-
-
-def _section(raw: dict, key: str, allowed, where: str | None = None) -> dict:
-    """A copy of the JSON object raw[key] (empty when absent), whose keys
-    must be among `allowed`. `where` names it in errors."""
-    where = where or key
-    value = raw.get(key, {})
-    if not isinstance(value, dict):
-        raise ValueError(f"{where} must be a JSON object, got {value!r}")
-    _check_keys(value, allowed, where)
-    return dict(value)
-
-
-def _list(value, where: str) -> tuple:
-    """The JSON list `value` as a tuple; `where` names it in errors. A
-    string would otherwise be read as a list of its characters."""
-    if not isinstance(value, list):
-        raise ValueError(f"{where} must be a JSON list, got {value!r}")
-    return tuple(value)
-
-
 def parse_spec(config_path: str | None = None, overrides: dict | None = None) -> ExperimentSpec:
     """Resolve an ExperimentSpec from an optional JSON file plus flag
-    overrides. Unknown keys anywhere are errors; omitted fields take the
-    standard defaults."""
+    overrides, which win over it; a flag that was not set is None. Unknown
+    keys anywhere are errors; omitted fields take the standard defaults."""
+    flags = {key: value for key, value in (overrides or {}).items() if value is not None}
     raw: dict = {}
     if config_path is not None:
         with open(config_path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError("config root must be a JSON object")
-    _check_keys(raw, _SPEC_KEYS, "config")
-    overrides = dict(overrides or {})
-
-    dataset_cfg = _section(raw, "dataset", _DATASET_KEYS)
-    synthetic = dict(_SYNTHETIC_DEFAULTS)
-    synthetic.update(_section(dataset_cfg, "synthetic", _SYNTHETIC_DEFAULTS, "dataset.synthetic"))
-
-    # The mode is swept over `modes` and every run's seed derives from
-    # master_seed; every other field may come from the file or, winning over
-    # it, from an override.
-    fed_fields = set(FederationConfig.__dataclass_fields__) - {"mode", "seed"}
-    fed_raw = _section(raw, "federation", fed_fields)
-    fed_raw.update((k, v) for k, v in overrides.items() if k in fed_fields and v is not None)
-    federation = FederationConfig(**fed_raw)
-
-    sweep_raw = _section(raw, "sweep", _SWEEP_TAGS)
-    sweep = {
-        axis: _list(sweep_raw.get(axis, [getattr(federation, axis)]), f"sweep.{axis}")
-        for axis in _SWEEP_TAGS
-    }
-
-    modes = _list(raw.get("modes", ["fedips"]), "modes")
-    if overrides.get("mode") is not None:
-        modes = (overrides["mode"],)
-
-    def _override(name, default):
-        value = overrides.get(name)
-        return default if value is None else value
-
+    check("", _SPEC_LAYOUT, raw, "config")
+    values = {**_SPEC_DEFAULTS, **raw, **flags}
+    dataset, sweep = raw.get("dataset", {}), raw.get("sweep", {})
+    fed_flags = {key: value for key, value in flags.items() if key in _SPEC_LAYOUT["federation"]}
+    federation = FederationConfig(**{**raw.get("federation", {}), **fed_flags})
     return ExperimentSpec(
-        dataset_path=_override("dataset_path", dataset_cfg.get("path")),
-        synthetic=synthetic,
-        test_fraction=raw.get("test_fraction", 0.2),
+        dataset_path=flags.get("dataset_path", dataset.get("path")),
+        synthetic={**_SYNTHETIC_DEFAULTS, **dataset.get("synthetic", {})},
         federation=federation,
-        modes=modes,
-        run_lambda=_override("run_lambda", raw.get("run_lambda", False)),
-        sweep=sweep,
-        repeats=_override("repeats", raw.get("repeats", 1)),
-        out_dir=str(_override("out_dir", raw.get("out_dir", "results"))),
-        master_seed=_override("master_seed", raw.get("master_seed", 0)),
+        modes=(flags["mode"],) if "mode" in flags else tuple(raw.get("modes", ["fedips"])),
+        sweep={axis: tuple(sweep.get(axis, [getattr(federation, axis)])) for axis in _SWEEP_TAGS},
+        **{key: values[key] for key in _SPEC_DEFAULTS},
     )
 
 

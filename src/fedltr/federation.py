@@ -125,11 +125,14 @@ def client_opt(
     stream rngs[i] (drawn only when it has clicks), stepping against each
     click's subgradient at its current local weights. No clicks means a
     zero delta. Clients are independent within a round, so they run in
-    lockstep: step t of every client that has a t-th click is batched, with
-    the same result as running the clients one by one. The round is planned
-    once: its (client, step) lines are grouped by step, then by the length
-    class of the clicked query, and each group is one `hinge_gradients`
-    call padded to the group's longest query.
+    lockstep: step t of every client that has a t-th click is batched. The
+    round is planned once: its (client, step) lines are grouped by step,
+    then by the length class of the clicked query, and each group is one
+    `hinge_gradients` call padded to the group's longest query. This equals
+    running the clients one by one up to the last bits. A score's last bits
+    depend on its group's padded width, which moves a step only when a
+    margin lies within an ulp of the hinge; and on a one-feature corpus, a
+    group of one line sums its documents in another order.
     """
     counts = np.bincount(clicks.client, minlength=clicks.n_clients)
     first = np.cumsum(counts) - counts

@@ -3,6 +3,7 @@
 import concurrent.futures
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +60,21 @@ class TestParseSpec:
         assert spec.repeats == 1
         assert spec.test_fraction == 0.2
         assert not spec.run_lambda
+
+    def test_readme_example_spec_resolves(self, tmp_path):
+        # Its `dataset.path` is null: the synthetic corpus, not a file.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        path = tmp_path / "spec.json"
+        path.write_text(readme.split("```json\n", 1)[1].split("```", 1)[0], encoding="utf-8")
+        spec = parse_spec(str(path), {})
+        assert spec.dataset_path is None
+        assert spec.synthetic == cli._SYNTHETIC_DEFAULTS
+        assert spec.sweep == {"gamma": (0.5, 1.0, 1.5, 2.0), "users_per_round": (50,), "m": (10,)}
+        assert spec.repeats == 5
+        assert spec.modes == ("fedips",) and spec.out_dir == "results"
+        assert [tag for tag, _ in spec.sweep_points()] == [
+            f"g{gamma}_u50_m10_fedips" for gamma in (0.5, 1.0, 1.5, 2.0)
+        ]
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError, match="gamma"):
@@ -433,6 +449,13 @@ class TestMain:
                 {"modes": ["fedips", "fedips"]}, "sweep point g1.0_u4_m2_fedips appears twice",
                 id="extra47",
             ),
+            # out_dir went through str(): null ran into a directory named
+            # None. A file's value is checked though --out replaces it.
+            pytest.param({"out_dir": None}, "out_dir must be a string, got None", id="extra48"),
+            pytest.param({"out_dir": 5}, "out_dir must be a string, got 5", id="extra49"),
+            pytest.param(
+                {"out_dir": ["a", "b"]}, "out_dir must be a string, got ['a', 'b']", id="extra50"
+            ),
         ],
     )
     def test_bad_knobs_are_rejected_at_parse_time(self, tmp_path, capsys, extra, named):
@@ -443,6 +466,14 @@ class TestMain:
         assert "invalid configuration" in err
         assert named in err
         assert not out.exists()
+
+    def test_null_out_dir_makes_no_directory(self, tmp_path, capsys, monkeypatch):
+        config = _write_config(tmp_path / "spec.json", {"out_dir": None})
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration: out_dir must be a string, got None" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
 
     def test_config_root_that_is_not_an_object_exits_two(self, tmp_path, capsys):
         config = tmp_path / "spec.json"

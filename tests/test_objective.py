@@ -3,8 +3,17 @@
 import numpy as np
 import pytest
 
-from fedltr.clicksim import ClickRecord, display_top_k, round_impressions
+from fedltr.clicksim import (
+    ClickRecord,
+    UserState,
+    collect_round_clicks,
+    display_top_k,
+    examination_prob,
+    round_impressions,
+    train_logging_policy,
+)
 from fedltr.dataset import Dataset, Query
+from fedltr.metrics import RELEVANCE_THRESHOLD
 from fedltr.objective import (
     Clicks,
     click_gradient,
@@ -303,3 +312,127 @@ class TestClientLoss:
                 )
                 expected[i] = total / len(set(row[mine].tolist()))
         np.testing.assert_allclose(client_loss(model, ragged, clicks), expected, rtol=1e-12, atol=0)
+
+
+# Impressions drawn per user, and queries in each user's pool.
+_SIGNAL_IMPRESSIONS = 4000
+_SIGNAL_POOL = 20
+# Per gamma, the largest relative error a known table may show over every
+# document and over the non-relevant ones, and the smallest the ones table
+# may show over every document. Over seeds 0-9 at the sizes above:
+#   gamma 0.5: known 0.040-0.074, non-relevant 0.196-0.238; ones 0.286-0.372
+#   gamma 1:   known 0.058-0.119, non-relevant 0.241-0.362; ones 0.454-0.551
+#   gamma 2:   known 0.107-0.226, non-relevant 0.451-0.722; ones 0.602-0.706
+# A known bound is 1.5 times the largest error, 1.25 times for the
+# non-relevant part, whose few clicks would take 1.5 times past 1 at gamma
+# 2; a ones floor is the smallest error divided by 1.5.
+_SIGNAL_BOUNDS = {
+    0.5: (0.111, 0.297, 0.19),
+    1.0: (0.178, 0.453, 0.30),
+    2.0: (0.340, 0.903, 0.40),
+}
+
+
+def _gradients(corpus, weights, row, doc, propensity):
+    """hinge_gradients of clicks on documents doc of queries row, at one
+    model's weights."""
+    index, valid = corpus.doc_rows(row)
+    eligible = valid & (np.arange(index.shape[1]) != doc[:, None])
+    clicked = corpus.features[corpus.offsets[row] + doc]
+    lines = (index.T, eligible * 1.0, doc, clicked, propensity)
+    return hinge_gradients(corpus.features, np.tile(weights, (doc.size, 1)), *lines)
+
+
+def _part(corpus, row, doc):
+    """The part of a target that document doc of query row falls in: 1 when
+    it is not relevant, so that only a noise click reaches it, else 0."""
+    return (corpus.labels[corpus.offsets[row] + doc] < RELEVANCE_THRESHOLD) * 1
+
+
+def _signal_errors(train, displays, users, tables, weights):
+    """The relative error of the users' mean click gradient per impression
+    at `weights`, drawn and weighted as a round does, against its target,
+    with each of `tables`: over every document, and over the non-relevant
+    ones, which only noise clicks reach. The users are 0, 1, ... and
+    tables["known"] holds their true curves, which draw the clicks. A
+    user's target is the mean over its pool of the sum over displayed
+    documents of click rate times unweighted gradient: what IPS weighting
+    makes the expectation, whatever the user's position bias."""
+    k = displays.docs.shape[1]
+    # A quota of more clicks than the impressions can hold: each user draws
+    # exactly _SIGNAL_IMPRESSIONS.
+    quota = _SIGNAL_IMPRESSIONS * k + 1
+    records = [
+        collect_round_clicks(
+            user, tables["known"][user.id], displays, quota, _SIGNAL_IMPRESSIONS, user.rng_stream
+        )
+        for user in users
+    ]
+    drawn = round_impressions(np.arange(len(users)), records, displays)
+    # Every bench query shows k documents.
+    pool = np.array([user.query_pool for user in users])
+    row, slot = np.repeat(pool, k, axis=1), np.tile(np.arange(k), pool.shape)
+    doc = displays.docs[row, slot]
+    unweighted = _gradients(train, weights, row.ravel(), doc.ravel(), np.ones(doc.size))
+    rated = displays.click_rates[row, slot][..., None] * unweighted.reshape(*row.shape, -1)
+    part = _part(train, row, doc)
+    target = np.stack([np.sum(rated * (part == p)[..., None], axis=1) for p in (0, 1)])
+    target /= pool.shape[1]
+    errors = {}
+    for name, table in tables.items():
+        clicks = round_clicks(drawn, table)
+        # A user's clicks on one document share its propensity, so each
+        # distinct click's gradient is taken once and counted per click.
+        _, first, count = np.unique(
+            np.stack([clicks.client, clicks.row, clicks.doc]),
+            axis=1, return_index=True, return_counts=True,
+        )
+        row, doc = clicks.row[first], clicks.doc[first]
+        weighted = _gradients(train, weights, row, doc, clicks.propensity[first])
+        total = np.zeros_like(target)
+        at = (_part(train, row, doc), clicks.client[first])
+        np.add.at(total, at, count[:, None] * weighted)
+        total /= _SIGNAL_IMPRESSIONS
+        whole = np.linalg.norm(total.sum(0) - target.sum(0)) / np.linalg.norm(target.sum(0))
+        noise = np.linalg.norm(total[1] - target[1]) / np.linalg.norm(target[1])
+        errors[name] = (float(whole), float(noise))
+    return errors
+
+
+def _signal_check(train, displays, gamma, seed):
+    """_signal_errors of the known and the ones table for three users with
+    gamma_s of gamma - 0.25, gamma and gamma + 0.25, at a model drawn from
+    the seed."""
+    rng = np.random.default_rng(seed)
+    weights = rng.normal(scale=0.5, size=train.feature_dim)
+    users = [
+        UserState(
+            id=uid,
+            gamma_s=gamma + offset,
+            query_pool=tuple(rng.integers(train.n_queries, size=_SIGNAL_POOL).tolist()),
+            rng_stream=np.random.default_rng([seed, uid]),
+        )
+        for uid, offset in enumerate((-0.25, 0.0, 0.25))
+    ]
+    positions = np.arange(1, displays.docs.shape[1] + 1)
+    known = np.stack([examination_prob(positions, user.gamma_s) for user in users])
+    tables = {"known": known, "ones": np.ones_like(known)}
+    return _signal_errors(train, displays, users, tables, weights)
+
+
+def test_ips_weighted_click_gradient_is_unbiased(bench):
+    # Joachims et al. (WSDM 2017): weighting a click's gradient by 1 /
+    # examination makes its expectation independent of position bias. The
+    # chain checked is the simulator's own: collect_round_clicks draws,
+    # round_clicks weights, hinge_gradients differentiates.
+    train, _ = bench
+    displays = display_top_k(train_logging_policy(train, 0.01, seed=0), train, 5)
+    ones = []
+    for gamma, (bound, noise_bound, floor) in _SIGNAL_BOUNDS.items():
+        errors = _signal_check(train, displays, gamma, seed=0)
+        assert errors["known"][0] <= bound, (gamma, errors)
+        assert errors["known"][1] <= noise_bound, (gamma, errors)
+        assert errors["ones"][0] >= floor, (gamma, errors)
+        ones.append(errors["ones"][0])
+    # Unweighted clicks miss the target by more the stronger the bias.
+    assert ones[0] < ones[1] < ones[2], ones
