@@ -199,6 +199,21 @@ def _workers_from_env() -> int:
     return value
 
 
+# The (train, test) corpus of a sweep's worker process.
+_corpus: tuple[Dataset, Dataset] | None = None
+
+
+def _keep_corpus(train: Dataset, test: Dataset) -> None:
+    """Start a sweep's worker process: keep the corpus its runs share."""
+    global _corpus
+    _corpus = (train, test)
+
+
+def _run_on_corpus(cfg: FederationConfig) -> list[RoundMetrics]:
+    """One run of a sweep's worker process, on the corpus it keeps."""
+    return run_experiment(cfg, *_corpus)
+
+
 def run(spec: ExperimentSpec, workers: int = 1) -> int:
     """Execute every (sweep point, repeat) run, write each run's CSV as
     soon as it finishes and one manifest per sweep point, and print a
@@ -249,10 +264,11 @@ def run(spec: ExperimentSpec, workers: int = 1) -> int:
         if workers > 1 and len(jobs) > 1:
             # Imported here, as a serial run never needs its resident memory.
             from concurrent.futures import ProcessPoolExecutor, as_completed
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(run_experiment, cfg, train, test): name for name, cfg in jobs
-                }
+            # Each worker gets the corpus once, when it starts.
+            with ProcessPoolExecutor(
+                max_workers=workers, initializer=_keep_corpus, initargs=(train, test)
+            ) as pool:
+                futures = {pool.submit(_run_on_corpus, cfg): name for name, cfg in jobs}
                 for future in as_completed(futures):
                     finish(futures[future], future.result)
         else:

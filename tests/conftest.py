@@ -3,10 +3,13 @@ synthetic benchmark used by the acceptance suite."""
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 import numpy as np
 
+from fedltr import dataset as dataset_module
 from fedltr.dataset import (
     Dataset,
     Query,
@@ -53,3 +56,18 @@ def ragged() -> Dataset:
         for i, n in enumerate(lengths)
     )
     return Dataset(queries=queries, feature_dim=6)
+
+
+@pytest.fixture
+def range_counts(monkeypatch):
+    """Iterate over it to have `load_svmlight` split each file into 1, 2, 3
+    and then 4 byte ranges, as its lines allow: a range may be one byte
+    long, and the process may run on as many processors as ranges wanted."""
+
+    def counts():
+        monkeypatch.setattr(dataset_module, "_RANGE_BYTES", 1)
+        for n in (1, 2, 3, 4):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+            yield n
+
+    return counts()

@@ -11,7 +11,7 @@ import pytest
 import fedltr
 from fedltr import cli
 from fedltr.cli import WORKERS_ENV, derive_seed, main, parse_spec
-from fedltr.dataset import generate_synthetic, load_svmlight
+from fedltr.dataset import Dataset, generate_synthetic, load_svmlight
 
 
 _SYNTHETIC = {"queries": 120, "docs_per_query": 10, "feature_dim": 12, "seed": 3}
@@ -574,13 +574,29 @@ class TestMain:
         monkeypatch.setenv(WORKERS_ENV, "2")
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "pooled")]) == 0
-        assert started == [{"max_workers": 2}]
+        assert [kwargs["max_workers"] for kwargs in started] == [2]
         names = sorted(p.name for p in (tmp_path / "serial").iterdir())
         assert len([n for n in names if n.endswith(".csv")]) == 2
         assert names == sorted(p.name for p in (tmp_path / "pooled").iterdir())
         for name in names:
             serial = (tmp_path / "serial" / name).read_bytes()
             assert serial == (tmp_path / "pooled" / name).read_bytes(), name
+
+    def test_a_sweep_ships_the_corpus_once_per_worker(self, tmp_path, monkeypatch):
+        # Four runs on two workers: each worker gets the train and the test
+        # part once, whatever the start method, and each job its config only.
+        pickled = []
+
+        def getstate(dataset):
+            pickled.append(dataset.n_queries)
+            return vars(dataset)
+
+        monkeypatch.setattr(Dataset, "__getstate__", getstate, raising=False)
+        config = _write_config(tmp_path / "spec.json", {"sweep": {"m": [2, 3]}, "repeats": 2})
+        monkeypatch.setenv(WORKERS_ENV, "2")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert len(list((tmp_path / "out").glob("run_*.csv"))) == 4
+        assert len(pickled) <= 2 * 2
 
     def test_output_path_of_a_file_exits_two(self, tmp_path, capsys):
         config = _write_config(tmp_path / "spec.json")

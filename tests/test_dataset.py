@@ -1,15 +1,22 @@
 """Dataset loading, preprocessing, synthetic generation, and splitting."""
 
+import multiprocessing
+import os
 import pickle
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fedltr
 from fedltr.baseline import train_lambda_linear
 from fedltr.dataset import (
     Dataset,
     Query,
+    _ranges,
     filter_uniform_queries,
     generate_synthetic,
     load_svmlight,
@@ -43,10 +50,11 @@ class TestLoadSvmlight:
         data = load_svmlight(path)
         assert data.queries[0].features[1, 1] == 0.0
 
-    def test_bad_label_names_line(self, tmp_path):
+    def test_bad_label_names_line(self, tmp_path, range_counts):
         path = _write(tmp_path, "x qid:1 1:0.5\n")
-        with pytest.raises(ValueError, match="line 1"):
-            load_svmlight(path)
+        for _ in range_counts:
+            with pytest.raises(ValueError, match="line 1"):
+                load_svmlight(path)
 
     def test_bad_feature_names_line(self, tmp_path):
         path = _write(tmp_path, "1 qid:1 1:0.5\n2 qid:1 1:oops\n")
@@ -107,10 +115,11 @@ class TestLoadSvmlight:
             ("9223372036854775808:1", "feature index 9223372036854775808 is too large"),
         ],
     )
-    def test_malformed_token_names_line(self, tmp_path, token, message):
+    def test_malformed_token_names_line(self, tmp_path, token, message, range_counts):
         path = _write(tmp_path, f"1 qid:1 1:0.5\n2 qid:1 1:0.25 {token} 3:0.5\n")
-        with pytest.raises(ValueError, match=f"^line 2: {message}$"):
-            load_svmlight(path)
+        for _ in range_counts:
+            with pytest.raises(ValueError, match=f"^line 2: {message}$"):
+                load_svmlight(path)
 
     @pytest.mark.parametrize(
         "line, message",
@@ -120,21 +129,98 @@ class TestLoadSvmlight:
             ("1 qid:x 1:0.5", "bad qid 'qid:x'"),
         ],
     )
-    def test_malformed_qid_field_names_line(self, tmp_path, line, message):
+    def test_malformed_qid_field_names_line(self, tmp_path, line, message, range_counts):
         path = _write(tmp_path, f"1 qid:1 1:0.5\n{line}\n")
-        with pytest.raises(ValueError, match=f"^line 2: {re.escape(message)}$"):
-            load_svmlight(path)
+        for _ in range_counts:
+            with pytest.raises(ValueError, match=f"^line 2: {re.escape(message)}$"):
+                load_svmlight(path)
 
-    def test_qid_beyond_64_bits_names_line(self, tmp_path):
+    def test_qid_beyond_64_bits_names_line(self, tmp_path, range_counts):
         path = _write(tmp_path, "1 qid:1 1:0.5\n2 qid:9223372036854775808 1:0.5\n")
-        with pytest.raises(ValueError, match="line 2: qid 9223372036854775808 is too large"):
-            load_svmlight(path)
+        for _ in range_counts:
+            with pytest.raises(ValueError, match="line 2: qid 9223372036854775808 is too large"):
+                load_svmlight(path)
 
-    def test_first_bad_line_is_reported(self, tmp_path):
+    def test_first_bad_line_is_reported(self, tmp_path, range_counts):
         # An earlier line's non-finite value wins over a later line's bad label.
         path = _write(tmp_path, "1 qid:1 1:0.5\n1 qid:1 1:nan\nx qid:1 1:0.5\n")
-        with pytest.raises(ValueError, match="line 2: non-finite"):
-            load_svmlight(path)
+        for _ in range_counts:
+            with pytest.raises(ValueError, match="line 2: non-finite"):
+                load_svmlight(path)
+
+    def test_bad_line_in_a_later_range_names_its_line_in_the_file(self, tmp_path, range_counts):
+        # Lone-CR and CRLF line ends before the bad line count as a text-mode
+        # file counts them.
+        text = "1 qid:1 1:0.5\r" * 4 + "# é\r\n\r\n" + "1 qid:2 2:0.5\n" * 4 + "0 qid:2 2:x\n"
+        path = tmp_path / "data.txt"
+        path.write_bytes(text.encode("utf-8"))
+        for n in range_counts:
+            with pytest.raises(ValueError, match="^line 11: bad feature '2:x'$"):
+                load_svmlight(str(path))
+        # The last of four ranges holds lines 10 and 11.
+        assert len(_ranges(str(path))) == n == 4
+        assert _ranges(str(path))[-1][0] == len(text.encode()) - len("1 qid:2 2:0.5\n0 qid:2 2:x\n")
+
+    def test_the_earlier_of_two_ranges_with_a_bad_line_wins(self, tmp_path, range_counts):
+        text = "1 qid:1 1:0.5\n" * 3 + "1 qid:1 1:inf\n" + "1 qid:1 1:0.5\n" * 3 + "x qid:1\n"
+        path = _write(tmp_path, text)
+        for n in range_counts:
+            with pytest.raises(ValueError, match="^line 4: non-finite feature '1:inf'$"):
+                load_svmlight(path)
+        # Two lines per range: bad lines 4 and 8 sit in ranges 1 and 3.
+        assert _ranges(path) == [(0, 28), (28, 56), (56, 84), (84, len(text))]
+
+    def test_every_split_into_ranges_gives_the_same_dataset(self, tmp_path, range_counts):
+        # Interleaved queries, so each spans every cut; repeated and falling
+        # indices; the widest index in a later range only.
+        lines = ["# corpus: naïve café ✓", ""]
+        for i in range(30):
+            extra = " 12:1.25" if i == 25 else ""
+            lines.append(f"{i % 5} qid:{(5, 9, 7)[i % 3]} {1 + i % 4}:{i / 8} 3:-{i} 3:{i}.5{extra}")
+            if i % 7 == 3:
+                lines += ["   ", f"# doc {i}: é"]
+        text = "".join(line + ("\n", "\r\n", "\r")[k % 3] for k, line in enumerate(lines))
+        path = tmp_path / "data.txt"
+        path.write_bytes(text.encode("utf-8"))
+        unix = tmp_path / "unix.txt"
+        unix.write_bytes(text.replace("\r\n", "\n").replace("\r", "\n").encode("utf-8"))
+        want = load_svmlight(str(unix))
+        assert want.n_queries == 3 and want.features.shape == (30, 12)
+        raw = path.read_bytes()
+        for n in range_counts:
+            data = load_svmlight(str(path))
+            assert len(_ranges(str(path))) == n
+            for start, _ in _ranges(str(path))[1:]:
+                assert b"qid:5" in raw[:start] and b"qid:5" in raw[start:]
+            for name in ("features", "labels", "qids", "lengths"):
+                got, expected = getattr(data, name), getattr(want, name)
+                assert got.dtype == expected.dtype and got.shape == expected.shape, name
+                assert got.tobytes() == expected.tobytes(), name
+
+    def test_a_small_file_is_parsed_without_a_pool(self, tmp_path):
+        # Each range holds at least 2 MiB, so this file is one range, parsed
+        # in the calling process without importing concurrent.futures.
+        path = _write(tmp_path, "1 qid:1 1:0.5\n" * 1000)
+        code = (
+            "import sys; from fedltr.dataset import load_svmlight; "
+            "load_svmlight(sys.argv[1]); print('concurrent.futures' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(fedltr.__file__).parent.parent)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, path], env=env, capture_output=True, text=True, check=True
+        )
+        assert proc.stdout == "False\n"
+
+    def test_a_pool_worker_parses_one_range(self, tmp_path, range_counts):
+        # A multiprocessing.Pool worker is daemonic and may not start a pool
+        # of its own. Forked, it sees the forced split.
+        path = _write(tmp_path, "1 qid:1 1:0.5\n0 qid:2 1:0.25\n1 qid:1 1:0.75\n")
+        want = load_svmlight(path)
+        for _ in range_counts:
+            with multiprocessing.get_context("fork").Pool(1) as pool:
+                data = pool.apply(load_svmlight, (path,))
+            assert data.features.tobytes() == want.features.tobytes()
+            np.testing.assert_array_equal(data.qids, [1, 2])
 
     def test_finite_values_whose_sum_overflows_are_kept(self, tmp_path):
         data = load_svmlight(_write(tmp_path, "1 qid:1 1:1e308 2:1e308\n0 qid:1 1:0.5\n"))

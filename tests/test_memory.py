@@ -32,10 +32,12 @@ def test_preparing_a_corpus_holds_at_most_two_copies():
     assert peak <= 2.5 * (train.features.nbytes + test.features.nbytes)
 
 
-def test_loading_a_dense_file_holds_at_most_three_copies(tmp_path):
+def test_loading_a_dense_file_holds_at_most_three_copies(tmp_path, range_counts):
     # The token values, their positions and the dense matrix; no second
-    # token-sized index array.
+    # token-sized index array. With several ranges the workers hold the
+    # tokens, and this process the ranges' dense blocks and the matrix.
     path = str(tmp_path / "dense.txt")
     write_svmlight(generate_synthetic(60, 20, 50, seed=4), path)
-    data, peak = _traced_peak(lambda: load_svmlight(path))
-    assert peak <= 3.5 * data.features.nbytes
+    for n in range_counts:
+        data, peak = _traced_peak(lambda: load_svmlight(path))
+        assert peak <= 3.5 * data.features.nbytes, n

@@ -9,13 +9,15 @@ tree and for this checkout (uncommitted changes included), each in fresh
 processes, it
 - runs perfbench's `one_run` on the workloads known, em and ragged at
   every seed, as `perfbench/run.py` sets them up;
+- loads each seed's ragged file with `load_svmlight` and hashes its four
+  arrays (features, labels, qids and lengths, with their dtypes and shapes);
 - runs criterion 09's spec, this checkout's `tests/criterion_09_spec.json`,
   through `python -m fedltr.cli run`, once with FEDLTR_WORKERS unset and
   once with FEDLTR_WORKERS=2.
 
 It prints one line per comparison: a workload at a seed (weight digest,
-final_ndcg5, clicks and capped clients) or a CLI output directory under
-`diff -r`. The exit status is 0 when every comparison is identical, 1 when
+final_ndcg5, clicks and capped clients), a loaded ragged file (its digest)
+or a CLI output directory under `diff -r`. The exit status is 0 when every comparison is identical, 1 when
 any differs and 2 when a tree cannot be set up or run. It needs git and
 diff, no network, and it changes no file of either tree.
 """
@@ -38,10 +40,12 @@ CRITERION_09_SPEC = ROOT / "tests" / "criterion_09_spec.json"
 # Run from the root of a tree with the seeds as arguments: one perfbench
 # run per workload and seed, printed as one JSON object.
 _ONE_RUNS = """
-import json, sys, tempfile
+import hashlib, json, sys, tempfile
 from pathlib import Path
+import numpy as np
 sys.path.insert(0, "perfbench")
 import workloads
+from fedltr.dataset import load_svmlight
 rows = {}
 with tempfile.TemporaryDirectory() as tmp:
     for seed in map(int, sys.argv[1:]):
@@ -51,6 +55,12 @@ with tempfile.TemporaryDirectory() as tmp:
             if workload.ragged:
                 corpus = Path(tmp) / f"ragged_{seed}.svmlight"
                 workloads.write_ragged_corpus(corpus, workloads.derive_seeds(seed).corpus)
+                data, digest = load_svmlight(str(corpus)), hashlib.sha256()
+                for array in (data.features, data.labels, data.qids, data.lengths):
+                    digest.update(repr((array.dtype.str, array.shape)).encode())
+                    digest.update(np.ascontiguousarray(array).tobytes())
+                rows[f"load_svmlight ragged seed {seed}"] = [digest.hexdigest()]
+                del data
             result, _ = workloads.one_run(workloads.build_spec(workload, seed, corpus, 100))
             rows[f"{name} seed {seed}"] = [
                 result.digest, result.final_ndcg5, result.total_clicks, result.capped_clients
@@ -72,7 +82,8 @@ def _run(cmd: list[str], cwd: Path, env: dict | None = None) -> str:
 
 
 def one_runs(tree: Path, seeds: list[int]) -> dict:
-    """Each workload-and-seed's [digest, final_ndcg5, clicks, capped] in `tree`."""
+    """Each workload-and-seed's [digest, final_ndcg5, clicks, capped], and
+    each seed's loaded ragged file's [digest], in `tree`."""
     out = _run([sys.executable, "-c", _ONE_RUNS, *map(str, seeds)], tree)
     return json.loads(out.strip().splitlines()[-1])
 
