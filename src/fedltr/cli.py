@@ -221,8 +221,8 @@ def run(spec: ExperimentSpec, workers: int = 1) -> int:
     exit status. A failed run does not stop the others: the FAILED marker
     names it and its error, and the exit status is 1; a marker left by an
     earlier run into the same directory is removed first. With workers > 1
-    runs are spread over that many processes. An output directory that
-    cannot be made exits 2, as a bad configuration does."""
+    runs are spread over min(workers, runs) processes. An output directory
+    that cannot be made exits 2, as a bad configuration does."""
     out = Path(spec.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -261,7 +261,9 @@ def run(spec: ExperimentSpec, workers: int = 1) -> int:
             _write_csv(out / f"{name}.csv", trace)
             finals[name] = final_ndcg(trace)
 
-        if workers > 1 and len(jobs) > 1:
+        # A fork-started pool starts all of its workers at once, needed or not.
+        workers = min(workers, len(jobs))
+        if workers > 1:
             # Imported here, as a serial run never needs its resident memory.
             from concurrent.futures import ProcessPoolExecutor, as_completed
             # Each worker gets the corpus once, when it starts.

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-import io
 import math
 import os
 from array import array
@@ -179,15 +178,14 @@ def _ranges(path: str) -> list[tuple[int, int]]:
 
 
 def _lines(path: str, start: int, end: int):
-    """The lines of bytes [start, end) of `path`, which ends just after a
-    newline byte or at the end of the file, split as a text-mode file splits
-    them: CRLF, CR and LF each end a line."""
+    """The undecoded lines of bytes [start, end) of `path`, which ends just
+    after a newline byte or at the end of the file, split as a text-mode file
+    splits them: CRLF, CR and LF each end a line."""
     with open(path, "rb") as fh:
         fh.seek(start)
         while start < end and (raw := fh.readline()):
             start += len(raw)
-            text = raw.decode("utf-8")
-            yield from io.StringIO(text, newline=None) if "\r" in text else (text,)
+            yield from raw.splitlines() if b"\r" in raw else (raw,)
 
 
 def _parse_range(path: str, start: int, end: int, first_line: int = 1):
@@ -205,7 +203,10 @@ def _parse_range(path: str, start: int, end: int, first_line: int = 1):
     index, values = array("q"), array("d")
     with contextlib.closing(_lines(path, start, end)) as fh:
         for lineno, raw in enumerate(fh, start=first_line):
-            line = raw.split("#", 1)[0].strip()
+            try:
+                line = raw.decode("utf-8").split("#", 1)[0].strip()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
             if not line:
                 continue
             parts = line.split(None, 2)

@@ -55,13 +55,15 @@ def _length_class(lengths: np.ndarray) -> np.ndarray:
     return np.ceil(np.log2(lengths))
 
 
-def _length_classes(lengths: np.ndarray) -> list:
-    """Indices grouped by length class, or one slice when all share one."""
-    classes = _length_class(lengths)
-    if np.all(classes == classes[:1]):
-        return [slice(None)]
-    order = np.argsort(classes, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(classes[order])) + 1)
+def batches(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The grouping rule of every batched pass: `order` sorts the lines by
+    `keys`, the last primary as in np.lexsort, equal keys in ascending line
+    order, and each run of equal keys starts at one of the positions `first`."""
+    order = np.lexsort(keys)
+    new = np.arange(order.size) == 0
+    for key in keys:
+        new[1:] |= key[order][1:] != key[order][:-1]
+    return order, np.flatnonzero(new)
 
 
 def _hinge_sums(scores: np.ndarray, doc: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -82,12 +84,7 @@ def gradient_groups(corpus: Dataset, clicks: Clicks, visit: np.ndarray, step: np
     doc, clicked, propensity), the arguments of `hinge_gradients` after
     each line's client.
     """
-    if not visit.size:
-        return []
-    classes = _length_class(corpus.lengths[clicks.row[visit]])
-    order = np.lexsort((classes, step))
-    new_group = (np.diff(step[order], prepend=-1) != 0) | (np.diff(classes[order], prepend=-1) != 0)
-    first = np.flatnonzero(new_group)
+    order, first = batches(_length_class(corpus.lengths[clicks.row[visit]]), step)
     size = np.diff(np.append(first, order.size))
     picked = visit[order]
     row, doc = clicks.row[picked], clicks.doc[picked]
@@ -176,7 +173,8 @@ def client_loss(model: LinearRanker, corpus: Dataset, clicks: Clicks) -> np.ndar
     """
     scores = corpus.features @ model.weights
     hinges = np.empty(clicks.row.size)
-    for group in _length_classes(corpus.lengths[clicks.row]):
+    order, first = batches(_length_class(corpus.lengths[clicks.row]))
+    for group in np.split(order, first)[1:]:
         index, valid = corpus.doc_rows(clicks.row[group])
         hinges[group] = _hinge_sums(scores[index], clicks.doc[group], valid)
     # bincount adds each client's terms in click order, as a running sum does.

@@ -9,6 +9,7 @@ import numpy as np
 
 from .clicksim import Impressions
 from .dataset import Dataset
+from .objective import batches
 from .ranker import LinearRanker
 
 # Served examination estimates never drop below FLOOR: a click's hinge
@@ -108,18 +109,6 @@ def em_e_step(clicks, theta, rel_prob) -> tuple[np.ndarray, np.ndarray]:
     return p_exam, p_rel
 
 
-def _by_length(length: np.ndarray) -> list:
-    """(n, indices) for every distinct record length n, indices ascending;
-    one slice when all lengths are equal. A stacked np.matmul over records
-    of one length computes each record's product on its own, exactly as
-    one record's `features @ w` does. Records are never zero-padded to a
-    common length: a padded product sums its terms in another order and
-    changes `features @ w` in its last bits."""
-    if np.all(length == length[:1]):
-        return [(int(length[0]), slice(None))] if length.size else []
-    return [(int(n), np.flatnonzero(length == n)) for n in np.unique(length)]
-
-
 def _features(corpus: Dataset, impressions: Impressions, records, n: int) -> np.ndarray:
     """(records, n, F): the features of the n documents each record showed."""
     first = corpus.offsets[impressions.row[records]]
@@ -146,7 +135,12 @@ def em_m_step_local(
         raise ValueError("record longer than the estimator's position range")
     p_exam = np.zeros((impressions.client.size, k))
     targets = np.zeros_like(p_exam)
-    for n, group in _by_length(impressions.length):
+    # Records are grouped by exact length, never zero-padded: a padded
+    # np.matmul sums its terms in another order and changes `features @ w` in
+    # its last bits, where one length's stacked product equals each record's.
+    order, first = batches(impressions.length)
+    for group in np.split(order, first)[1:]:
+        n = int(impressions.length[group[0]])
         # Clipping keeps the relevance prior inside em_e_step's range.
         rel = _sigmoid(np.matmul(_features(corpus, impressions, group, n), weights))
         rel = np.clip(rel, 1e-6, 1.0 - 1e-6)
@@ -174,22 +168,21 @@ def fit_relevance(
     the fitted weights, one row per client.
 
     Each record is one batched step, in record order. Clients are
-    independent, so they run in lockstep: step t of every client that has a
-    t-th record is one batched step, split by record length.
+    independent, so they run in lockstep, planned once: one sort by (step,
+    record length) makes each step's records of one length one batch.
     """
-    counts = np.bincount(impressions.client, minlength=impressions.users.size)
-    first = np.cumsum(counts) - counts
+    client, length = impressions.client, impressions.length
+    counts = np.bincount(client, minlength=impressions.users.size)
+    step = np.arange(client.size) - (np.cumsum(counts) - counts)[client]
+    order, first = batches(length, step)
     fitted = np.tile(weights, (counts.size, 1))
-    for t in range(counts.max(initial=0)):
-        stepping = np.flatnonzero(counts > t)
-        records = first[stepping] + t
-        for n, group in _by_length(impressions.length[records]):
-            clients, step = stepping[group], records[group]
-            features = _features(corpus, impressions, step, n)
-            pred = _sigmoid(np.matmul(features, fitted[clients][:, :, None])[:, :, 0])
-            residual = (pred - targets[step, :n]) * pred * (1.0 - pred)
-            gradient = np.matmul(features.transpose(0, 2, 1), residual[:, :, None])[:, :, 0]
-            fitted[clients] -= FIT_LR * 2.0 * gradient / n
+    for records in np.split(order, first)[1:]:
+        n, clients = int(length[records[0]]), client[records]
+        features = _features(corpus, impressions, records, n)
+        pred = _sigmoid(np.matmul(features, fitted[clients][:, :, None])[:, :, 0])
+        residual = (pred - targets[records, :n]) * pred * (1.0 - pred)
+        gradient = np.matmul(features.transpose(0, 2, 1), residual[:, :, None])[:, :, 0]
+        fitted[clients] -= FIT_LR * 2.0 * gradient / n
     return fitted
 
 

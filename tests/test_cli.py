@@ -582,6 +582,25 @@ class TestMain:
             serial = (tmp_path / "serial" / name).read_bytes()
             assert serial == (tmp_path / "pooled" / name).read_bytes(), name
 
+    def test_a_sweep_starts_no_more_workers_than_runs(self, tmp_path, monkeypatch):
+        # A fork-started pool starts all of its workers at once, and each
+        # receives the corpus: two runs once started four. Threads stand in
+        # for the processes here.
+        built = []
+
+        class Pool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, **kwargs):
+                built.append(kwargs["max_workers"])
+                super().__init__(**kwargs)
+
+        config = _write_config(tmp_path / "spec.json", {"sweep": {"m": [2, 3]}, "repeats": 1})
+        monkeypatch.setenv(WORKERS_ENV, "4")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(cli, "_corpus", None)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert built == [2]
+        assert len(list((tmp_path / "out").glob("run_*.csv"))) == 2
+
     def test_a_sweep_ships_the_corpus_once_per_worker(self, tmp_path, monkeypatch):
         # Four runs on two workers: each worker gets the train and the test
         # part once, whatever the start method, and each job its config only.

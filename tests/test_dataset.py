@@ -161,6 +161,18 @@ class TestLoadSvmlight:
         assert len(_ranges(str(path))) == n == 4
         assert _ranges(str(path))[-1][0] == len(text.encode()) - len("1 qid:2 2:0.5\n0 qid:2 2:x\n")
 
+    def test_non_utf8_byte_names_its_line_in_the_file(self, tmp_path, range_counts):
+        # The decoder's own error names a position within the line only.
+        raw = b"1 qid:1 1:0.5\r" * 3 + b"1 qid:1 1:0.5\r\n" * 3 + b"0 qid:1 1:0.\xff\n"
+        path = tmp_path / "data.txt"
+        path.write_bytes(raw)
+        message = "^line 7: 'utf-8' codec can't decode byte 0xff in position 12"
+        for n in range_counts:
+            with pytest.raises(ValueError, match=message):
+                load_svmlight(str(path))
+        # The last range starts at the bad line.
+        assert n == 4 and _ranges(str(path))[-1] == (raw.index(b"0 qid"), len(raw))
+
     def test_the_earlier_of_two_ranges_with_a_bad_line_wins(self, tmp_path, range_counts):
         text = "1 qid:1 1:0.5\n" * 3 + "1 qid:1 1:inf\n" + "1 qid:1 1:0.5\n" * 3 + "x qid:1\n"
         path = _write(tmp_path, text)

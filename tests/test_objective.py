@@ -16,6 +16,7 @@ from fedltr.dataset import Dataset, Query
 from fedltr.metrics import RELEVANCE_THRESHOLD
 from fedltr.objective import (
     Clicks,
+    batches,
     click_gradient,
     client_loss,
     hinge_gradients,
@@ -36,6 +37,36 @@ def _query(features, labels=None, qid=1):
 def _record(query, clicks):
     # The tests' datasets hold queries 1, 2, ... in qid order: qid q is row q - 1.
     return ClickRecord(row=query.qid - 1, clicks=np.asarray(clicks, dtype=bool))
+
+
+class TestBatches:
+    def test_last_key_is_primary_and_equal_keys_keep_line_order(self):
+        minor, major = np.array([1, 0, 1, 0, 1]), np.array([2, 2, 1, 1, 2])
+        order, first = batches(minor, major)
+        np.testing.assert_array_equal(order, [3, 2, 1, 0, 4])
+        np.testing.assert_array_equal(first, [0, 1, 2, 3])
+        runs = np.split(order, first)[1:]
+        assert [run.tolist() for run in runs] == [[3], [2], [1], [0, 4]]
+
+    def test_first_marks_the_start_of_every_run(self):
+        rng = np.random.default_rng(0)
+        minor, major = rng.integers(0, 3, 60), rng.integers(0, 4, 60).astype(np.float64)
+        order, first = batches(minor, major)
+        keys = [(major[i], minor[i]) for i in range(60)]
+        want = sorted(range(60), key=lambda i: (keys[i], i))
+        np.testing.assert_array_equal(order, want)
+        starts = [p for p in range(60) if p == 0 or keys[want[p]] != keys[want[p - 1]]]
+        np.testing.assert_array_equal(first, starts)
+
+    def test_equal_keys_are_one_run(self):
+        order, first = batches(np.full(4, 3))
+        np.testing.assert_array_equal(order, np.arange(4))
+        np.testing.assert_array_equal(first, [0])
+
+    def test_empty_input_gives_no_run(self):
+        order, first = batches(np.zeros(0), np.zeros(0, dtype=np.int64))
+        assert order.size == 0 and first.size == 0
+        assert np.split(order, first)[1:] == []
 
 
 class TestHingeSum:
