@@ -49,8 +49,7 @@ class Dataset:
     offsets[r] + lengths[r] - 1 of `features` and `labels`, in document
     order. No query is padded and every query has a document. Reading
     `queries` builds one Query per query, its arrays views into the flat
-    ones; nothing keeps them. `ideal_dcg` holds each query's ideal DCG@k
-    per k once metrics has computed it.
+    ones; nothing keeps them.
     """
 
     def __init__(self, queries: Sequence[Query], feature_dim: int) -> None:
@@ -61,7 +60,6 @@ class Dataset:
         self.labels = np.concatenate([np.zeros(0, dtype=np.int64)] + [q.labels for q in queries])
         self.qids = np.array([q.qid for q in queries], dtype=np.int64)
         self.lengths = np.array([q.n_docs for q in queries], dtype=np.int64)
-        self.ideal_dcg: dict[int, np.ndarray] = {}
 
     @classmethod
     def from_arrays(
@@ -69,9 +67,7 @@ class Dataset:
     ) -> Dataset:
         """A dataset of flat arrays laid out as the class describes."""
         dataset = cls.__new__(cls)
-        dataset.__dict__.update(
-            features=features, labels=labels, qids=qids, lengths=lengths, ideal_dcg={}
-        )
+        dataset.__dict__.update(features=features, labels=labels, qids=qids, lengths=lengths)
         return dataset
 
     @property

@@ -185,7 +185,7 @@ def init_state(
     if cfg.mode == "fedips" and cfg.propensity_mode == "estimated":
         em = EmEstimatorState(
             relevance_model=LinearRanker.zeros(train.feature_dim),
-            k=cfg.k,
+            k=positions.size,
             num_users=cfg.num_users,
         )
     return ExperimentState(

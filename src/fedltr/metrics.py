@@ -46,16 +46,13 @@ def dcg_at_k(labels_in_rank_order: np.ndarray, k: int) -> float:
 
 def _dcgs(weights: np.ndarray, dataset: Dataset, k: int) -> tuple[np.ndarray, np.ndarray]:
     """DCG@k of every query of a dataset under the weights, and its ideal
-    DCG@k, computed once per dataset and k."""
+    DCG@k."""
     if k < 1:
         raise ValueError("k must be >= 1")
     lengths = np.minimum(dataset.lengths, k)
     labels = dataset.padded(dataset.labels.astype(np.float64), -np.inf)
     actual = _dcg(np.take_along_axis(labels, top_k(weights, dataset, k), axis=1), lengths)
-    ideal = dataset.ideal_dcg.get(k)
-    if ideal is None:
-        ideal = dataset.ideal_dcg[k] = _dcg(-np.sort(-labels, axis=1)[:, :k], lengths)
-    return actual, ideal
+    return actual, _dcg(-np.sort(-labels, axis=1)[:, :k], lengths)
 
 
 def ndcg_at_k(ranker: LinearRanker, query: Query, k: int) -> float:

@@ -109,81 +109,63 @@ def em_e_step(clicks, theta, rel_prob) -> tuple[np.ndarray, np.ndarray]:
     return p_exam, p_rel
 
 
-def _features(corpus: Dataset, impressions: Impressions, records, n: int) -> np.ndarray:
-    """(records, n, F): the features of the n documents each record showed."""
-    first = corpus.offsets[impressions.row[records]]
-    return corpus.features[first[:, None] + impressions.docs[records, :n]]
-
-
-def em_m_step_local(
+def local_em(
     corpus: Dataset,
     impressions: Impressions,
     theta_prior: np.ndarray,
     weights: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One local EM pass of every client over its records: the E-step under
-    client i's prior theta_prior[i] and the relevance model `weights`.
+    """One local EM pass of every client over its records, from the
+    broadcast relevance model `weights`: the E-step under client i's prior
+    theta_prior[i], then a squared-error SGD pass of sigmoid(F(x)) toward
+    the records' relevance posteriors, one batched step per record.
 
-    Returns the regression targets, one row of posterior relevance per
-    record (zero past its length), and each client's per-position sums of
-    examination posteriors and impression counts, added in record order.
+    Returns the fitted weights, one row per client, and each client's
+    per-position sums of examination posteriors and impression counts,
+    added in record order. Clients are independent, so their SGD passes run
+    in lockstep, planned once: one sort by (step, record length) makes each
+    step's records of one length one batch.
     """
-    if impressions.client.size == 0:
+    client, length = impressions.client, impressions.length
+    if client.size == 0:
         raise ValueError("records must be nonempty")
     n_clients, k = theta_prior.shape
-    if impressions.length.max() > k:
+    if length.max() > k:
         raise ValueError("record longer than the estimator's position range")
-    p_exam = np.zeros((impressions.client.size, k))
+    # Flat rows of the displayed documents. Both passes group records by
+    # exact length, never zero-padded: a padded np.matmul sums its terms in
+    # another order and changes `features @ w` in its last bits, where one
+    # length's stacked product equals each record's.
+    doc_rows = corpus.offsets[impressions.row][:, None] + impressions.docs
+    p_exam = np.zeros((client.size, k))
     targets = np.zeros_like(p_exam)
-    # Records are grouped by exact length, never zero-padded: a padded
-    # np.matmul sums its terms in another order and changes `features @ w` in
-    # its last bits, where one length's stacked product equals each record's.
-    order, first = batches(impressions.length)
+    order, first = batches(length)
     for group in np.split(order, first)[1:]:
-        n = int(impressions.length[group[0]])
+        n = int(length[group[0]])
         # Clipping keeps the relevance prior inside em_e_step's range.
-        rel = _sigmoid(np.matmul(_features(corpus, impressions, group, n), weights))
+        rel = _sigmoid(np.matmul(corpus.features[doc_rows[group, :n]], weights))
         rel = np.clip(rel, 1e-6, 1.0 - 1e-6)
-        prior = theta_prior[impressions.client[group], :n]
         p_exam[group, :n], targets[group, :n] = em_e_step(
-            impressions.clicked[group, :n], prior, rel
+            impressions.clicked[group, :n], theta_prior[client[group], :n], rel
         )
-    shown = np.arange(k) < impressions.length[:, None]
-    slot = (impressions.client[:, None] * k + np.arange(k))[shown]
+    shown = np.arange(k) < length[:, None]
+    slot = (client[:, None] * k + np.arange(k))[shown]
     # bincount adds each client's posteriors in record order, as a running
     # sum does.
     exam_sum = np.bincount(slot, weights=p_exam[shown], minlength=n_clients * k)
     exam_count = np.bincount(slot, minlength=n_clients * k).astype(np.float64)
-    return targets, exam_sum.reshape(n_clients, k), exam_count.reshape(n_clients, k)
-
-
-def fit_relevance(
-    corpus: Dataset,
-    impressions: Impressions,
-    targets: np.ndarray,
-    weights: np.ndarray,
-) -> np.ndarray:
-    """Every client's squared-error SGD pass of sigmoid(F(x)) toward its
-    records' relevance posteriors, from the broadcast `weights`; returns
-    the fitted weights, one row per client.
-
-    Each record is one batched step, in record order. Clients are
-    independent, so they run in lockstep, planned once: one sort by (step,
-    record length) makes each step's records of one length one batch.
-    """
-    client, length = impressions.client, impressions.length
-    counts = np.bincount(client, minlength=impressions.users.size)
+    counts = np.bincount(client, minlength=n_clients)
     step = np.arange(client.size) - (np.cumsum(counts) - counts)[client]
     order, first = batches(length, step)
-    fitted = np.tile(weights, (counts.size, 1))
+    fitted = np.tile(weights, (n_clients, 1))
     for records in np.split(order, first)[1:]:
         n, clients = int(length[records[0]]), client[records]
-        features = _features(corpus, impressions, records, n)
+        features = corpus.features[doc_rows[records, :n]]
         pred = _sigmoid(np.matmul(features, fitted[clients][:, :, None])[:, :, 0])
         residual = (pred - targets[records, :n]) * pred * (1.0 - pred)
         gradient = np.matmul(features.transpose(0, 2, 1), residual[:, :, None])[:, :, 0]
         fitted[clients] -= FIT_LR * 2.0 * gradient / n
-    return fitted
+    return fitted, exam_sum.reshape(n_clients, k), exam_count.reshape(n_clients, k)
 
 
 def federated_em_round(
@@ -206,8 +188,7 @@ def federated_em_round(
     broadcast = state.relevance_model.weights
     returning = state.participations[users] > 0
     prior = np.where(returning[:, None], state.theta[users], state.initial_theta())
-    targets, exam_sum, exam_count = em_m_step_local(corpus, impressions, prior, broadcast)
-    fitted = fit_relevance(corpus, impressions, targets, broadcast)
+    fitted, exam_sum, exam_count = local_em(corpus, impressions, prior, broadcast)
     active = np.bincount(impressions.client, minlength=users.size) > 0
     uids = users[active]
     state.relevance_model = LinearRanker(

@@ -379,6 +379,25 @@ class TestInitState:
         assert est.em is not None
         assert est.em.k == 3
 
+    def test_em_tables_are_as_wide_as_the_display(self, small_split):
+        # With k above the longest training query, the display decides the
+        # one width of every (user x position) table, and the run equals the
+        # run at k equal to that width.
+        train, test = small_split
+        width = int(train.lengths.max())
+        traces = []
+        for k in (width + 7, width):
+            cfg = _small_cfg(k=k, propensity_mode="estimated")
+            state = init_state(cfg, train, test)
+            assert state.displays.docs.shape[1] == width
+            assert state.em.theta.shape == state.examination.shape
+            trace = []
+            for _ in range(3):
+                state, metrics = run_round(state, cfg)
+                trace.append(metrics)
+            traces.append(trace)
+        assert traces[0] == traces[1]
+
     def test_examination_table_holds_each_users_curve(self, small_split):
         train, test = small_split
         state = init_state(_small_cfg(), train, test)

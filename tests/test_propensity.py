@@ -22,10 +22,9 @@ from fedltr.propensity import (
     POOLING,
     EmEstimatorState,
     em_e_step,
-    em_m_step_local,
     estimated_propensity,
     federated_em_round,
-    fit_relevance,
+    local_em,
 )
 from fedltr.ranker import LinearRanker
 
@@ -149,25 +148,25 @@ class TestEmEStep:
             em_e_step([False], [0.5], [1.0])
 
     def test_m_step_posteriors_match_e_step(self):
-        # The local M-step's regression targets are em_e_step's relevance
-        # posteriors under the clipped sigmoid prior, bit for bit.
+        # A one-record local pass sums exactly that record's examination
+        # posteriors: em_e_step's under the clipped sigmoid prior, bit for bit.
         rng, rel, query = _exact_prior_setup(seed=4)
-        impressions = _impressions({0: _pbm_records(rng, 20, rel)})
         theta_prev = np.array([1.0, 0.6, 0.45, 0.3, 0.2])
         weights = np.ones(1)
-        targets, _, _ = em_m_step_local(_corpus(query), impressions, theta_prev[None], weights)
-        for r in range(20):
-            features = query.features[impressions.docs[r]]
+        for displayed, clicks in _pbm_records(rng, 20, rel):
+            impressions = _impressions({0: [(displayed, clicks)]})
+            _, exam_sum, _ = local_em(_corpus(query), impressions, theta_prev[None], weights)
+            features = query.features[displayed]
             prior = np.clip(1.0 / (1.0 + np.exp(-features @ weights)), 1e-6, 1.0 - 1e-6)
-            _, expected = em_e_step(impressions.clicked[r], theta_prev, prior)
-            np.testing.assert_array_equal(targets[r], expected)
+            expected, _ = em_e_step(clicks, theta_prev, prior)
+            np.testing.assert_array_equal(exam_sum[0], expected)
 
 
 class TestEmMStepLocal:
     def test_all_clicked_positions_estimate_one(self):
         _, rel, query = _exact_prior_setup(seed=1, n_docs=4)
         impressions = _impressions({0: [(np.arange(3), np.ones(3, dtype=bool))]}, k=3)
-        _, exam_sum, exam_count = em_m_step_local(
+        _, exam_sum, exam_count = local_em(
             _corpus(query), impressions, np.array([[1.0, 0.5, 0.5]]), np.ones(1)
         )
         np.testing.assert_allclose(exam_sum / exam_count, [[1.0, 1.0, 1.0]])
@@ -175,7 +174,7 @@ class TestEmMStepLocal:
     def test_empty_records_error(self):
         _, rel, query = _exact_prior_setup(seed=2, n_docs=3)
         with pytest.raises(ValueError, match="nonempty"):
-            em_m_step_local(
+            local_em(
                 _corpus(query), _impressions({0: []}, k=2), np.array([[1.0, 0.5]]), np.ones(1)
             )
 
@@ -183,20 +182,25 @@ class TestEmMStepLocal:
         _, rel, query = _exact_prior_setup(seed=3, n_docs=5)
         impressions = _impressions({0: [(np.arange(3), np.zeros(3, dtype=bool))]}, k=3)
         with pytest.raises(ValueError, match="longer"):
-            em_m_step_local(_corpus(query), impressions, np.array([[1.0, 0.5]]), np.ones(1))
+            local_em(_corpus(query), impressions, np.array([[1.0, 0.5]]), np.ones(1))
 
     def test_fixed_point_recovers_inverse_rank_curve(self):
         # With the relevance prior exact, iterating the local EM step to its
         # fixed point on pure position-model clicks must recover the user's
         # true (1/position) examination curve.
         rng, rel, query = _exact_prior_setup(seed=5)
-        impressions = _impressions({0: _pbm_records(rng, 4000, rel)})
+        # One record per client under one shared prior: the E-step is the
+        # same, and the relevance fit, unread here, is one batched step.
+        records = _pbm_records(rng, 4000, rel)
+        impressions = _impressions({uid: [record] for uid, record in enumerate(records)})
         corpus = _corpus(query)
         state = EmEstimatorState(relevance_model=LinearRanker(np.ones(1)), k=5, num_users=50)
         theta = state.initial_theta()
         for _ in range(60):
-            _, exam_sum, exam_count = em_m_step_local(corpus, impressions, theta[None], np.ones(1))
-            theta = exam_sum[0] / exam_count[0]
+            _, exam_sum, exam_count = local_em(
+                corpus, impressions, np.tile(theta, (len(records), 1)), np.ones(1)
+            )
+            theta = exam_sum.sum(axis=0) / exam_count.sum(axis=0)
         truth = 1.0 / np.arange(1, 6, dtype=np.float64)
         assert np.all(np.diff(theta) < 0)
         assert np.max(np.abs(theta - truth)) <= 0.05
@@ -209,8 +213,8 @@ class TestFederatedEmRound:
         corpus = _corpus(query)
         state = EmEstimatorState(relevance_model=LinearRanker.zeros(1), k=5, num_users=50)
         broadcast = state.relevance_model.weights.copy()
-        targets, _, _ = em_m_step_local(corpus, impressions, state.initial_theta()[None], broadcast)
-        expected = fit_relevance(corpus, impressions, targets, broadcast)[0]
+        fitted, _, _ = local_em(corpus, impressions, state.initial_theta()[None], broadcast)
+        expected = fitted[0]
         state = federated_em_round(state, impressions, corpus)
         np.testing.assert_array_equal(state.relevance_model.weights, expected)
 
@@ -225,7 +229,7 @@ class TestFederatedEmRound:
         for round_i in range(3):
             impressions = _impressions({0: _pbm_records(rng, 4, rel)})
             prior = state.theta[0] if round_i else state.initial_theta()
-            _, exam_sum, exam_count = em_m_step_local(
+            _, exam_sum, exam_count = local_em(
                 corpus, impressions, prior[None], state.relevance_model.weights
             )
             total_sum += exam_sum[0]
