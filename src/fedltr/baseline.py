@@ -27,7 +27,7 @@ def lambda_gradient(model: LinearRanker, query: Query) -> np.ndarray:
     """
     labels = query.labels
     scores = query.features @ model.weights
-    positions = rank(model, query).positions.astype(np.float64)
+    positions = rank(model, query).astype(np.float64)
     gains = 2.0 ** labels.astype(np.float64) - 1.0
     discounts = np.where(positions <= NDCG_K, DCG(positions), 0.0)
     ideal = dcg_at_k(np.sort(labels)[::-1], NDCG_K)

@@ -13,7 +13,11 @@ from .ranker import LinearRanker, top_k
 
 # Probability that an examined non-relevant document is clicked anyway.
 NOISE_CLICK_RATE = 0.1
-# Step size of the logging ranker's pairwise hinge SGD.
+# The logging ranker trains on this fraction of the training queries, the
+# paper's 1 %, for LOGGING_EPOCHS passes of pairwise hinge SGD at step size
+# LOGGING_LR.
+LOGGING_FRACTION = 0.01
+LOGGING_EPOCHS = 30
 LOGGING_LR = 0.1
 
 
@@ -130,7 +134,7 @@ def display_top_k(policy: LinearRanker, dataset: Dataset, k: int) -> Displays:
 
 
 def train_logging_policy(
-    train: Dataset, sample_fraction: float, seed: int, epochs: int = 30
+    train: Dataset, sample_fraction: float, seed: int, epochs: int = LOGGING_EPOCHS
 ) -> LinearRanker:
     """Train the logging ranker on a small uniform sample of queries.
 

@@ -9,6 +9,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .clicksim import (
+    LOGGING_EPOCHS,
+    LOGGING_FRACTION,
     Displays,
     UserState,
     collect_round_clicks,
@@ -30,12 +32,23 @@ PROPENSITY_MODES = ("known", "estimated")
 # A client's impressions per round are capped at this many times its click
 # quota m.
 MAX_IMPRESSIONS_FACTOR = 50
+# The training-set rows in each user's fixed query pool.
+QUERIES_PER_USER = 5
+# The spawn key of every random stream. The first three are children of a
+# run's seed, the last two of the master seed in `fedltr run`. Keys must
+# stay distinct, or two streams would draw the same numbers:
+#   (0,)       the logging policy's query sample and epoch order
+#   (1, u)     user u: its bias, query pool, clicks and local SGD order
+#   (2, r)     the client sample of round r, counted from 0
+#   (3,)       the full-information baseline's query order
+#   (5, i, j)  `cli.derive_seed`: the seed of sweep point i's repeat j
+# `dataset.split` and `dataset.generate_synthetic` seed `default_rng` with
+# their seed directly, with no spawn key.
 # The value rule of every configuration field but the seed, which each run
 # derives; see `rules`.
 FEDERATION_RULES = {
     "num_users": "integer [1, inf)",
     "users_per_round": "integer [1, inf)",
-    "queries_per_user": "integer [1, inf)",
     "k": "integer [1, inf)",
     "m": "integer [1, inf)",
     "gamma": "real [0, inf)",
@@ -45,8 +58,6 @@ FEDERATION_RULES = {
     "rounds": "integer [1, inf)",
     "mode": MODES,
     "propensity_mode": PROPENSITY_MODES,
-    "logging_fraction": "real (0, 1]",
-    "logging_epochs": "integer [0, inf)",
 }
 
 
@@ -61,7 +72,6 @@ class FederationConfig:
 
     num_users: int = 200
     users_per_round: int = 50
-    queries_per_user: int = 5
     k: int = 5
     m: int = 10
     gamma: float = 1.0
@@ -72,8 +82,6 @@ class FederationConfig:
     mode: str = "fedips"
     propensity_mode: str = "known"
     seed: int = 0
-    logging_fraction: float = 0.01
-    logging_epochs: int = 30
 
     def __post_init__(self) -> None:
         check("federation", FEDERATION_RULES, vars(self))
@@ -166,7 +174,7 @@ def init_state(
     """Set up an experiment: train the logging policy, create the user
     population with sampled per-user bias and fixed query pools, tabulate
     their examination curves, and start from zero weights."""
-    policy = train_logging_policy(train, cfg.logging_fraction, cfg.seed, cfg.logging_epochs)
+    policy = train_logging_policy(train, LOGGING_FRACTION, cfg.seed, LOGGING_EPOCHS)
     displays = display_top_k(policy, train, cfg.k)
     positions = np.arange(1, displays.docs.shape[1] + 1)
     # Allocated first, so a population too large to tabulate fails here
@@ -176,7 +184,7 @@ def init_state(
     for uid in range(cfg.num_users):
         stream = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1, uid)))
         gamma_s = sample_user_bias(cfg.gamma, cfg.gamma_sigma, stream)
-        pool = tuple(stream.integers(train.n_queries, size=cfg.queries_per_user).tolist())
+        pool = tuple(stream.integers(train.n_queries, size=QUERIES_PER_USER).tolist())
         users.append(UserState(id=uid, gamma_s=gamma_s, query_pool=pool, rng_stream=stream))
         # One call per user: with an array of exponents numpy would compute
         # x ** 2.0 with pow rather than by squaring, one ulp away.
@@ -184,9 +192,7 @@ def init_state(
     em = None
     if cfg.mode == "fedips" and cfg.propensity_mode == "estimated":
         em = EmEstimatorState(
-            relevance_model=LinearRanker.zeros(train.feature_dim),
-            k=positions.size,
-            num_users=cfg.num_users,
+            LinearRanker.zeros(train.feature_dim), k=positions.size, num_users=cfg.num_users
         )
     return ExperimentState(
         config=cfg,

@@ -85,11 +85,11 @@ def full_info_metric(
     Relevance is binarized at RELEVANCE_THRESHOLD. Needs the true labels,
     so it is only computable in simulation or on judged data.
     """
-    ranking = rank(ranker, query)
+    positions = rank(ranker, query)
     relevant = np.asarray(query.labels) >= RELEVANCE_THRESHOLD
     if not np.any(relevant):
         return 0.0
-    return float(np.sum(weights(ranking.positions[relevant])))
+    return float(np.sum(weights(positions[relevant])))
 
 
 def ips_click_metric(
@@ -113,5 +113,4 @@ def ips_click_metric(
         return 0.0
     if np.any(props <= 0.0):
         raise ValueError("propensities must be positive")
-    ranking = rank(ranker, query)
-    return float(np.sum(weights(ranking.positions[clicked]) / props))
+    return float(np.sum(weights(rank(ranker, query)[clicked]) / props))

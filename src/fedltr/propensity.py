@@ -3,7 +3,7 @@ probabilities."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -40,11 +40,13 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class EmEstimatorState:
-    """State of the federated EM estimator for clients 0..num_users-1.
+    """State of the federated EM estimator for clients 0..num_users-1 at
+    display positions 1..k; the shape of its (num_users, k) tables gives
+    both counts, which are not stored.
 
     `relevance_model` is the shared regression model whose sigmoid scores
     play the relevance prior. Row u of `theta` holds client u's served
-    per-position examination estimates (length k, floored at FLOOR),
+    per-position examination estimates (floored at FLOOR),
     derived from its rows of `posterior_sum` and `impression_count`:
     running totals of examination posteriors and impressions per position.
     Position 1's prior is exactly 1, so its posterior is exactly 1 and
@@ -59,30 +61,29 @@ class EmEstimatorState:
     """
 
     relevance_model: LinearRanker
-    k: int
-    num_users: int
+    k: InitVar[int]
+    num_users: InitVar[int]
     theta: np.ndarray = field(init=False)
     posterior_sum: np.ndarray = field(init=False)
     impression_count: np.ndarray = field(init=False)
     participations: np.ndarray = field(init=False)
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
+    def __post_init__(self, k: int, num_users: int) -> None:
+        if k < 1:
             raise ValueError("k must be >= 1")
-        if self.num_users < 1:
+        if num_users < 1:
             raise ValueError("num_users must be >= 1")
-        shape = (self.num_users, self.k)
-        self.theta = np.ones(shape)
-        self.posterior_sum = np.zeros(shape)
-        self.impression_count = np.zeros(shape)
-        self.participations = np.zeros(self.num_users, dtype=np.int64)
+        self.theta = np.ones((num_users, k))
+        self.posterior_sum = np.zeros((num_users, k))
+        self.impression_count = np.zeros((num_users, k))
+        self.participations = np.zeros(num_users, dtype=np.int64)
 
     def initial_theta(self) -> np.ndarray:
         """E-step prior for a client's first round: anchored at 1 for
         position 1, a flat uncommitted value below. The all-ones prior is
         unusable here: with theta = 1 the no-click examination posterior is
         identically 1, making 1 a fixed point the estimator never leaves."""
-        theta = np.full(self.k, THETA_INIT)
+        theta = np.full(self.theta.shape[1], THETA_INIT)
         theta[0] = 1.0
         return theta
 
@@ -219,8 +220,9 @@ def estimated_propensity(state: EmEstimatorState, client_id, position) -> np.nda
     """
     client_id = np.asarray(client_id)
     position = np.asarray(position)
-    if np.any((position < 1) | (position > state.k)):
+    num_users, k = state.theta.shape
+    if np.any((position < 1) | (position > k)):
         raise ValueError("position must be in 1..k")
-    if np.any((client_id < 0) | (client_id >= state.num_users)):
+    if np.any((client_id < 0) | (client_id >= num_users)):
         raise ValueError("client_id must be in 0..num_users-1")
     return np.maximum(state.theta[client_id, position - 1], FLOOR)

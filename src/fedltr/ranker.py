@@ -28,35 +28,22 @@ class LinearRanker:
         return LinearRanker(np.zeros(feature_dim))
 
 
-@dataclass(frozen=True)
-class RankedList:
-    """A ranking of one query's documents.
-
-    ``order[i]`` is the document index placed at position i+1 (positions are
-    1-based, position 1 is best). ``positions`` is the inverse permutation:
-    ``positions[d]`` is the 1-based position of document d.
-    """
-
-    order: np.ndarray
-    positions: np.ndarray
-
-
 def _order(scores: np.ndarray) -> np.ndarray:
     """Document indices by descending score along the last axis; ties
     break by ascending document index."""
     return np.argsort(-scores, axis=-1, kind="stable")
 
 
-def rank(ranker: LinearRanker, query: Query) -> RankedList:
-    """Rank a query's documents by score, descending.
+def rank(ranker: LinearRanker, query: Query) -> np.ndarray:
+    """Rank a query's documents by score, descending: element d is the
+    1-based position of document d, position 1 being best.
 
-    Ties break by ascending document index, so the permutation is
-    deterministic and invariant to positive rescaling of the weights.
+    Ties break by ascending document index, so the ranking is deterministic
+    and invariant to positive rescaling of the weights.
     """
-    order = _order(query.features @ ranker.weights)
     positions = np.empty(query.n_docs, dtype=np.int64)
-    positions[order] = np.arange(1, query.n_docs + 1)
-    return RankedList(order=order, positions=positions)
+    positions[_order(query.features @ ranker.weights)] = np.arange(1, query.n_docs + 1)
+    return positions
 
 
 def top_k(weights: np.ndarray, dataset: Dataset, k: int) -> np.ndarray:

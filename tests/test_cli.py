@@ -18,12 +18,9 @@ _SYNTHETIC = {"queries": 120, "docs_per_query": 10, "feature_dim": 12, "seed": 3
 _FEDERATION = {
     "num_users": 8,
     "users_per_round": 4,
-    "queries_per_user": 3,
     "k": 3,
     "m": 2,
     "rounds": 3,
-    "logging_fraction": 0.2,
-    "logging_epochs": 5,
 }
 
 
@@ -48,7 +45,6 @@ class TestParseSpec:
         assert spec.federation.k == 5
         assert spec.federation.m == 10
         assert spec.federation.gamma == 1.0
-        assert spec.federation.queries_per_user == 5
         assert spec.federation.num_users == 200
         assert spec.modes == ("fedips",)
         assert spec.synthetic == {
@@ -92,6 +88,14 @@ class TestParseSpec:
             path.write_text(json.dumps(config), encoding="utf-8")
             with pytest.raises(ValueError, match="unknown"):
                 parse_spec(str(path), {})
+
+    @pytest.mark.parametrize("key", ["queries_per_user", "logging_fraction", "logging_epochs"])
+    def test_paper_constants_are_unknown_federation_keys(self, tmp_path, key):
+        # The query pool size and the logging policy's sample and epochs are
+        # fixed as in the paper, so a spec setting one is rejected.
+        path = _write_config(tmp_path / "spec.json", {"federation": {**_FEDERATION, key: 1}})
+        with pytest.raises(ValueError, match=rf"^unknown federation keys: \['{key}'\]$"):
+            parse_spec(str(path), {})
 
     def test_mode_override_narrows_modes(self):
         spec = parse_spec(None, {"mode": "fedavg"})
@@ -362,6 +366,11 @@ class TestMain:
                 "unknown federation keys: ['logging_lr']",
                 id="extra22",
             ),
+            pytest.param(
+                {"federation": {**_FEDERATION, "logging_fraction": 0}},
+                "unknown federation keys: ['logging_fraction']",
+                id="extra34",
+            ),
             # Containers of the wrong JSON type escaped as TypeError
             # tracebacks, ran as if empty, or were read character by character.
             pytest.param({"sweep": {"gamma": 1.0}}, "sweep.gamma must be a JSON list", id="extra23"),
@@ -385,12 +394,7 @@ class TestMain:
                 {"federation": {**_FEDERATION, "seed": 5}}, "unknown federation keys: ['seed']",
                 id="extra33",
             ),
-            # Range rules that had no case of their own.
-            pytest.param(
-                {"federation": {**_FEDERATION, "logging_fraction": 0}},
-                "federation.logging_fraction must be a finite real in (0, 1], got 0",
-                id="extra34",
-            ),
+            # A range rule that had no case of its own.
             pytest.param(
                 {"federation": {**_FEDERATION, "eta_global": 0}},
                 "federation.eta_global must be a finite real > 0, got 0",

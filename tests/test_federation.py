@@ -45,14 +45,11 @@ def _small_cfg(**kwargs):
     base = dict(
         num_users=8,
         users_per_round=4,
-        queries_per_user=3,
         k=3,
         m=2,
         rounds=3,
         eta_local=1e-3,
         eta_global=0.5,
-        logging_fraction=0.2,
-        logging_epochs=5,
         seed=0,
     )
     base.update(kwargs)
@@ -309,24 +306,20 @@ class TestFederationConfig:
             ("em_pooling", 5.0),
             ("logging_epochs", -1),
             ("logging_lr", -3.0),
+            ("logging_fraction", 0.2),
+            ("queries_per_user", 3),
         ],
     )
     def test_rejects_bad_em_and_logging_knobs(self, field, value):
-        # Logging knobs are checked at construction in every mode, not only
-        # when the logging policy first uses them. The EM knobs and the
-        # logging step size are constants now, so a config naming one is
-        # rejected.
-        error = ValueError if field == "logging_epochs" else TypeError
-        with pytest.raises(error, match=field):
+        # The EM knobs, the logging policy's settings and the query pool
+        # size are constants, so a config naming one is rejected.
+        with pytest.raises(TypeError, match=field):
             FederationConfig(**{field: value})
 
     @pytest.mark.parametrize("value", [2.5, True])
     @pytest.mark.parametrize(
         "field",
-        [
-            "num_users", "users_per_round", "queries_per_user", "k", "m", "rounds",
-            "logging_epochs",
-        ],
+        ["num_users", "users_per_round", "k", "m", "rounds"],
     )
     def test_rejects_non_integer_counts(self, field, value):
         message = rf"^federation\.{field} must be an integer >= \d, got "
@@ -341,7 +334,7 @@ class TestInitState:
         state = init_state(cfg, train, test)
         assert len(state.users) == cfg.num_users
         for user in state.users:
-            assert len(user.query_pool) == cfg.queries_per_user
+            assert len(user.query_pool) == federation.QUERIES_PER_USER
             assert set(user.query_pool) <= set(range(train.n_queries))
         np.testing.assert_array_equal(state.model.weights, np.zeros(train.feature_dim))
 
@@ -356,7 +349,7 @@ class TestInitState:
         path = tmp_path / "corpus.txt"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         train = load_svmlight(str(path))
-        cfg = _small_cfg(num_users=6, users_per_round=6, k=5, logging_fraction=1.0)
+        cfg = _small_cfg(num_users=6, users_per_round=6, k=5)
         state = init_state(cfg, train, train)
         for user in state.users:
             assert set(user.query_pool) <= set(range(train.n_queries))
@@ -377,7 +370,7 @@ class TestInitState:
             _small_cfg(mode="fedips", propensity_mode="estimated"), train, test
         )
         assert est.em is not None
-        assert est.em.k == 3
+        assert est.em.theta.shape == (8, 3)
 
     def test_em_tables_are_as_wide_as_the_display(self, small_split):
         # With k above the longest training query, the display decides the

@@ -105,7 +105,7 @@ class TestRankUpperBound:
             dim = int(rng.integers(2, 6))
             q = _query(rng.normal(size=(n, dim)) * rng.uniform(0.1, 5.0))
             model = LinearRanker(rng.normal(size=dim))
-            positions = rank(model, q).positions
+            positions = rank(model, q)
             for d in range(n):
                 assert rank_upper_bound(model, q, d) >= positions[d]
 

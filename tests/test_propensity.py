@@ -335,8 +335,8 @@ def _sequential_em_round(state, local_tables, client_records, dataset, displays)
         if not records:
             continue
         prior = state.theta[uid] if state.participations[uid] else state.initial_theta()
-        exam_sum = np.zeros(state.k)
-        exam_count = np.zeros(state.k)
+        exam_sum = np.zeros(state.theta.shape[1])
+        exam_count = np.zeros_like(exam_sum)
         targets = []
         for record in records:
             n = len(record.clicks)

@@ -29,35 +29,34 @@ class TestLinearRanker:
 class TestRank:
     def test_sorts_by_score_descending(self):
         q = _query([[0.1], [0.9], [0.5]])
-        ranked = rank(LinearRanker(np.array([1.0])), q)
-        np.testing.assert_array_equal(ranked.order, [1, 2, 0])
-        np.testing.assert_array_equal(ranked.positions, [3, 1, 2])
+        np.testing.assert_array_equal(rank(LinearRanker(np.array([1.0])), q), [3, 1, 2])
 
     def test_ties_break_by_document_index(self):
         q = _query([[1.0], [1.0], [1.0]])
-        ranked = rank(LinearRanker(np.array([2.0])), q)
-        np.testing.assert_array_equal(ranked.order, [0, 1, 2])
+        np.testing.assert_array_equal(rank(LinearRanker(np.array([2.0])), q), [1, 2, 3])
 
     def test_single_document(self):
-        ranked = rank(LinearRanker(np.array([1.0])), _query([[0.3]]))
-        np.testing.assert_array_equal(ranked.order, [0])
-        np.testing.assert_array_equal(ranked.positions, [1])
+        np.testing.assert_array_equal(rank(LinearRanker(np.array([1.0])), _query([[0.3]])), [1])
 
     def test_positive_scaling_invariance(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             q = _query(rng.normal(size=(6, 4)))
             w = rng.normal(size=4)
-            base = rank(LinearRanker(w), q).order
+            base = rank(LinearRanker(w), q)
             for c in (0.5, 3.0, 1e6):
-                np.testing.assert_array_equal(rank(LinearRanker(c * w), q).order, base)
+                np.testing.assert_array_equal(rank(LinearRanker(c * w), q), base)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**32 - 1))
     def test_positions_invert_order(self, n_docs, seed):
+        # Positions are the inverse of the order by descending score, ties
+        # broken by ascending document index.
         rng = np.random.default_rng(seed)
         q = _query(rng.normal(size=(n_docs, 3)))
-        ranked = rank(LinearRanker(rng.normal(size=3)), q)
-        assert sorted(ranked.order.tolist()) == list(range(n_docs))
-        for position, doc in enumerate(ranked.order, start=1):
-            assert ranked.positions[doc] == position
+        w = rng.normal(size=3)
+        positions = rank(LinearRanker(w), q)
+        assert sorted(positions.tolist()) == list(range(1, n_docs + 1))
+        order = np.argsort(-(q.features @ w), kind="stable")
+        for position, doc in enumerate(order, start=1):
+            assert positions[doc] == position

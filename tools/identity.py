@@ -11,15 +11,19 @@ processes, it
   every seed, as `perfbench/run.py` sets them up;
 - loads each seed's ragged file with `load_svmlight` and hashes its four
   arrays (features, labels, qids and lengths, with their dtypes and shapes);
+- hashes the same four arrays of the train and test sets that
+  `cli.load_experiment_data` prepares for each seed's bench corpus and
+  ragged file;
 - runs criterion 09's spec, this checkout's `tests/criterion_09_spec.json`,
   through `python -m fedltr.cli run`, once with FEDLTR_WORKERS unset and
   once with FEDLTR_WORKERS=2.
 
 It prints one line per comparison: a workload at a seed (weight digest,
-final_ndcg5, clicks and capped clients), a loaded ragged file (its digest)
-or a CLI output directory under `diff -r`. The exit status is 0 when every comparison is identical, 1 when
-any differs and 2 when a tree cannot be set up or run. It needs git and
-diff, no network, and it changes no file of either tree.
+final_ndcg5, clicks and capped clients), a loaded ragged file or a prepared
+corpus (its digest) or a CLI output directory under `diff -r`. The exit
+status is 0 when every comparison is identical, 1 when any differs and 2
+when a tree cannot be set up or run. It needs git and diff, no network,
+and it changes no file of either tree.
 """
 
 from __future__ import annotations
@@ -45,7 +49,15 @@ from pathlib import Path
 import numpy as np
 sys.path.insert(0, "perfbench")
 import workloads
+from fedltr import cli
 from fedltr.dataset import load_svmlight
+def digest(*datasets):
+    hashed = hashlib.sha256()
+    for data in datasets:
+        for array in (data.features, data.labels, data.qids, data.lengths):
+            hashed.update(repr((array.dtype.str, array.shape)).encode())
+            hashed.update(np.ascontiguousarray(array).tobytes())
+    return hashed.hexdigest()
 rows = {}
 with tempfile.TemporaryDirectory() as tmp:
     for seed in map(int, sys.argv[1:]):
@@ -55,13 +67,15 @@ with tempfile.TemporaryDirectory() as tmp:
             if workload.ragged:
                 corpus = Path(tmp) / f"ragged_{seed}.svmlight"
                 workloads.write_ragged_corpus(corpus, workloads.derive_seeds(seed).corpus)
-                data, digest = load_svmlight(str(corpus)), hashlib.sha256()
-                for array in (data.features, data.labels, data.qids, data.lengths):
-                    digest.update(repr((array.dtype.str, array.shape)).encode())
-                    digest.update(np.ascontiguousarray(array).tobytes())
-                rows[f"load_svmlight ragged seed {seed}"] = [digest.hexdigest()]
-                del data
-            result, _ = workloads.one_run(workloads.build_spec(workload, seed, corpus, 100))
+                rows[f"load_svmlight ragged seed {seed}"] = [digest(load_svmlight(str(corpus)))]
+            spec = workloads.build_spec(workload, seed, corpus, 100)
+            # em prepares the bench corpus as known does.
+            if name != "em":
+                corpus_name = "ragged" if workload.ragged else "bench corpus"
+                rows[f"load_experiment_data {corpus_name} seed {seed}"] = [
+                    digest(*cli.load_experiment_data(spec))
+                ]
+            result, _ = workloads.one_run(spec)
             rows[f"{name} seed {seed}"] = [
                 result.digest, result.final_ndcg5, result.total_clicks, result.capped_clients
             ]
