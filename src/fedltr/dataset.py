@@ -197,6 +197,8 @@ def _parse_range(path: str, start: int, end: int, first_line: int = 1):
     qids, labels = array("q"), array("q")
     ends = array("q")  # tokens read up to the end of each document
     index, values = array("q"), array("d")
+    sparse = array("b")  # whether `index` holds each document's indices
+    names, skeleton = [], ""
     with contextlib.closing(_lines(path, start, end)) as fh:
         for lineno, raw in enumerate(fh, start=first_line):
             try:
@@ -212,6 +214,8 @@ def _parse_range(path: str, start: int, end: int, first_line: int = 1):
                 label = int(parts[0])
             except ValueError:
                 raise ValueError(f"line {lineno}: bad label {parts[0]!r}") from None
+            if abs(label) > INT64_MAX:
+                raise ValueError(f"line {lineno}: label {label} is too large")
             if not parts[1].startswith("qid:"):
                 raise ValueError(f"line {lineno}: missing qid field")
             try:
@@ -221,35 +225,55 @@ def _parse_range(path: str, start: int, end: int, first_line: int = 1):
             if abs(qid) > INT64_MAX:
                 raise ValueError(f"line {lineno}: qid {qid} is too large")
             tokens = parts[2] if len(parts) > 2 else ""
-            done = len(values)
+            done, marked = len(values), len(index)
             try:
                 pieces = tokens.replace(":", " ").split()
-                n = len(tokens.split())
-                # Every one of the n tokens is one nonempty index, a colon
-                # and one nonempty value exactly when each token holds one
-                # colon and there are two pieces per token.
-                if 2 * n != len(pieces) or tokens.translate(_NOT_SEPARATOR).split() != [":"] * n:
-                    raise ValueError("malformed token")
-                index.extend(map(int, pieces[0::2]))
+                ids, n = pieces[0::2], len(pieces) // 2
+                if n > len(names):
+                    names, skeleton = [str(i) for i in range(1, n + 1)], " :" * n
+                # A dense line has index strings "1".."n" and separators ": : ... :";
+                # its last index, compared first, turns a sparse line away cheaply.
+                separators = tokens.translate(_NOT_SEPARATOR)
+                dense = ids[-1:] == names[n - 1 : n] and separators == skeleton[1 : 2 * n]
+                if not (dense and ids == names[:n]):
+                    n = len(tokens.split())
+                    # Every one of the n tokens is one nonempty index, a
+                    # colon and one nonempty value exactly when each token
+                    # holds one colon and there are two pieces per token.
+                    if 2 * n != len(pieces) or separators.split() != [":"] * n:
+                        raise ValueError("malformed token")
+                    index.extend(map(int, ids))
                 values.extend(map(float, pieces[1::2]))
                 # A nan or inf value makes the sum nan or inf.
-                if min(index[done:], default=1) < 1 or not math.isfinite(sum(values[done:])):
+                if min(index[marked:], default=1) < 1 or not math.isfinite(sum(values[done:])):
                     raise ValueError("bad index or value")
             except (ValueError, OverflowError):
                 # Rare lines (bad tokens or values, non-ASCII text, finite
                 # values whose sum overflows) go token by token.
-                del index[done:], values[done:]
+                del index[marked:], values[done:]
                 line_index, line_values = _parse_tokens(lineno, tokens.split())
                 index.extend(line_index)
                 values.extend(line_values)
+            sparse.append(len(index) > marked)
             qids.append(qid)
             labels.append(label)
             ends.append(len(values))
 
-    idx = np.frombuffer(index, dtype=np.int64)
     val = np.frombuffer(values, dtype=np.float64)
     doc_ends = np.frombuffer(ends, dtype=np.int64)
-    n_docs, feature_dim = doc_ends.size, int(idx.max(initial=0))
+    is_sparse = np.frombuffer(sparse, dtype=np.bool_)
+    n_docs, width = doc_ends.size, np.diff(doc_ends, prepend=0)
+    if not is_sparse.any() and (width == width[:1]).all():
+        # Dense lines, all as wide: the values are the block.
+        return labels, qids, val.reshape(n_docs, int(width[0]) if n_docs else 0)
+    idx = np.frombuffer(index, dtype=np.int64)
+    if not is_sparse.all():
+        # A dense line's indices are 1 up to its width; `index` holds the others'.
+        idx = np.arange(1, val.size + 1)
+        idx[np.repeat(is_sparse, width)] = index
+        del index
+        idx -= np.repeat((doc_ends - width) * ~is_sparse, width)
+    feature_dim = int(idx.max(initial=0))
     # A line whose indices do not rise may repeat one: keep its last value.
     rising = idx[1:] > idx[:-1]
     starts = doc_ends[:-1]
@@ -258,7 +282,7 @@ def _parse_range(path: str, start: int, end: int, first_line: int = 1):
     del rising
     # Each token's position in the flat (document, feature) block, over its index.
     position = idx
-    position += np.repeat(np.arange(n_docs) * feature_dim - 1, np.diff(doc_ends, prepend=0))
+    position += np.repeat(np.arange(n_docs) * feature_dim - 1, width)
     if repeats:
         _, first_from_end = np.unique(position[::-1], return_index=True)
         last = position.size - 1 - first_from_end
@@ -282,7 +306,9 @@ def load_svmlight(path: str) -> Dataset:
     parsed in this process. Several ranges are parsed by a pool of worker
     processes, one each, into a dense block of the range's documents; the
     blocks are then copied into place query by query. The result does not
-    depend on the number of ranges, and nothing sets it.
+    depend on the number of ranges, and nothing sets it. A range of dense
+    lines (indices 1..n in order, single spaces) of one width is its block's
+    value buffer, and the matrix of a one-range file of contiguous queries.
     """
     ranges = _ranges(path)
     if len(ranges) == 1:
@@ -317,7 +343,11 @@ def load_svmlight(path: str) -> Dataset:
     order = np.argsort(key, kind="stable")
     row = np.empty(qid.size, dtype=np.int64)
     row[order] = np.arange(qid.size)
-    features = np.zeros((qid.size, max(block.shape[1] for block in blocks)))
+    if len(blocks) == 1 and (np.diff(key) >= 0).all():
+        # One range whose queries are already contiguous: its block is the matrix.
+        features = blocks.pop()
+    else:
+        features = np.zeros((qid.size, max(block.shape[1] for block in blocks)))
     done = 0
     for k in range(len(blocks)):
         # Each block is freed once copied.

@@ -141,6 +141,66 @@ class TestLoadSvmlight:
             with pytest.raises(ValueError, match="line 2: qid 9223372036854775808 is too large"):
                 load_svmlight(path)
 
+    def test_label_beyond_64_bits_names_line(self, tmp_path, range_counts):
+        path = _write(tmp_path, "1 qid:1 1:0.5\n99999999999999999999999 qid:1 1:0.25\n")
+        message = "^line 2: label 99999999999999999999999 is too large$"
+        for _ in range_counts:
+            with pytest.raises(ValueError, match=message):
+                load_svmlight(path)
+
+    @pytest.mark.parametrize(
+        "tokens, bad",
+        [("1:0.5:2 0.7", "1:0.5:2"), ("1:0.5 2:0.7:", "2:0.7:"), ("1:0.5 2 :0.7", "2")],
+    )
+    def test_canonical_indices_in_malformed_tokens_name_line(
+        self, tmp_path, tokens, bad, range_counts
+    ):
+        # Each line's index strings read 1, 2 and it has as many colons as
+        # tokens; only its separators tell that its tokens are malformed.
+        path = _write(tmp_path, f"1 qid:1 1:0.5 2:0.25\n2 qid:1 {tokens}\n")
+        for _ in range_counts:
+            with pytest.raises(ValueError, match=f"^line 2: bad feature '{bad}'$"):
+                load_svmlight(path)
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_tabs_and_double_spaces_give_the_single_spaced_arrays(
+        self, tmp_path, mixed, range_counts
+    ):
+        # Other separators make every line go the general way. The mixed
+        # file adds dense lines of another width and lines whose indices
+        # fall or repeat, so no range is all dense lines of one width.
+        path = tmp_path / "dense.txt"
+        write_svmlight(generate_synthetic(6, 5, 4, seed=2), str(path))
+        text = path.read_text()
+        if mixed:
+            extra = ["3 qid:1 1:0.5 2:-1.5", "0 qid:2 3:0.25 1:2 3:7", "1 qid:1 2:0.125 2:4.5"]
+            lines = text.splitlines()
+            text = "\n".join(lines[:9] + extra + lines[9:]) + "\n"
+            path.write_text(text)
+        spaced = tmp_path / "spaced.txt"
+        spaced.write_text(text.replace(" qid", "\tqid").replace(" ", "  "))
+        for _ in range_counts:
+            got, want = load_svmlight(str(path)), load_svmlight(str(spaced))
+            for name in ("features", "labels", "qids", "lengths"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert a.tobytes() == b.tobytes(), name
+        if mixed:
+            # Query 1 gains rows 5 and 6, query 2 its fifth; a repeated
+            # index keeps its last value.
+            np.testing.assert_array_equal(got.features[5:7], [[0.5, -1.5, 0, 0], [0, 4.5, 0, 0]])
+            np.testing.assert_array_equal(got.features[got.offsets[1] + 4], [2.0, 0.0, 7.0, 0.0])
+
+    def test_a_range_of_only_blank_and_comment_lines_loads(self, tmp_path, range_counts):
+        lines = ["1 qid:1 1:0.5 2:0.25"] + ["# a comment line", "   ", ""] * 5 + ["0 qid:1 1:0.75"]
+        path = _write(tmp_path, "\n".join(lines) + "\n")
+        for n in range_counts:
+            data = load_svmlight(path)
+            np.testing.assert_array_equal(data.features, [[0.5, 0.25], [0.75, 0.0]])
+            np.testing.assert_array_equal(data.labels, [1, 0])
+        # With four ranges, the middle two hold only comment and blank lines.
+        assert n == 4 and all(b"qid" not in Path(path).read_bytes()[a:b] for a, b in _ranges(path)[1:3])
+
     def test_first_bad_line_is_reported(self, tmp_path, range_counts):
         # An earlier line's non-finite value wins over a later line's bad label.
         path = _write(tmp_path, "1 qid:1 1:0.5\n1 qid:1 1:nan\nx qid:1 1:0.5\n")

@@ -6,7 +6,7 @@ import tracemalloc
 from dataclasses import replace
 
 from fedltr.cli import load_experiment_data, parse_spec
-from fedltr.dataset import generate_synthetic, load_svmlight, write_svmlight
+from fedltr.dataset import _ranges, generate_synthetic, load_svmlight, write_svmlight
 
 
 def _traced_peak(build):
@@ -32,10 +32,19 @@ def test_preparing_a_corpus_holds_at_most_two_copies():
     assert peak <= 2.5 * (train.features.nbytes + test.features.nbytes)
 
 
+def test_loading_a_dense_file_as_one_range_holds_about_one_copy(tmp_path):
+    # Its lines are dense and equally wide, and its queries contiguous: the
+    # buffer of token values is the feature matrix.
+    path = str(tmp_path / "dense.txt")
+    write_svmlight(generate_synthetic(60, 20, 50, seed=4), path)
+    assert len(_ranges(path)) == 1
+    data, peak = _traced_peak(lambda: load_svmlight(path))
+    assert peak <= 1.5 * data.features.nbytes
+
+
 def test_loading_a_dense_file_holds_at_most_three_copies(tmp_path, range_counts):
-    # The token values, their positions and the dense matrix; no second
-    # token-sized index array. With several ranges the workers hold the
-    # tokens, and this process the ranges' dense blocks and the matrix.
+    # With several ranges the workers hold the tokens, and this process the
+    # ranges' dense blocks and the matrix.
     path = str(tmp_path / "dense.txt")
     write_svmlight(generate_synthetic(60, 20, 50, seed=4), path)
     for n in range_counts:
