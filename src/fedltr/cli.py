@@ -158,7 +158,8 @@ def parse_spec(config_path: str | None = None, overrides: dict | None = None) ->
 
 def load_experiment_data(spec: ExperimentSpec) -> tuple[Dataset, Dataset]:
     """Load or generate the corpus, drop the queries whose documents all
-    share one grade, scale features per query, and split it."""
+    share one grade, scale features per query, and split it, seeded by
+    `dataset.synthetic.seed` even for a file: `--seed` never moves a split."""
     if spec.dataset_path is not None:
         data = load_svmlight(spec.dataset_path)
     else:

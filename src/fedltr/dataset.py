@@ -207,6 +207,10 @@ def _parse_range(path: str, start: int, end: int, first_line: int = 1):
                 raise ValueError(f"line {lineno}: {exc}") from None
             if not line:
                 continue
+            # int() and float() read "_" as a digit separator: "1_0" is 10.
+            if "_" in line:
+                token = next(tok for tok in line.split() if "_" in tok)
+                raise ValueError(f"line {lineno}: underscore in {token!r}")
             parts = line.split(None, 2)
             if len(parts) < 2:
                 raise ValueError(f"line {lineno}: expected '<label> qid:<id> ...'")
@@ -299,7 +303,8 @@ def load_svmlight(path: str) -> Dataset:
     indices; text after ``#`` is a comment. Documents are grouped by qid in
     file order, missing feature indices are filled with 0, a repeated index
     keeps its last value, and the feature dimension is the maximal index
-    seen anywhere in the file. An error names the file's first bad line.
+    seen anywhere in the file. A ``_`` outside a comment is an error, not
+    a digit separator. An error names the file's first bad line.
 
     The file is split at line ends into one byte range per processor this
     process may run on, each at least 2 MiB, so a smaller file is one range

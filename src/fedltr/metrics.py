@@ -44,37 +44,19 @@ def dcg_at_k(labels_in_rank_order: np.ndarray, k: int) -> float:
     return float(_dcg(labels, np.array([labels.shape[1]]))[0])
 
 
-def _dcgs(weights: np.ndarray, dataset: Dataset, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """DCG@k of every query of a dataset under the weights, and its ideal
-    DCG@k."""
+def mean_ndcg(ranker: LinearRanker, dataset: Dataset, k: int) -> float:
+    """Mean NDCG@k over a dataset, skipping queries with zero ideal DCG; on
+    a one-query dataset, that query's NDCG@k."""
     if k < 1:
         raise ValueError("k must be >= 1")
     lengths = np.minimum(dataset.lengths, k)
     labels = dataset.padded(dataset.labels.astype(np.float64), -np.inf)
-    actual = _dcg(np.take_along_axis(labels, top_k(weights, dataset, k), axis=1), lengths)
-    return actual, _dcg(-np.sort(-labels, axis=1)[:, :k], lengths)
-
-
-def ndcg_at_k(ranker: LinearRanker, query: Query, k: int) -> float:
-    """NDCG@k of the ranker on one query.
-
-    Raises ValueError when the ideal DCG is zero (all labels zero), since
-    the ratio is undefined there.
-    """
-    dataset = Dataset(queries=(query,), feature_dim=query.features.shape[1])
-    actual, ideal = _dcgs(ranker.weights, dataset, k)
-    if ideal[0] == 0.0:
-        raise ValueError(f"ideal DCG@{k} is zero for query {query.qid}")
-    return float(actual[0] / ideal[0])
-
-
-def mean_ndcg(ranker: LinearRanker, dataset: Dataset, k: int) -> float:
-    """Mean NDCG@k over a dataset, skipping queries with zero ideal DCG."""
-    actual, ideal = _dcgs(ranker.weights, dataset, k)
+    ideal = _dcg(-np.sort(-labels, axis=1)[:, :k], lengths)
     counted = ideal != 0.0
     if not np.any(counted):
         raise ValueError("no query has a nonzero ideal DCG")
-    return float(np.mean(actual[counted] / ideal[counted]))
+    ranked = np.take_along_axis(labels, top_k(ranker.weights, dataset, k), axis=1)
+    return float(np.mean(_dcg(ranked, lengths)[counted] / ideal[counted]))
 
 
 def full_info_metric(

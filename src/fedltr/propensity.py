@@ -56,8 +56,9 @@ class EmEstimatorState:
     adjacent positions: with the latest round alone, criterion 08's
     fraction of strictly decreasing tables falls to 0.62-0.78 over seeds
     1-10 and the mean absolute error rises from 0.038 to 0.048.
-    `participations` counts each client's rounds: clients with none are
-    unseen and their `theta` rows stay uninformative (all ones).
+    Every record shows position 1, so a client is seen exactly when its
+    `impression_count` at position 1 is positive; unseen clients' `theta`
+    rows stay uninformative (all ones).
     """
 
     relevance_model: LinearRanker
@@ -66,7 +67,6 @@ class EmEstimatorState:
     theta: np.ndarray = field(init=False)
     posterior_sum: np.ndarray = field(init=False)
     impression_count: np.ndarray = field(init=False)
-    participations: np.ndarray = field(init=False)
 
     def __post_init__(self, k: int, num_users: int) -> None:
         if k < 1:
@@ -76,7 +76,6 @@ class EmEstimatorState:
         self.theta = np.ones((num_users, k))
         self.posterior_sum = np.zeros((num_users, k))
         self.impression_count = np.zeros((num_users, k))
-        self.participations = np.zeros(num_users, dtype=np.int64)
 
     def initial_theta(self) -> np.ndarray:
         """E-step prior for a client's first round: anchored at 1 for
@@ -187,20 +186,19 @@ def federated_em_round(
         return state
     users = impressions.users
     broadcast = state.relevance_model.weights
-    returning = state.participations[users] > 0
+    returning = state.impression_count[users, 0] > 0
     prior = np.where(returning[:, None], state.theta[users], state.initial_theta())
     fitted, exam_sum, exam_count = local_em(corpus, impressions, prior, broadcast)
-    active = np.bincount(impressions.client, minlength=users.size) > 0
+    active = exam_count[:, 0] > 0
     uids = users[active]
     state.relevance_model = LinearRanker(
         broadcast + np.sum(fitted[active] - broadcast, axis=0) / uids.size
     )
-    state.participations[uids] += 1
     state.posterior_sum[uids] += exam_sum[active]
     state.impression_count[uids] += exam_count[active]
     # Every seen client's local table is its per-position mean posterior;
     # positions it was never shown keep the initial value.
-    seen = state.participations > 0
+    seen = state.impression_count[:, 0] > 0
     counts = state.impression_count[seen]
     local = np.tile(state.initial_theta(), (counts.shape[0], 1))
     np.divide(state.posterior_sum[seen], counts, out=local, where=counts > 0)

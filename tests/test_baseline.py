@@ -6,7 +6,7 @@ import pytest
 from fedltr.baseline import EPOCHS, LEARNING_RATE, NDCG_K, lambda_gradient, train_lambda_linear
 from fedltr.clicksim import train_logging_policy
 from fedltr.dataset import Dataset, Query
-from fedltr.metrics import mean_ndcg, ndcg_at_k
+from fedltr.metrics import mean_ndcg
 from fedltr.ranker import LinearRanker
 
 
@@ -59,9 +59,10 @@ class TestLambdaGradient:
             if np.unique(q.labels).size < 2:
                 continue
             w = rng.normal(size=3) * 0.1
-            before = ndcg_at_k(LinearRanker(w), q, NDCG_K)
+            corpus = Dataset(queries=(q,), feature_dim=3)
+            before = mean_ndcg(LinearRanker(w), corpus, NDCG_K)
             stepped = w - 0.5 * lambda_gradient(LinearRanker(w), q)
-            after = ndcg_at_k(LinearRanker(stepped), q, NDCG_K)
+            after = mean_ndcg(LinearRanker(stepped), corpus, NDCG_K)
             if after > before:
                 better += 1
             elif after < before:

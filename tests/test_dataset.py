@@ -149,6 +149,29 @@ class TestLoadSvmlight:
                 load_svmlight(path)
 
     @pytest.mark.parametrize(
+        "line, token",
+        [
+            # int() and float() read each "_" as a digit separator.
+            ("2 qid:1 1_0:0.5", "1_0:0.5"),
+            ("2 qid:1 1:0_5", "1:0_5"),
+            ("1_0 qid:1 1:0.5", "1_0"),
+            ("2 qid:1_0 1:0.5", "qid:1_0"),
+        ],
+    )
+    def test_underscore_names_line_and_token(self, tmp_path, line, token, range_counts):
+        path = _write(tmp_path, f"1 qid:1 1:0.5\n{line}\n")
+        for _ in range_counts:
+            with pytest.raises(ValueError, match=f"^line 2: underscore in '{token}'$"):
+                load_svmlight(path)
+
+    def test_underscore_in_a_comment_loads(self, tmp_path, range_counts):
+        path = _write(tmp_path, "1 qid:1 1:0.5 # doc_id=1_0\n0 qid:1 1:0.25\n")
+        for _ in range_counts:
+            data = load_svmlight(path)
+            np.testing.assert_array_equal(data.features, [[0.5], [0.25]])
+            np.testing.assert_array_equal(data.labels, [1, 0])
+
+    @pytest.mark.parametrize(
         "tokens, bad",
         [("1:0.5:2 0.7", "1:0.5:2"), ("1:0.5 2:0.7:", "2:0.7:"), ("1:0.5 2 :0.7", "2")],
     )

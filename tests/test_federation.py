@@ -443,7 +443,7 @@ class TestRunRound:
         state = init_state(cfg, train, test)
         state, _ = run_round(state, cfg)
         # Every user contributed records, so the estimator tracked them all.
-        np.testing.assert_array_equal(state.em.participations, np.ones(6))
+        assert np.all(state.em.impression_count[:, 0] > 0)
 
     def test_single_client_unit_rate_matches_manual_path(self, small_split):
         # With one user, eta_global=1, the server model after a round equals

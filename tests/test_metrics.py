@@ -11,7 +11,6 @@ from fedltr.metrics import (
     full_info_metric,
     ips_click_metric,
     mean_ndcg,
-    ndcg_at_k,
 )
 from fedltr.ranker import LinearRanker
 
@@ -26,6 +25,11 @@ def _query(values, labels, qid=1):
         features=np.asarray(values, dtype=np.float64).reshape(-1, 1),
         labels=np.asarray(labels, dtype=np.int64),
     )
+
+
+def _one_query_ndcg(model, query, k):
+    """NDCG@k of one query: `mean_ndcg` of the one-query corpus."""
+    return mean_ndcg(model, Dataset(queries=(query,), feature_dim=query.features.shape[1]), k)
 
 
 def _unbatched_ndcg(model, query, k):
@@ -52,30 +56,25 @@ class TestWeightFn:
 class TestNdcg:
     def test_perfect_ranking_is_one(self):
         q = _query([3.0, 2.0, 1.0], [3, 0, 0])
-        assert ndcg_at_k(W1, q, 3) == 1.0
+        assert _one_query_ndcg(W1, q, 3) == 1.0
 
     def test_relevant_last_is_half(self):
         # Ranked labels [0, 0, 3]: DCG = 7/log2(4) = 3.5, ideal = 7.
         q = _query([3.0, 2.0, 1.0], [0, 0, 3])
-        assert ndcg_at_k(W1, q, 3) == 0.5
+        assert _one_query_ndcg(W1, q, 3) == 0.5
 
     def test_single_document_is_one(self):
         q = _query([0.2], [1])
-        assert ndcg_at_k(W1, q, 5) == 1.0
+        assert _one_query_ndcg(W1, q, 5) == 1.0
 
     def test_truncation_ignores_tail(self):
         # Grade-3 doc sits at rank 2, outside the k=1 cutoff.
         q = _query([2.0, 1.0], [0, 3])
-        assert ndcg_at_k(W1, q, 1) == 0.0
-
-    def test_zero_ideal_errors(self):
-        q = _query([1.0, 2.0], [0, 0])
-        with pytest.raises(ValueError, match="ideal DCG"):
-            ndcg_at_k(W1, q, 5)
+        assert _one_query_ndcg(W1, q, 1) == 0.0
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError, match="k must be"):
-            ndcg_at_k(W1, _query([1.0], [1]), 0)
+            _one_query_ndcg(W1, _query([1.0], [1]), 0)
 
     def test_bounds_on_random_queries(self):
         rng = np.random.default_rng(8)
@@ -88,7 +87,7 @@ class TestNdcg:
             )
             if np.all(q.labels == 0):
                 continue
-            value = ndcg_at_k(LinearRanker(rng.normal(size=3)), q, 5)
+            value = _one_query_ndcg(LinearRanker(rng.normal(size=3)), q, 5)
             assert 0.0 <= value <= 1.0
 
     def test_dcg_single_relevant_at_rank_one(self):
@@ -100,7 +99,7 @@ class TestMeanNdcg:
         good = _query([3.0, 2.0], [3, 0], qid=1)
         blank = _query([1.0, 2.0], [0, 0], qid=2)
         ds = Dataset(queries=(good, blank), feature_dim=1)
-        assert mean_ndcg(W1, ds, 5) == ndcg_at_k(W1, good, 5)
+        assert mean_ndcg(W1, ds, 5) == _one_query_ndcg(W1, good, 5)
 
     def test_errors_when_no_query_counts(self):
         blank = _query([1.0, 2.0], [0, 0])
@@ -128,7 +127,7 @@ class TestMeanNdcg:
         # Zero weights tie every score, so ranks fall back to document order.
         for model in (LinearRanker.zeros(3), LinearRanker(rng.normal(size=3))):
             per_query = [_unbatched_ndcg(model, q, k) for q in queries[:-1]]
-            assert [ndcg_at_k(model, q, k) for q in queries[:-1]] == per_query
+            assert [_one_query_ndcg(model, q, k) for q in queries[:-1]] == per_query
             assert mean_ndcg(model, ds, k) == float(np.mean(per_query))
 
 

@@ -241,7 +241,7 @@ class TestFederatedEmRound:
             local = np.clip(total_sum / total_count, FLOOR, 1.0)
             served = (1.0 - POOLING) * local + POOLING * np.mean(local[None], axis=0)
             np.testing.assert_array_equal(state.theta[0], np.clip(served, FLOOR, 1.0))
-            assert state.participations[0] == round_i + 1
+            assert np.flatnonzero(state.impression_count[:, 0]).tolist() == [0]
 
     def test_pooling_shrinks_toward_population_mean(self):
         rng, rel, query = _exact_prior_setup(seed=10)
@@ -274,6 +274,37 @@ class TestFederatedEmRound:
         assert np.all(np.diff(theta) < 0)
         assert abs(theta[1] - 0.5) <= 0.15
 
+    def test_a_client_shown_only_position_one_is_seen(self):
+        # Client 0 draws only 1-document queries, so it is never shown
+        # position 2, yet it is seen from its first round on. Clients 4 and
+        # 5 are never sampled and keep uninformative tables.
+        rng = np.random.default_rng(31)
+        queries = tuple(
+            Query(qid=i, features=rng.normal(size=(n, 3)), labels=rng.integers(0, 5, size=n))
+            for i, n in enumerate([1, 1, 6, 7, 8])
+        )
+        dataset = Dataset(queries=queries, feature_dim=3)
+        displays = display_top_k(LinearRanker(rng.normal(size=3)), dataset, 5)
+        state = EmEstimatorState(relevance_model=LinearRanker.zeros(3), k=5, num_users=6)
+        sampled = set()
+        for users in ([0, 2], [0, 3], [0, 1]):
+            records = [
+                [
+                    ClickRecord(int(row), rng.random(int(displays.lengths[row])) < 0.4)
+                    for row in rng.integers(*((0, 2) if uid == 0 else (2, 5)), size=4)
+                ]
+                for uid in users
+            ]
+            impressions = round_impressions(np.array(users), records, displays)
+            state = federated_em_round(state, impressions, dataset)
+            sampled.update(users)
+            assert not state.impression_count[0, 1:].any()
+            assert np.flatnonzero(state.impression_count[:, 0] > 0).tolist() == sorted(sampled)
+            # Exactly the seen clients are served a table below 1 at position 2.
+            assert np.flatnonzero(state.theta[:, 1] < 1.0).tolist() == sorted(sampled)
+            unsampled = sorted(set(range(6)) - sampled)
+            assert np.all(state.theta[unsampled] == 1.0)
+
     def test_batched_round_matches_sequential_reference(self):
         # Queries of 1-13 documents under k = 8 give records of every length
         # 1-8; each round one client has no records, the others 1-8 each,
@@ -292,6 +323,7 @@ class TestFederatedEmRound:
         )
         reference = copy.deepcopy(state)
         reference_local = np.ones((n_users, k))
+        reference_seen = np.zeros(n_users, dtype=bool)
         users = np.arange(n_users)
         for round_i in range(4):
             records = []
@@ -306,23 +338,28 @@ class TestFederatedEmRound:
             assert len(set(impressions.length.tolist())) > 2
             state = federated_em_round(state, impressions, dataset)
             _sequential_em_round(
-                reference, reference_local, dict(zip(users.tolist(), records)), dataset, displays
+                reference,
+                reference_local,
+                reference_seen,
+                dict(zip(users.tolist(), records)),
+                dataset,
+                displays,
             )
             np.testing.assert_array_equal(
                 state.relevance_model.weights, reference.relevance_model.weights
             )
             for name in ("theta", "posterior_sum", "impression_count"):
                 assert np.array_equal(getattr(state, name), getattr(reference, name)), name
-            assert np.array_equal(state.participations, reference.participations)
-        assert np.all(state.participations >= 2)
+            assert np.array_equal(state.impression_count[:, 0] > 0, reference_seen)
+        assert np.all(reference_seen)
 
 
-def _sequential_em_round(state, local_tables, client_records, dataset, displays):
+def _sequential_em_round(state, local_tables, seen, client_records, dataset, displays):
     """Reference federated EM round: each client's records one at a time,
     clients one after another in ascending id, each record showing the
     first documents of its query's row of `displays`. Row u of
-    `local_tables` is client u's local table, updated in place when it has
-    records."""
+    `local_tables` is client u's local table and `seen[u]` whether it ever
+    had records, both updated in place when it has records."""
 
     def sigmoid(x):
         return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
@@ -334,7 +371,7 @@ def _sequential_em_round(state, local_tables, client_records, dataset, displays)
         records = client_records[uid]
         if not records:
             continue
-        prior = state.theta[uid] if state.participations[uid] else state.initial_theta()
+        prior = state.theta[uid] if seen[uid] else state.initial_theta()
         exam_sum = np.zeros(state.theta.shape[1])
         exam_count = np.zeros_like(exam_sum)
         targets = []
@@ -353,7 +390,7 @@ def _sequential_em_round(state, local_tables, client_records, dataset, displays)
             residual = (pred - p_rel) * pred * (1.0 - pred)
             w = w - FIT_LR * 2.0 * (features.T @ residual) / len(p_rel)
         deltas.append(w - broadcast)
-        state.participations[uid] += 1
+        seen[uid] = True
         state.posterior_sum[uid] += exam_sum
         state.impression_count[uid] += exam_count
         covered = state.impression_count[uid] > 0
@@ -361,7 +398,6 @@ def _sequential_em_round(state, local_tables, client_records, dataset, displays)
         local[covered] = state.posterior_sum[uid, covered] / state.impression_count[uid, covered]
         local_tables[uid] = np.clip(local, FLOOR, 1.0)
     state.relevance_model = LinearRanker(broadcast + np.sum(np.stack(deltas), axis=0) / len(deltas))
-    seen = state.participations > 0
     local = local_tables[seen]
     served = (1.0 - POOLING) * local + POOLING * np.mean(local, axis=0)
     state.theta[seen] = np.clip(served, FLOOR, 1.0)
