@@ -133,18 +133,15 @@ def display_top_k(policy: LinearRanker, dataset: Dataset, k: int) -> Displays:
     )
 
 
-def train_logging_policy(
-    train: Dataset, sample_fraction: float, seed: int, epochs: int = LOGGING_EPOCHS
-) -> LinearRanker:
-    """Train the logging ranker on a small uniform sample of queries.
+def train_logging_policy(train: Dataset, seed: int) -> LinearRanker:
+    """Train the logging ranker on a uniform LOGGING_FRACTION of the queries.
 
     Pairwise hinge SGD on (higher grade, lower grade) document pairs, one
-    batched step per query per epoch. Deterministic given the seed.
+    batched step per query in each of LOGGING_EPOCHS epochs. Deterministic
+    given the seed.
     """
-    if not 0.0 < sample_fraction <= 1.0:
-        raise ValueError("sample_fraction must be in (0, 1]")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    n_sample = int(np.ceil(sample_fraction * train.n_queries))
+    n_sample = int(np.ceil(LOGGING_FRACTION * train.n_queries))
     if n_sample == 0:
         raise ValueError("sampled query set is empty")
     chosen = rng.choice(train.n_queries, size=n_sample, replace=False)
@@ -155,11 +152,9 @@ def train_logging_policy(
         pairs.append((query, i_idx, j_idx))
 
     w = np.zeros(train.feature_dim)
-    for _ in range(epochs):
+    for _ in range(LOGGING_EPOCHS):
         for qi in rng.permutation(len(pairs)):
             query, i_idx, j_idx = pairs[qi]
-            if i_idx.size == 0:
-                continue
             scores = query.features @ w
             margins = 1.0 - (scores[i_idx] - scores[j_idx])
             active = margins > 0.0
@@ -207,10 +202,10 @@ def collect_round_clicks(
     displays: Displays,
     m: int,
     max_impressions: int,
-    rng: np.random.Generator,
 ) -> list[ClickRecord]:
-    """Simulate impressions on queries drawn uniformly from the user's pool
-    until at least m clicks accumulate or max_impressions is reached.
+    """Simulate impressions on queries drawn uniformly from the user's pool,
+    from the user's own stream, until at least m clicks accumulate or
+    max_impressions is reached.
 
     `exam` is the user's examination probability at each display position
     of `displays`. Each impression shows the query's displayed documents
@@ -229,9 +224,9 @@ def collect_round_clicks(
     records: list[ClickRecord] = []
     clicks_total = 0
     while clicks_total < m and len(records) < max_impressions:
-        i = int(rng.integers(len(rows)))
+        i = int(user.rng_stream.integers(len(rows)))
         n = lengths[i]
-        record = ClickRecord(rows[i], rng.random(n) < probs[i, :n])
+        record = ClickRecord(rows[i], user.rng_stream.random(n) < probs[i, :n])
         records.append(record)
         clicks_total += record.n_clicks
     if clicks_total < m:

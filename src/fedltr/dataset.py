@@ -202,9 +202,15 @@ def _parse_range(path: str, start: int, end: int, first_line: int = 1):
     with contextlib.closing(_lines(path, start, end)) as fh:
         for lineno, raw in enumerate(fh, start=first_line):
             try:
-                line = raw.decode("utf-8").split("#", 1)[0].strip()
+                line = raw.decode("utf-8").split("#", 1)[0]
             except UnicodeDecodeError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
+            # int(), float() and str.split() read non-ASCII digits and spaces
+            # as ASCII ones: "１" is 1 and U+00A0 separates tokens.
+            if not line.isascii():
+                char = next(c for c in line if not c.isascii())
+                raise ValueError(f"line {lineno}: non-ASCII character {char!r}")
+            line = line.strip()
             if not line:
                 continue
             # int() and float() read "_" as a digit separator: "1_0" is 10.
@@ -218,7 +224,10 @@ def _parse_range(path: str, start: int, end: int, first_line: int = 1):
                 label = int(parts[0])
             except ValueError:
                 raise ValueError(f"line {lineno}: bad label {parts[0]!r}") from None
-            if abs(label) > INT64_MAX:
+            # A negative grade would have a negative gain 2^g - 1.
+            if label < 0:
+                raise ValueError(f"line {lineno}: label {label} is negative")
+            if label > INT64_MAX:
                 raise ValueError(f"line {lineno}: label {label} is too large")
             if not parts[1].startswith("qid:"):
                 raise ValueError(f"line {lineno}: missing qid field")
@@ -252,8 +261,8 @@ def _parse_range(path: str, start: int, end: int, first_line: int = 1):
                 if min(index[marked:], default=1) < 1 or not math.isfinite(sum(values[done:])):
                     raise ValueError("bad index or value")
             except (ValueError, OverflowError):
-                # Rare lines (bad tokens or values, non-ASCII text, finite
-                # values whose sum overflows) go token by token.
+                # Rare lines (bad tokens or values, finite values whose sum
+                # overflows) go token by token.
                 del index[marked:], values[done:]
                 line_index, line_values = _parse_tokens(lineno, tokens.split())
                 index.extend(line_index)

@@ -9,8 +9,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .clicksim import (
-    LOGGING_EPOCHS,
-    LOGGING_FRACTION,
     Displays,
     UserState,
     collect_round_clicks,
@@ -174,7 +172,7 @@ def init_state(
     """Set up an experiment: train the logging policy, create the user
     population with sampled per-user bias and fixed query pools, tabulate
     their examination curves, and start from zero weights."""
-    policy = train_logging_policy(train, LOGGING_FRACTION, cfg.seed, LOGGING_EPOCHS)
+    policy = train_logging_policy(train, cfg.seed)
     displays = display_top_k(policy, train, cfg.k)
     positions = np.arange(1, displays.docs.shape[1] + 1)
     # Allocated first, so a population too large to tabulate fails here
@@ -224,7 +222,6 @@ def run_round(state: ExperimentState, cfg: FederationConfig) -> tuple[Experiment
             state.displays,
             cfg.m,
             MAX_IMPRESSIONS_FACTOR * cfg.m,
-            state.users[uid].rng_stream,
         )
         for uid in sampled
     ]

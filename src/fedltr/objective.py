@@ -81,8 +81,8 @@ def gradient_groups(corpus: Dataset, clicks: Clicks, visit: np.ndarray, step: np
     visit[l] at its client's step step[l]. One group per (step, length
     class of the clicked query), in that order, keeps its lines' order and
     is padded to its longest query. A group is (client, index, eligible,
-    doc, clicked, propensity), the arguments of `hinge_gradients` after
-    each line's client.
+    doc, propensity), the arguments of `hinge_gradients` after each line's
+    client.
     """
     order, first = batches(_length_class(corpus.lengths[clicks.row[visit]]), step)
     size = np.diff(np.append(first, order.size))
@@ -99,13 +99,12 @@ def gradient_groups(corpus: Dataset, clicks: Clicks, visit: np.ndarray, step: np
     index = offset[line] + np.where(valid, j, 0)
     # As floats: einsum casts a bool operand in buffers, two to three times slower.
     eligible = (valid & (j != doc[line])).astype(np.float64)
-    clicked = corpus.features[offset + doc]
     client, propensity = clicks.client[picked], clicks.propensity[picked]
     groups = []
     for lo, n, w in zip(first.tolist(), size.tolist(), width.tolist()):
         lines, docs = slice(lo, lo + n), slice(start[lo], start[lo] + n * w)
         padded = (index[docs].reshape(n, w).T, eligible[docs].reshape(n, w))
-        groups.append((client[lines], *padded, doc[lines], clicked[lines], propensity[lines]))
+        groups.append((client[lines], *padded, doc[lines], propensity[lines]))
     return groups
 
 
@@ -115,14 +114,13 @@ def hinge_gradients(
     index: np.ndarray,
     eligible: np.ndarray,
     doc: np.ndarray,
-    clicked: np.ndarray,
     propensity: np.ndarray,
 ) -> np.ndarray:
     """Subgradient of hinge_sum / propensity for a batch of clicks, line i
     at weights[i]. features[index[j, i]] is the j-th document of line i's
-    query, padded with its first; doc[i] is the clicked one, with features
-    clicked[i]. eligible[i, j] is 1.0 for the query's other documents and
-    0.0 for the clicked one and the padding."""
+    query, padded with its first; doc[i] is the clicked one. eligible[i, j]
+    is 1.0 for the query's other documents and 0.0 for the clicked one and
+    the padding."""
     feats = features.take(index, axis=0)
     scores = np.matmul(feats.transpose(1, 0, 2), weights[:, :, None])[:, :, 0]
     line = np.arange(doc.size)
@@ -133,7 +131,7 @@ def hinge_gradients(
     # is one line of a one-feature corpus: numpy then sums its lone column
     # in an unrolled order.
     summed = np.einsum("nd,dnf->nf", active, feats)
-    return -(active.sum(axis=1)[:, None] * clicked - summed) / propensity[:, None]
+    return -(active.sum(axis=1)[:, None] * feats[doc, line] - summed) / propensity[:, None]
 
 
 def hinge_sum(model: LinearRanker, query: Query, d: int) -> float:
@@ -160,8 +158,8 @@ def click_gradient(
     if propensity <= 0.0:
         raise ValueError("propensity must be positive")
     docs = np.arange(query.n_docs)
-    lines = (docs[:, None], (docs != d)[None] * 1.0, np.array([d]), query.features[d][None])
-    return hinge_gradients(query.features, model.weights[None], *lines, np.array([propensity]))[0]
+    lines = (docs[:, None], (docs != d)[None] * 1.0, np.array([d]), np.array([propensity]))
+    return hinge_gradients(query.features, model.weights[None], *lines)[0]
 
 
 def client_loss(model: LinearRanker, corpus: Dataset, clicks: Clicks) -> np.ndarray:

@@ -132,22 +132,21 @@ def local_em(
     n_clients, k = theta_prior.shape
     if length.max() > k:
         raise ValueError("record longer than the estimator's position range")
-    # Flat rows of the displayed documents. Both passes group records by
-    # exact length, never zero-padded: a padded np.matmul sums its terms in
-    # another order and changes `features @ w` in its last bits, where one
+    # Flat rows of the displayed documents. Both passes score records grouped
+    # by exact length, never zero-padded: a padded np.matmul sums its terms
+    # in another order and changes `features @ w` in its last bits, where one
     # length's stacked product equals each record's.
     doc_rows = corpus.offsets[impressions.row][:, None] + impressions.docs
-    p_exam = np.zeros((client.size, k))
-    targets = np.zeros_like(p_exam)
+    # The E-step works element by element, so it runs once on every record;
+    # the padding's neutral relevance prior enters no sum.
+    rel = np.full((client.size, k), 0.5)
     order, first = batches(length)
     for group in np.split(order, first)[1:]:
         n = int(length[group[0]])
-        # Clipping keeps the relevance prior inside em_e_step's range.
-        rel = _sigmoid(np.matmul(corpus.features[doc_rows[group, :n]], weights))
-        rel = np.clip(rel, 1e-6, 1.0 - 1e-6)
-        p_exam[group, :n], targets[group, :n] = em_e_step(
-            impressions.clicked[group, :n], theta_prior[client[group], :n], rel
-        )
+        rel[group, :n] = _sigmoid(np.matmul(corpus.features[doc_rows[group, :n]], weights))
+    # Clipping keeps the relevance prior inside em_e_step's range.
+    rel = np.clip(rel, 1e-6, 1.0 - 1e-6)
+    p_exam, targets = em_e_step(impressions.clicked, theta_prior[client], rel)
     shown = np.arange(k) < length[:, None]
     slot = (client[:, None] * k + np.arange(k))[shown]
     # bincount adds each client's posteriors in record order, as a running

@@ -83,8 +83,8 @@ class TestTrainLambdaLinear:
 
     def test_beats_logging_policy(self, small_split):
         # Full supervision on true grades should clearly beat the pairwise
-        # policy trained on a 10% sample.
+        # policy trained on a 1 % sample.
         train, test = small_split
         model = train_lambda_linear(train, seed=0)
-        policy = train_logging_policy(train, 0.1, seed=0)
+        policy = train_logging_policy(train, seed=0)
         assert mean_ndcg(model, test, 5) > mean_ndcg(policy, test, 5)

@@ -38,15 +38,15 @@ def _displays(*queries, k):
     return display_top_k(W1, Dataset(queries=queries, feature_dim=1), k)
 
 
-def _collect(user, displays, m, max_impressions, rng):
+def _collect(user, displays, m, max_impressions):
     """collect_round_clicks with the user's true examination curve."""
     exam = examination_prob(np.arange(1, displays.docs.shape[1] + 1), user.gamma_s)
-    return collect_round_clicks(user, exam, displays, m, max_impressions, rng)
+    return collect_round_clicks(user, exam, displays, m, max_impressions)
 
 
-def _impression(user, query, k, rng):
+def _impression(user, query, k):
     """One impression of `query`, the only query of the user's pool."""
-    return _collect(user, _displays(query, k=k), 1, 1, rng)[0]
+    return _collect(user, _displays(query, k=k), 1, 1)[0]
 
 
 def _user(gamma_s=1.0, pool=(0,), uid=0, seed=0):
@@ -60,26 +60,26 @@ def _user(gamma_s=1.0, pool=(0,), uid=0, seed=0):
 
 class TestTrainLoggingPolicy:
     def test_same_seed_identical_weights(self, small_corpus):
-        a = train_logging_policy(small_corpus, 0.1, seed=5)
-        b = train_logging_policy(small_corpus, 0.1, seed=5)
+        a = train_logging_policy(small_corpus, seed=5)
+        b = train_logging_policy(small_corpus, seed=5)
         np.testing.assert_array_equal(a.weights, b.weights)
 
     def test_tiny_fraction_rounds_up_to_one_query(self, small_corpus):
         # ceil(0.01 * 80) = 1 sampled query; training must still work.
-        policy = train_logging_policy(small_corpus, 0.01, seed=5)
+        policy = train_logging_policy(small_corpus, seed=5)
         assert np.all(np.isfinite(policy.weights))
         assert np.any(policy.weights != 0.0)
 
     def test_trained_policy_beats_untrained(self, small_corpus):
-        policy = train_logging_policy(small_corpus, 1.0, seed=5)
+        policy = train_logging_policy(small_corpus, seed=5)
         trained = mean_ndcg(policy, small_corpus, 5)
         untrained = mean_ndcg(LinearRanker.zeros(small_corpus.feature_dim), small_corpus, 5)
         assert trained > untrained
 
     def test_builds_query_views_only_for_its_sample(self, monkeypatch):
-        # ceil(0.1 * 40) = 4 sampled queries of a corpus whose views have
+        # ceil(0.01 * 400) = 4 sampled queries of a corpus whose views have
         # never been built.
-        corpus = generate_synthetic(40, 5, 3, seed=1)
+        corpus = generate_synthetic(400, 5, 3, seed=1)
         built = []
 
         def counting_query(**fields):
@@ -87,13 +87,8 @@ class TestTrainLoggingPolicy:
             return Query(**fields)
 
         monkeypatch.setattr(dataset_module, "Query", counting_query)
-        train_logging_policy(corpus, 0.1, seed=5, epochs=2)
+        train_logging_policy(corpus, seed=5)
         assert len(built) == 4
-
-    def test_fraction_out_of_range_errors(self, small_corpus):
-        for bad in (0.0, -0.1, 1.5):
-            with pytest.raises(ValueError, match="sample_fraction"):
-                train_logging_policy(small_corpus, bad, seed=5)
 
     def test_display_top_k_follows_logging_order(self):
         q1 = _query([1.0, 3.0, 2.0], [0, 3, 0], qid=1)
@@ -192,7 +187,7 @@ class TestSimulateImpression:
         # A user without bias examines every position, so every relevant
         # document is clicked wherever it is shown.
         q = _query([3.0, 2.0, 1.0], [3, 4, 3])
-        record = _impression(_user(gamma_s=0.0), q, 3, np.random.default_rng(0))
+        record = _impression(_user(gamma_s=0.0), q, 3)
         np.testing.assert_array_equal(record.clicks, [True, True, True])
 
     def test_clicks_follow_the_given_examination_row(self):
@@ -201,15 +196,14 @@ class TestSimulateImpression:
         q = _query([3.0, 2.0, 1.0], [3, 3, 3])
         displays = _displays(q, k=3)
         record = collect_round_clicks(
-            _user(gamma_s=0.0), np.array([1.0, 0.0, 1.0]), displays, 1, 1,
-            np.random.default_rng(0),
+            _user(gamma_s=0.0), np.array([1.0, 0.0, 1.0]), displays, 1, 1
         )[0]
         np.testing.assert_array_equal(record.clicks, [True, False, True])
 
     def test_displays_top_k_of_logging_order(self):
         q = _query([6.0, 5.0, 4.0, 3.0, 2.0, 1.0], [0, 0, 0, 0, 0, 3])
         displays = _displays(q, k=5)
-        record = _collect(_user(), displays, 1, 1, np.random.default_rng(0))[0]
+        record = _collect(_user(), displays, 1, 1)[0]
         displayed = displays.docs[record.row, : record.clicks.size]
         np.testing.assert_array_equal(displayed, [0, 1, 2, 3, 4])
         # The document below the cutoff is never displayed, hence never clicked.
@@ -217,23 +211,22 @@ class TestSimulateImpression:
 
     def test_k_capped_at_document_count(self):
         q = _query([2.0, 1.0], [3, 0])
-        record = _impression(_user(), q, 5, np.random.default_rng(0))
+        record = _impression(_user(), q, 5)
         assert len(record.clicks) == 2
 
     def test_k_must_be_positive(self):
         q = _query([1.0], [3])
         with pytest.raises(ValueError, match="k must be"):
-            _impression(_user(), q, 0, np.random.default_rng(0))
+            _impression(_user(), q, 0)
 
     def test_empirical_click_rates_match_model(self):
         q = _query([5.0, 4.0, 3.0, 2.0, 1.0], [4, 3, 0, 0, 0])
-        user = _user(gamma_s=1.0)
+        user = _user(gamma_s=1.0, seed=11)
         displays = _displays(q, k=5)
-        rng = np.random.default_rng(11)
         n = 20_000
         counts = np.zeros(5)
         for _ in range(n):
-            counts += _collect(user, displays, 1, 1, rng)[0].clicks
+            counts += _collect(user, displays, 1, 1)[0].clicks
         expected = examination_prob(np.arange(1, 6), 1.0) * click_given_examination([4, 3, 0, 0, 0])
         # Relevant doc at position 1 is clicked with probability exactly 1.
         assert counts[0] == n
@@ -245,16 +238,14 @@ class TestCollectRoundClicks:
     def test_guaranteed_click_stops_after_one_impression(self):
         q = _query([1.0], [4])
         user = _user(gamma_s=0.0, pool=(0,))
-        records = _collect(user, _displays(q, k=1), 1, 50, np.random.default_rng(0))
+        records = _collect(user, _displays(q, k=1), 1, 50)
         assert len(records) == 1
         assert records[0].n_clicks == 1
         assert user.capped_rounds == 0
 
     def test_click_quota_is_reached(self):
         q = _query([2.0, 1.0], [4, 3], qid=1)
-        records = _collect(
-            _user(gamma_s=0.0), _displays(q, k=2), 10, 500, np.random.default_rng(3)
-        )
+        records = _collect(_user(gamma_s=0.0, seed=3), _displays(q, k=2), 10, 500)
         assert sum(r.n_clicks for r in records) >= 10
 
     def test_same_seed_identical_records(self):
@@ -263,8 +254,8 @@ class TestCollectRoundClicks:
         displays = _displays(q1, q2, k=3)
         runs = []
         for _ in range(2):
-            user = _user(gamma_s=1.0, pool=(0, 1))
-            runs.append(_collect(user, displays, 5, 100, np.random.default_rng(9)))
+            user = _user(gamma_s=1.0, pool=(0, 1), seed=9)
+            runs.append(_collect(user, displays, 5, 100))
         first, second = runs
         assert len(first) == len(second)
         for a, b in zip(first, second):
@@ -276,7 +267,7 @@ class TestCollectRoundClicks:
         # never reach a quota of 10.
         q = _query([2.0, 1.0], [0, 0])
         user = _user(gamma_s=1.0)
-        records = _collect(user, _displays(q, k=1), 10, 3, np.random.default_rng(0))
+        records = _collect(user, _displays(q, k=1), 10, 3)
         assert len(records) == 3
         assert user.capped_rounds == 1
 
@@ -284,9 +275,9 @@ class TestCollectRoundClicks:
         q = _query([1.0], [3])
         user = _user()
         with pytest.raises(ValueError, match="m must be"):
-            _collect(user, _displays(q, k=1), 0, 5, np.random.default_rng(0))
+            _collect(user, _displays(q, k=1), 0, 5)
         with pytest.raises(ValueError, match="max_impressions"):
-            _collect(user, _displays(q, k=1), 1, 0, np.random.default_rng(0))
+            _collect(user, _displays(q, k=1), 1, 0)
 
 
 class TestRoundImpressions:

@@ -164,6 +164,31 @@ class TestLoadSvmlight:
             with pytest.raises(ValueError, match=f"^line 2: underscore in '{token}'$"):
                 load_svmlight(path)
 
+    @pytest.mark.parametrize(
+        "line, char",
+        [
+            # int(), float() and str.split() read these as ASCII digits and spaces.
+            ("2 qid:1 １:0.5", "１"),
+            ("2 qid:1 1:٠.٥", "٠"),
+            ("２ qid:1 1:0.5", "２"),
+            ("2 qid:1 1:0.5", " "),
+            ("2 qid:1 1:0.5　2:0.25", "　"),
+        ],
+    )
+    def test_non_ascii_character_names_line(self, tmp_path, line, char, range_counts):
+        path = _write(tmp_path, f"1 qid:1 1:0.5\n{line}\n")
+        message = f"^line 2: non-ASCII character {re.escape(repr(char))}$"
+        for _ in range_counts:
+            with pytest.raises(ValueError, match=message):
+                load_svmlight(path)
+
+    def test_negative_label_names_line(self, tmp_path, range_counts):
+        # A negative grade has a negative gain 2^g - 1.
+        path = _write(tmp_path, "1 qid:1 1:0.5\n-1 qid:1 1:0.25\n")
+        for _ in range_counts:
+            with pytest.raises(ValueError, match="^line 2: label -1 is negative$"):
+                load_svmlight(path)
+
     def test_underscore_in_a_comment_loads(self, tmp_path, range_counts):
         path = _write(tmp_path, "1 qid:1 1:0.5 # doc_id=1_0\n0 qid:1 1:0.25\n")
         for _ in range_counts:

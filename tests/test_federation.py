@@ -354,7 +354,7 @@ class TestInitState:
         for user in state.users:
             assert set(user.query_pool) <= set(range(train.n_queries))
             records = collect_round_clicks(
-                user, state.examination[user.id], state.displays, cfg.m, 20, user.rng_stream
+                user, state.examination[user.id], state.displays, cfg.m, 20
             )
             for record in records:
                 assert record.row in user.query_pool
@@ -457,7 +457,7 @@ class TestRunRound:
         user = shadow.users[0]
         cap = federation.MAX_IMPRESSIONS_FACTOR * cfg.m
         records = collect_round_clicks(
-            user, shadow.examination[0], shadow.displays, cfg.m, cap, user.rng_stream
+            user, shadow.examination[0], shadow.displays, cfg.m, cap
         )
         clicks = round_clicks(round_impressions([0], [records], shadow.displays), shadow.examination)
         delta = client_opt(

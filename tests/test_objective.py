@@ -206,7 +206,6 @@ class TestHingeGradients:
                 (offset[:, None] + np.where(valid, j, 0)).T,
                 (valid & (j != doc[:, None])) * 1.0,
                 doc,
-                features[offset + doc],
                 propensity,
             )
             expected = _mask_then_sum_gradients(features, weights, offset, length, doc, propensity)
@@ -369,8 +368,7 @@ def _gradients(corpus, weights, row, doc, propensity):
     model's weights."""
     index, valid = corpus.doc_rows(row)
     eligible = valid & (np.arange(index.shape[1]) != doc[:, None])
-    clicked = corpus.features[corpus.offsets[row] + doc]
-    lines = (index.T, eligible * 1.0, doc, clicked, propensity)
+    lines = (index.T, eligible * 1.0, doc, propensity)
     return hinge_gradients(corpus.features, np.tile(weights, (doc.size, 1)), *lines)
 
 
@@ -395,7 +393,7 @@ def _signal_errors(train, displays, users, tables, weights):
     quota = _SIGNAL_IMPRESSIONS * k + 1
     records = [
         collect_round_clicks(
-            user, tables["known"][user.id], displays, quota, _SIGNAL_IMPRESSIONS, user.rng_stream
+            user, tables["known"][user.id], displays, quota, _SIGNAL_IMPRESSIONS
         )
         for user in users
     ]
@@ -457,7 +455,7 @@ def test_ips_weighted_click_gradient_is_unbiased(bench):
     # chain checked is the simulator's own: collect_round_clicks draws,
     # round_clicks weights, hinge_gradients differentiates.
     train, _ = bench
-    displays = display_top_k(train_logging_policy(train, 0.01, seed=0), train, 5)
+    displays = display_top_k(train_logging_policy(train, seed=0), train, 5)
     ones = []
     for gamma, (bound, noise_bound, floor) in _SIGNAL_BOUNDS.items():
         errors = _signal_check(train, displays, gamma, seed=0)
