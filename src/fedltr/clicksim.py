@@ -36,12 +36,6 @@ class UserState:
     rng_stream: np.random.Generator
     capped_rounds: int = 0
 
-    def __post_init__(self) -> None:
-        if self.gamma_s < 0:
-            raise ValueError("gamma_s must be >= 0")
-        if not self.query_pool:
-            raise ValueError("query_pool must be nonempty")
-
 
 @dataclass(frozen=True)
 class ClickRecord:
@@ -89,26 +83,18 @@ class Impressions:
     docs: np.ndarray
     clicked: np.ndarray
 
-    def __post_init__(self) -> None:
-        if np.any(np.diff(self.users) <= 0):
-            raise ValueError("users must be strictly ascending")
-        if np.any(np.diff(self.client) < 0):
-            raise ValueError("records must be ordered by client")
-
 
 def round_impressions(users, records, displays: Displays) -> Impressions:
     """The round's records as Impressions, records[i] being the records of
-    user users[i]. What each record showed is read from `displays`."""
+    user users[i], with `users` ascending. What each record showed is read
+    from `displays`."""
     flat = [record for client in records for record in client]
     row = np.array([record.row for record in flat], dtype=np.int64)
     length = displays.lengths[row]
     shown = np.arange(displays.docs.shape[1]) < length[:, None]
-    # The empty leading arrays fix the dtype when there is no record.
-    clicks = np.concatenate([np.zeros(0, dtype=bool)] + [record.clicks for record in flat])
-    if clicks.size != np.count_nonzero(shown):
-        raise ValueError("records must show their query's displayed documents")
     clicked = np.zeros(shown.shape, dtype=bool)
-    clicked[shown] = clicks
+    # The empty leading array fixes the dtype when there is no record.
+    clicked[shown] = np.concatenate([np.zeros(0, dtype=bool)] + [record.clicks for record in flat])
     return Impressions(
         users=np.asarray(users),
         client=np.repeat(np.arange(len(records)), [len(client) for client in records]),
@@ -122,8 +108,6 @@ def round_impressions(users, records, displays: Displays) -> Impressions:
 def display_top_k(policy: LinearRanker, dataset: Dataset, k: int) -> Displays:
     """The logging policy's top k of every query of the dataset, from one
     product and one sort over all of them."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     docs = top_k(policy.weights, dataset, k)
     grades = np.take_along_axis(dataset.padded(dataset.labels, 0), docs, axis=1)
     return Displays(
@@ -142,8 +126,6 @@ def train_logging_policy(train: Dataset, seed: int) -> LinearRanker:
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     n_sample = int(np.ceil(LOGGING_FRACTION * train.n_queries))
-    if n_sample == 0:
-        raise ValueError("sampled query set is empty")
     chosen = rng.choice(train.n_queries, size=n_sample, replace=False)
 
     pairs = []
@@ -169,10 +151,6 @@ def sample_user_bias(gamma: float, sigma: float, rng: np.random.Generator) -> fl
     """Draw a per-user bias factor from Normal(gamma, sigma), rejecting
     negative samples. sigma is the standard deviation; sigma=0 returns
     gamma exactly."""
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
     if sigma == 0.0:
         return gamma
     while True:
@@ -214,10 +192,6 @@ def collect_round_clicks(
     zero-click ones. Hitting the cap before the quota increments the user's
     capped_rounds counter.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if max_impressions < 1:
-        raise ValueError("max_impressions must be >= 1")
     rows = list(user.query_pool)  # a tuple would index numpy arrays as one multi-axis index
     lengths = displays.lengths[rows].tolist()
     probs = exam * displays.click_rates[rows]

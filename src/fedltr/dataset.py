@@ -210,6 +210,10 @@ def _parse_range(path: str, start: int, end: int, first_line: int = 1):
             if not line.isascii():
                 char = next(c for c in line if not c.isascii())
                 raise ValueError(f"line {lineno}: non-ASCII character {char!r}")
+            # They also read the information separators U+001C-U+001F as spaces.
+            if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
+                char = next(c for c in line if "\x1c" <= c <= "\x1f")
+                raise ValueError(f"line {lineno}: control character {char!r}")
             line = line.strip()
             if not line:
                 continue

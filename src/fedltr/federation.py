@@ -161,8 +161,6 @@ def server_opt(w_t: LinearRanker, deltas: np.ndarray, eta_global: float) -> Line
     Rows of `deltas` are in ascending client-id order; the mean is
     accumulated in that order so results do not depend on scheduling.
     """
-    if len(deltas) == 0:
-        raise ValueError("deltas must be nonempty")
     return LinearRanker(w_t.weights + eta_global * deltas.mean(axis=0))
 
 

@@ -47,8 +47,6 @@ def dcg_at_k(labels_in_rank_order: np.ndarray, k: int) -> float:
 def mean_ndcg(ranker: LinearRanker, dataset: Dataset, k: int) -> float:
     """Mean NDCG@k over a dataset, skipping queries with zero ideal DCG; on
     a one-query dataset, that query's NDCG@k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     lengths = np.minimum(dataset.lengths, k)
     labels = dataset.padded(dataset.labels.astype(np.float64), -np.inf)
     ideal = _dcg(-np.sort(-labels, axis=1)[:, :k], lengths)

@@ -69,10 +69,6 @@ class EmEstimatorState:
     impression_count: np.ndarray = field(init=False)
 
     def __post_init__(self, k: int, num_users: int) -> None:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if num_users < 1:
-            raise ValueError("num_users must be >= 1")
         self.theta = np.ones((num_users, k))
         self.posterior_sum = np.zeros((num_users, k))
         self.impression_count = np.zeros((num_users, k))
@@ -124,14 +120,11 @@ def local_em(
     per-position sums of examination posteriors and impression counts,
     added in record order. Clients are independent, so their SGD passes run
     in lockstep, planned once: one sort by (step, record length) makes each
-    step's records of one length one batch.
+    step's records of one length one batch. There is at least one record,
+    and `theta_prior` is as wide as the display.
     """
     client, length = impressions.client, impressions.length
-    if client.size == 0:
-        raise ValueError("records must be nonempty")
     n_clients, k = theta_prior.shape
-    if length.max() > k:
-        raise ValueError("record longer than the estimator's position range")
     # Flat rows of the displayed documents. Both passes score records grouped
     # by exact length, never zero-padded: a padded np.matmul sums its terms
     # in another order and changes `features @ w` in its last bits, where one

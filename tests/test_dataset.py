@@ -182,6 +182,21 @@ class TestLoadSvmlight:
             with pytest.raises(ValueError, match=message):
                 load_svmlight(path)
 
+    @pytest.mark.parametrize(
+        "line, char",
+        [
+            # str.split(), int() and float() read these as spaces.
+            ("2 qid:1 1:0.5\x1f2:0.25", "\x1f"),
+            ("2\x1cqid:1 1:0.5", "\x1c"),
+        ],
+    )
+    def test_control_character_names_line(self, tmp_path, line, char, range_counts):
+        path = _write(tmp_path, f"1 qid:1 1:0.5\n{line}\n")
+        message = f"^line 2: control character {re.escape(repr(char))}$"
+        for _ in range_counts:
+            with pytest.raises(ValueError, match=message):
+                load_svmlight(path)
+
     def test_negative_label_names_line(self, tmp_path, range_counts):
         # A negative grade has a negative gain 2^g - 1.
         path = _write(tmp_path, "1 qid:1 1:0.5\n-1 qid:1 1:0.25\n")

@@ -255,10 +255,6 @@ class TestServerOpt:
         new = server_opt(w0, np.zeros((3, 2)), eta_global=0.5)
         np.testing.assert_array_equal(new.weights, w0.weights)
 
-    def test_empty_updates_error(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            server_opt(LinearRanker.zeros(2), np.zeros((0, 2)), 1.0)
-
 
 class TestFederationConfig:
     def test_defaults_are_valid(self):
@@ -292,6 +288,10 @@ class TestFederationConfig:
             ValueError, match=r"^federation\.gamma must be a finite real >= 0, got -1\.0$"
         ):
             FederationConfig(gamma=-1.0)
+        with pytest.raises(
+            ValueError, match=r"^federation\.gamma_sigma must be a finite real >= 0, got -0\.1$"
+        ):
+            FederationConfig(gamma_sigma=-0.1)
 
 
     @pytest.mark.parametrize(
@@ -316,12 +316,14 @@ class TestFederationConfig:
         with pytest.raises(TypeError, match=field):
             FederationConfig(**{field: value})
 
-    @pytest.mark.parametrize("value", [2.5, True])
+    @pytest.mark.parametrize("value", [2.5, True, 0])
     @pytest.mark.parametrize(
         "field",
         ["num_users", "users_per_round", "k", "m", "rounds"],
     )
     def test_rejects_non_integer_counts(self, field, value):
+        # Each count is checked here only: the code that reads it relies on
+        # an integer of at least 1.
         message = rf"^federation\.{field} must be an integer >= \d, got "
         with pytest.raises(ValueError, match=message):
             FederationConfig(**{field: value})

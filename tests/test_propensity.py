@@ -172,19 +172,6 @@ class TestEmMStepLocal:
         )
         np.testing.assert_allclose(exam_sum / exam_count, [[1.0, 1.0, 1.0]])
 
-    def test_empty_records_error(self):
-        _, rel, query = _exact_prior_setup(seed=2, n_docs=3)
-        with pytest.raises(ValueError, match="nonempty"):
-            local_em(
-                _corpus(query), _impressions({0: []}, k=2), np.array([[1.0, 0.5]]), np.ones(1)
-            )
-
-    def test_record_longer_than_position_range_errors(self):
-        _, rel, query = _exact_prior_setup(seed=3, n_docs=5)
-        impressions = _impressions({0: [(np.arange(3), np.zeros(3, dtype=bool))]}, k=3)
-        with pytest.raises(ValueError, match="longer"):
-            local_em(_corpus(query), impressions, np.array([[1.0, 0.5]]), np.ones(1))
-
     def test_fixed_point_recovers_inverse_rank_curve(self):
         # With the relevance prior exact, iterating the local EM step to its
         # fixed point on pure position-model clicks must recover the user's
@@ -430,14 +417,7 @@ class TestEstimatedPropensity:
                 estimated_propensity(state, client_id, 1)
 
 
-class TestEmEstimatorStateValidation:
-    def test_rejects_bad_parameters(self):
-        model = LinearRanker.zeros(1)
-        with pytest.raises(ValueError, match="k must be"):
-            EmEstimatorState(relevance_model=model, k=0, num_users=50)
-        with pytest.raises(ValueError, match="num_users"):
-            EmEstimatorState(relevance_model=model, k=5, num_users=0)
-
+class TestEmEstimatorState:
     def test_initial_theta_anchors_top_position(self):
         state = EmEstimatorState(relevance_model=LinearRanker.zeros(1), k=4, num_users=50)
         np.testing.assert_array_equal(state.initial_theta(), [1.0, 0.5, 0.5, 0.5])
