@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import re
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -117,28 +118,28 @@ class Dataset:
         )
 
 
-# str.translate table deleting every ASCII character but the colon and
+# bytes.translate deletion table of every byte but the colon and ASCII
 # whitespace, which leaves the separators of a line's `idx:val` tokens.
-_NOT_SEPARATOR = {c: None for c in range(128) if not (chr(c).isspace() or chr(c) == ":")}
+_NOT_SEPARATOR = bytes(c for c in range(256) if c not in b" \t\n\r\x0b\x0c:")
 
 
-def _parse_tokens(lineno: int, tokens: list[str]) -> tuple[list[int], list[float]]:
+def _parse_tokens(lineno: int, tokens: list[bytes]) -> tuple[list[int], list[float]]:
     """The indices and values of one line's `idx:val` tokens, one token at
     a time; raises on the first bad token."""
     indices, values = [], []
     for tok in tokens:
-        idx_s, _, val_s = tok.partition(":")
+        idx_s, _, val_s = tok.partition(b":")
         try:
             idx = int(idx_s)
             val = float(val_s)
         except ValueError:
-            raise ValueError(f"line {lineno}: bad feature {tok!r}") from None
+            raise ValueError(f"line {lineno}: bad feature {tok.decode()!r}") from None
         if idx < 1:
             raise ValueError(f"line {lineno}: feature indices are 1-based, got {idx}")
         if idx > INT64_MAX:
             raise ValueError(f"line {lineno}: feature index {idx} is too large")
         if not math.isfinite(val):
-            raise ValueError(f"line {lineno}: non-finite feature {tok!r}")
+            raise ValueError(f"line {lineno}: non-finite feature {tok.decode()!r}")
         indices.append(idx)
         values.append(val)
     return indices, values
@@ -190,87 +191,85 @@ def _parse_range(path: str, start: int, end: int, first_line: int = 1):
     block of the range's documents, in file order, as wide as the range's
     largest index.
 
-    Only the label and qid are parsed one line at a time. Each line's
-    tokens are converted in bulk into flat buffers and checked as a whole;
-    a line that fails goes token by token, which raises its error.
+    Each line is parsed as bytes, only its label and qid one at a time. Its
+    tokens go in bulk into flat buffers, checked as a whole; a line that
+    fails goes token by token. An error names a line's bad character first.
     """
     qids, labels = array("q"), array("q")
     ends = array("q")  # tokens read up to the end of each document
     index, values = array("q"), array("d")
     sparse = array("b")  # whether `index` holds each document's indices
-    names, skeleton = [], ""
+    names, skeleton = [], b""
     with contextlib.closing(_lines(path, start, end)) as fh:
         for lineno, raw in enumerate(fh, start=first_line):
-            try:
-                line = raw.decode("utf-8").split("#", 1)[0]
-            except UnicodeDecodeError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            # int(), float() and str.split() read non-ASCII digits and spaces
-            # as ASCII ones: "１" is 1 and U+00A0 separates tokens.
-            if not line.isascii():
-                char = next(c for c in line if not c.isascii())
-                raise ValueError(f"line {lineno}: non-ASCII character {char!r}")
-            # They also read the information separators U+001C-U+001F as spaces.
-            if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
-                char = next(c for c in line if "\x1c" <= c <= "\x1f")
-                raise ValueError(f"line {lineno}: control character {char!r}")
-            line = line.strip()
+            line = raw.split(b"#", 1)[0].strip()
             if not line:
                 continue
-            # int() and float() read "_" as a digit separator: "1_0" is 10.
-            if "_" in line:
-                token = next(tok for tok in line.split() if "_" in tok)
-                raise ValueError(f"line {lineno}: underscore in {token!r}")
-            parts = line.split(None, 2)
-            if len(parts) < 2:
-                raise ValueError(f"line {lineno}: expected '<label> qid:<id> ...'")
             try:
-                label = int(parts[0])
+                # int() and float() read "_" as a digit separator: "1_0" is 10.
+                if b"_" in line:
+                    token = next(tok for tok in line.split() if b"_" in tok)
+                    raise ValueError(f"line {lineno}: underscore in {token.decode()!r}")
+                parts = line.split(None, 2)
+                if len(parts) < 2:
+                    raise ValueError(f"line {lineno}: expected '<label> qid:<id> ...'")
+                try:
+                    label = int(parts[0])
+                except ValueError:
+                    raise ValueError(f"line {lineno}: bad label {parts[0].decode()!r}") from None
+                # A negative grade would have a negative gain 2^g - 1.
+                if not 0 <= label <= INT64_MAX:
+                    problem = "negative" if label < 0 else "too large"
+                    raise ValueError(f"line {lineno}: label {label} is {problem}")
+                if not parts[1].startswith(b"qid:"):
+                    raise ValueError(f"line {lineno}: missing qid field")
+                try:
+                    qid = int(parts[1][4:])
+                except ValueError:
+                    raise ValueError(f"line {lineno}: bad qid {parts[1].decode()!r}") from None
+                if abs(qid) > INT64_MAX:
+                    raise ValueError(f"line {lineno}: qid {qid} is too large")
+                tokens = parts[2] if len(parts) > 2 else b""
+                done, marked = len(values), len(index)
+                try:
+                    pieces = tokens.replace(b":", b" ").split()
+                    ids, n = pieces[0::2], len(pieces) // 2
+                    if n > len(names):
+                        names, skeleton = [b"%d" % i for i in range(1, n + 1)], b" :" * n
+                    # A dense line has index strings "1".."n" and separators ": : ... :";
+                    # its last index, compared first, turns a sparse line away cheaply.
+                    separators = tokens.translate(None, _NOT_SEPARATOR)
+                    dense = ids[-1:] == names[n - 1 : n] and separators == skeleton[1 : 2 * n]
+                    if not (dense and ids == names[:n]):
+                        n = len(tokens.split())
+                        # Every one of the n tokens is one nonempty index, a
+                        # colon and one nonempty value exactly when each token
+                        # holds one colon and there are two pieces per token.
+                        if 2 * n != len(pieces) or separators.split() != [b":"] * n:
+                            raise ValueError("malformed token")
+                        index.extend(map(int, ids))
+                    values.extend(map(float, pieces[1::2]))
+                    # A nan or inf value makes the sum nan or inf.
+                    if min(index[marked:], default=1) < 1 or not math.isfinite(sum(values[done:])):
+                        raise ValueError("bad index or value")
+                except (ValueError, OverflowError):
+                    # Rare lines (bad tokens or values, finite values whose sum
+                    # overflows) go token by token.
+                    del index[marked:], values[done:]
+                    line_index, line_values = _parse_tokens(lineno, tokens.split())
+                    index.extend(line_index)
+                    values.extend(line_values)
             except ValueError:
-                raise ValueError(f"line {lineno}: bad label {parts[0]!r}") from None
-            # A negative grade would have a negative gain 2^g - 1.
-            if label < 0:
-                raise ValueError(f"line {lineno}: label {label} is negative")
-            if label > INT64_MAX:
-                raise ValueError(f"line {lineno}: label {label} is too large")
-            if not parts[1].startswith("qid:"):
-                raise ValueError(f"line {lineno}: missing qid field")
-            try:
-                qid = int(parts[1][4:])
-            except ValueError:
-                raise ValueError(f"line {lineno}: bad qid {parts[1]!r}") from None
-            if abs(qid) > INT64_MAX:
-                raise ValueError(f"line {lineno}: qid {qid} is too large")
-            tokens = parts[2] if len(parts) > 2 else ""
-            done, marked = len(values), len(index)
-            try:
-                pieces = tokens.replace(":", " ").split()
-                ids, n = pieces[0::2], len(pieces) // 2
-                if n > len(names):
-                    names, skeleton = [str(i) for i in range(1, n + 1)], " :" * n
-                # A dense line has index strings "1".."n" and separators ": : ... :";
-                # its last index, compared first, turns a sparse line away cheaply.
-                separators = tokens.translate(_NOT_SEPARATOR)
-                dense = ids[-1:] == names[n - 1 : n] and separators == skeleton[1 : 2 * n]
-                if not (dense and ids == names[:n]):
-                    n = len(tokens.split())
-                    # Every one of the n tokens is one nonempty index, a
-                    # colon and one nonempty value exactly when each token
-                    # holds one colon and there are two pieces per token.
-                    if 2 * n != len(pieces) or separators.split() != [":"] * n:
-                        raise ValueError("malformed token")
-                    index.extend(map(int, ids))
-                values.extend(map(float, pieces[1::2]))
-                # A nan or inf value makes the sum nan or inf.
-                if min(index[marked:], default=1) < 1 or not math.isfinite(sum(values[done:])):
-                    raise ValueError("bad index or value")
-            except (ValueError, OverflowError):
-                # Rare lines (bad tokens or values, finite values whose sum
-                # overflows) go token by token.
-                del index[marked:], values[done:]
-                line_index, line_values = _parse_tokens(lineno, tokens.split())
-                index.extend(line_index)
-                values.extend(line_values)
+                # On str, int(), float() and split() read "１" as 1 and U+00A0 and U+001F
+                # as spaces; on bytes they raise, so only a failed line can hold one.
+                try:
+                    text = raw.decode("utf-8").split("#", 1)[0]
+                except UnicodeDecodeError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from None
+                for kind, chars in (("non-ASCII", r"[^\x00-\x7f]"), ("control", r"[\x1c-\x1f]")):
+                    if bad := re.search(chars, text):
+                        raise ValueError(f"line {lineno}: {kind} character {bad[0]!r}") from None
+                raise
             sparse.append(len(index) > marked)
             qids.append(qid)
             labels.append(label)
@@ -312,12 +311,12 @@ def _parse_range(path: str, start: int, end: int, first_line: int = 1):
 def load_svmlight(path: str) -> Dataset:
     """Parse an SVMLight/LETOR file into a Dataset.
 
-    Each line is ``<label> qid:<id> <idx>:<val> ...`` with 1-based feature
-    indices; text after ``#`` is a comment. Documents are grouped by qid in
-    file order, missing feature indices are filled with 0, a repeated index
-    keeps its last value, and the feature dimension is the maximal index
-    seen anywhere in the file. A ``_`` outside a comment is an error, not
-    a digit separator. An error names the file's first bad line.
+    Each line is ASCII ``<label> qid:<id> <idx>:<val> ...`` with 1-based
+    feature indices; any bytes after ``#`` are a comment. Documents are
+    grouped by qid in file order, missing feature indices are filled with 0,
+    a repeated index keeps its last value, and the feature dimension is the
+    maximal index seen anywhere in the file. A ``_`` outside a comment is an
+    error, not a digit separator. An error names the file's first bad line.
 
     The file is split at line ends into one byte range per processor this
     process may run on, each at least 2 MiB, so a smaller file is one range

@@ -173,6 +173,9 @@ class TestLoadSvmlight:
             ("２ qid:1 1:0.5", "２"),
             ("2 qid:1 1:0.5", " "),
             ("2 qid:1 1:0.5　2:0.25", "　"),
+            # It wins over an underscore and over a bad label.
+            ("2 qid:1_0 １:0.5", "１"),
+            ("x qid:1 1:0.5\u00a02:0.25", "\u00a0"),
         ],
     )
     def test_non_ascii_character_names_line(self, tmp_path, line, char, range_counts):
@@ -188,6 +191,8 @@ class TestLoadSvmlight:
             # str.split(), int() and float() read these as spaces.
             ("2 qid:1 1:0.5\x1f2:0.25", "\x1f"),
             ("2\x1cqid:1 1:0.5", "\x1c"),
+            # It wins over an underscore.
+            ("2 qid:1_0 1:0.5\x1f2:0.25", "\x1f"),
         ],
     )
     def test_control_character_names_line(self, tmp_path, line, char, range_counts):
@@ -204,12 +209,18 @@ class TestLoadSvmlight:
             with pytest.raises(ValueError, match="^line 2: label -1 is negative$"):
                 load_svmlight(path)
 
-    def test_underscore_in_a_comment_loads(self, tmp_path, range_counts):
-        path = _write(tmp_path, "1 qid:1 1:0.5 # doc_id=1_0\n0 qid:1 1:0.25\n")
+    @pytest.mark.parametrize("comment", [b"doc_id=1_0", b"\xff"])
+    def test_any_bytes_in_a_comment_load(self, tmp_path, comment, range_counts):
+        # A comment is never parsed: neither "_" nor invalid UTF-8 in it fails the load.
+        lines = [b"1 qid:1 1:0.5", b"0 qid:1 1:0.25"]
+        plain, commented = tmp_path / "plain.txt", tmp_path / "commented.txt"
+        plain.write_bytes(b"".join(line + b"\n" for line in lines))
+        commented.write_bytes(b"".join(line + b" # " + comment + b"\n" for line in lines))
         for _ in range_counts:
-            data = load_svmlight(path)
-            np.testing.assert_array_equal(data.features, [[0.5], [0.25]])
-            np.testing.assert_array_equal(data.labels, [1, 0])
+            got, want = load_svmlight(str(commented)), load_svmlight(str(plain))
+            for name in ("features", "labels", "qids", "lengths"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            np.testing.assert_array_equal(got.features, [[0.5], [0.25]])
 
     @pytest.mark.parametrize(
         "tokens, bad",
@@ -284,12 +295,17 @@ class TestLoadSvmlight:
         assert len(_ranges(str(path))) == n == 4
         assert _ranges(str(path))[-1][0] == len(text.encode()) - len("1 qid:2 2:0.5\n0 qid:2 2:x\n")
 
-    def test_non_utf8_byte_names_its_line_in_the_file(self, tmp_path, range_counts):
+    # The invalid byte wins over a fullwidth digit before it.
+    @pytest.mark.parametrize("index, position", [(b"1", 12), ("１".encode(), 14)])
+    def test_non_utf8_byte_names_its_line_in_the_file(
+        self, tmp_path, index, position, range_counts
+    ):
         # The decoder's own error names a position within the line only.
-        raw = b"1 qid:1 1:0.5\r" * 3 + b"1 qid:1 1:0.5\r\n" * 3 + b"0 qid:1 1:0.\xff\n"
+        bad_line = b"0 qid:1 " + index + b":0.\xff\n"
+        raw = b"1 qid:1 1:0.5\r" * 3 + b"1 qid:1 1:0.5\r\n" * 3 + bad_line
         path = tmp_path / "data.txt"
         path.write_bytes(raw)
-        message = "^line 7: 'utf-8' codec can't decode byte 0xff in position 12"
+        message = f"^line 7: 'utf-8' codec can't decode byte 0xff in position {position}:"
         for n in range_counts:
             with pytest.raises(ValueError, match=message):
                 load_svmlight(str(path))
