@@ -4,10 +4,8 @@ seeds, CSV traces, and a summary table."""
 from __future__ import annotations
 
 import argparse
-import contextlib
 import itertools
 import json
-import os
 import sys
 import traceback
 from dataclasses import asdict, dataclass, replace
@@ -26,6 +24,7 @@ from .dataset import (
     load_svmlight,
     normalize_query_level,
     split,
+    worker_count,
     write_svmlight,
 )
 from .federation import (
@@ -37,8 +36,6 @@ from .federation import (
 )
 from .metrics import mean_ndcg
 from .rules import check
-
-WORKERS_ENV = "FEDLTR_WORKERS"
 
 # generate_synthetic's arguments and their defaults, for `dataset.synthetic`
 # and for `gen-data`.
@@ -189,17 +186,6 @@ def _write_csv(path: Path, trace: list[RoundMetrics]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _workers_from_env() -> int:
-    """The number of worker processes FEDLTR_WORKERS asks for; 1 when it
-    is unset."""
-    value = os.environ.get(WORKERS_ENV, "1")
-    # A string that int() cannot read fails the check as it stands.
-    with contextlib.suppress(ValueError):
-        value = int(value)
-    check("", {WORKERS_ENV: "integer [1, inf)"}, {WORKERS_ENV: value})
-    return value
-
-
 # The (train, test) corpus of a sweep's worker process.
 _corpus: tuple[Dataset, Dataset] | None = None
 
@@ -215,15 +201,15 @@ def _run_on_corpus(cfg: FederationConfig) -> list[RoundMetrics]:
     return run_experiment(cfg, *_corpus)
 
 
-def run(spec: ExperimentSpec, workers: int = 1) -> int:
+def run(spec: ExperimentSpec) -> int:
     """Execute every (sweep point, repeat) run, write each run's CSV as
     soon as it finishes and one manifest per sweep point, and print a
     summary table of the points whose runs all finished. Returns a process
     exit status. A failed run does not stop the others: the FAILED marker
     names it and its error, and the exit status is 1; a marker left by an
-    earlier run into the same directory is removed first. With workers > 1
-    runs are spread over min(workers, runs) processes. An output directory
-    that cannot be made exits 2, as a bad configuration does."""
+    earlier run into the same directory is removed first. Runs are spread
+    over `worker_count(runs)` processes. An output directory that cannot be
+    made exits 2, as a bad configuration does."""
     out = Path(spec.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -263,7 +249,7 @@ def run(spec: ExperimentSpec, workers: int = 1) -> int:
             finals[name] = final_ndcg(trace)
 
         # A fork-started pool starts all of its workers at once, needed or not.
-        workers = min(workers, len(jobs))
+        workers = worker_count(len(jobs))
         if workers > 1:
             # Imported here, as a serial run never needs its resident memory.
             from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -364,11 +350,10 @@ def main(argv: list[str] | None = None) -> int:
     overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     try:
         spec = parse_spec(args.config, overrides)
-        workers = _workers_from_env()
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
-    return run(spec, workers)
+    return run(spec)
 
 
 if __name__ == "__main__":

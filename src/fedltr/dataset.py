@@ -151,20 +151,27 @@ def _parse_tokens(lineno: int, tokens: list[bytes]) -> tuple[list[int], list[flo
 _RANGE_BYTES = 2 << 20
 
 
-def _ranges(path: str) -> list[tuple[int, int]]:
-    """The byte ranges of `path`, in file order, one per processor this
-    process may run on and each at least _RANGE_BYTES long; one range in a
-    daemonic process. Every cut falls just after a newline byte, so no
-    line, CRLF pair or UTF-8 sequence is split."""
-    size, affinity = os.path.getsize(path), getattr(os, "sched_getaffinity", None)
-    processors = len(affinity(0)) if affinity else os.cpu_count() or 1
-    n, cuts = max(1, min(processors, size // _RANGE_BYTES)), [0]
+def worker_count(jobs: int) -> int:
+    """The number of worker processes to spread `jobs` jobs over: one per
+    processor this process may run on, at most `jobs` and at least 1. It is
+    1 in a daemonic process, such as a multiprocessing.Pool worker, which
+    may not start worker processes."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    n = max(1, min(len(affinity(0)) if affinity else os.cpu_count() or 1, jobs))
     if n > 1:
-        # A daemonic process, such as a multiprocessing.Pool worker, may not
-        # start worker processes.
         from multiprocessing import current_process
 
         n = 1 if current_process().daemon else n
+    return n
+
+
+def _ranges(path: str) -> list[tuple[int, int]]:
+    """The byte ranges of `path`, in file order, one per worker process that
+    `worker_count` allows, each at least _RANGE_BYTES long. Every cut falls
+    just after a newline byte, so no line, CRLF pair or UTF-8 sequence is
+    split."""
+    size = os.path.getsize(path)
+    n, cuts = worker_count(size // _RANGE_BYTES), [0]
     with open(path, "rb") as fh:
         for i in range(1, n):
             fh.seek(i * size // n)

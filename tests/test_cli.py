@@ -2,6 +2,8 @@
 
 import concurrent.futures
 import json
+import multiprocessing
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import pytest
 
 import fedltr
 from fedltr import cli
-from fedltr.cli import WORKERS_ENV, derive_seed, main, parse_spec
+from fedltr.cli import derive_seed, main, parse_spec
 from fedltr.dataset import Dataset, generate_synthetic, load_svmlight
 
 
@@ -37,6 +39,11 @@ def _write_config(path, extra=None):
 
 def _no_run(cfg, train, test):
     raise AssertionError("a run was started")
+
+
+def _processors(monkeypatch, n):
+    """Have the process run on `n` processors, as `worker_count` sees it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 class TestParseSpec:
@@ -506,33 +513,6 @@ class TestMain:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_non_integer_worker_count_is_rejected_before_running(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        config = _write_config(tmp_path / "spec.json")
-        out = tmp_path / "results"
-        monkeypatch.setenv(WORKERS_ENV, "two")
-        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "invalid configuration: FEDLTR_WORKERS must be an integer >= 1, got 'two'" in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_worker_count_below_one_is_rejected_before_running(
-        self, tmp_path, capsys, monkeypatch, value
-    ):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a worker pool was started")
-
-        config = _write_config(tmp_path / "spec.json")
-        out = tmp_path / "results"
-        monkeypatch.setenv(WORKERS_ENV, value)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert f"invalid configuration: FEDLTR_WORKERS must be an integer >= 1, got {value}" in err
-        assert not out.exists()
-
     @pytest.mark.parametrize(
         "argv, named",
         [
@@ -572,11 +552,11 @@ class TestMain:
                 super().__init__(*args, **kwargs)
 
         config = _write_config(tmp_path / "spec.json", {"sweep": {"m": [2, 3]}, "repeats": 1})
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        _processors(monkeypatch, 1)
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "serial")]) == 0
         assert not started
-        monkeypatch.setenv(WORKERS_ENV, "2")
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        _processors(monkeypatch, 2)
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "pooled")]) == 0
         assert [kwargs["max_workers"] for kwargs in started] == [2]
         names = sorted(p.name for p in (tmp_path / "serial").iterdir())
@@ -598,7 +578,7 @@ class TestMain:
                 super().__init__(**kwargs)
 
         config = _write_config(tmp_path / "spec.json", {"sweep": {"m": [2, 3]}, "repeats": 1})
-        monkeypatch.setenv(WORKERS_ENV, "4")
+        _processors(monkeypatch, 4)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(cli, "_corpus", None)
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
@@ -616,10 +596,27 @@ class TestMain:
 
         monkeypatch.setattr(Dataset, "__getstate__", getstate, raising=False)
         config = _write_config(tmp_path / "spec.json", {"sweep": {"m": [2, 3]}, "repeats": 2})
-        monkeypatch.setenv(WORKERS_ENV, "2")
+        _processors(monkeypatch, 2)
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
         assert len(list((tmp_path / "out").glob("run_*.csv"))) == 4
         assert len(pickled) <= 2 * 2
+
+    def test_a_pool_worker_runs_its_sweep_serially(self, tmp_path, monkeypatch):
+        # A multiprocessing.Pool worker is daemonic and may not start a pool
+        # of its own. Forked, it sees two processors for its two runs.
+        config = _write_config(tmp_path / "spec.json")
+        _processors(monkeypatch, 1)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "serial")]) == 0
+        _processors(monkeypatch, 2)
+        argv = ["run", "--config", str(config), "--out", str(tmp_path / "worker")]
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply(main, (argv,)) == 0
+        names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+        assert len([n for n in names if n.endswith(".csv")]) == 2
+        assert names == sorted(p.name for p in (tmp_path / "worker").iterdir())
+        for name in names:
+            serial = (tmp_path / "serial" / name).read_bytes()
+            assert serial == (tmp_path / "worker" / name).read_bytes(), name
 
     def test_output_path_of_a_file_exits_two(self, tmp_path, capsys):
         config = _write_config(tmp_path / "spec.json")
@@ -687,7 +684,7 @@ class TestMain:
                 raise RuntimeError("diverged")
             return real_run(cfg, train, test)
 
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
+        _processors(monkeypatch, 1)
         monkeypatch.setattr(cli, "run_experiment", flaky_run)
         assert main(["run", "--config", str(config), "--out", str(out)]) == 1
         assert (out / "FAILED").read_text(encoding="utf-8") == (
