@@ -202,7 +202,7 @@ def _parse_range(path: str, start: int, end: int, first_line: int = 1):
     tokens go in bulk into flat buffers, checked as a whole; a line that
     fails goes token by token. An error names a line's bad character first.
     """
-    qids, labels = array("q"), array("q")
+    qids, labels, linenos = array("q"), array("q"), array("q")
     ends = array("q")  # tokens read up to the end of each document
     index, values = array("q"), array("d")
     sparse = array("b")  # whether `index` holds each document's indices
@@ -280,6 +280,7 @@ def _parse_range(path: str, start: int, end: int, first_line: int = 1):
             sparse.append(len(index) > marked)
             qids.append(qid)
             labels.append(label)
+            linenos.append(lineno)
             ends.append(len(values))
 
     val = np.frombuffer(values, dtype=np.float64)
@@ -296,7 +297,9 @@ def _parse_range(path: str, start: int, end: int, first_line: int = 1):
         idx[np.repeat(is_sparse, width)] = index
         del index
         idx -= np.repeat((doc_ends - width) * ~is_sparse, width)
-    feature_dim = int(idx.max(initial=0))
+    # `idx` is not empty: a sparse line, or the wider of two lines, has a token.
+    top = int(idx.argmax())
+    feature_dim = int(idx[top])
     # A line whose indices do not rise may repeat one: keep its last value.
     rising = idx[1:] > idx[:-1]
     starts = doc_ends[:-1]
@@ -310,7 +313,11 @@ def _parse_range(path: str, start: int, end: int, first_line: int = 1):
         _, first_from_end = np.unique(position[::-1], return_index=True)
         last = position.size - 1 - first_from_end
         position, val = position[last], val[last]
-    block = np.zeros((n_docs, feature_dim), dtype=np.float64)
+    try:
+        block = np.zeros((n_docs, feature_dim), dtype=np.float64)
+    except (ValueError, MemoryError):
+        line = linenos[np.searchsorted(doc_ends, top, side="right")]
+        raise ValueError(f"line {line}: feature index {feature_dim} is too large") from None
     np.put(block, position, val)
     return labels, qids, block
 
@@ -330,7 +337,7 @@ def load_svmlight(path: str) -> Dataset:
     parsed in this process. Several ranges are parsed by a pool of worker
     processes, one each, into a dense block of the range's documents; the
     blocks are then copied into place query by query. The result does not
-    depend on the number of ranges, and nothing sets it. A range of dense
+    depend on the number of ranges, which `worker_count` sets. A range of dense
     lines (indices 1..n in order, single spaces) of one width is its block's
     value buffer, and the matrix of a one-range file of contiguous queries.
     """

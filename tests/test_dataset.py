@@ -121,6 +121,16 @@ class TestLoadSvmlight:
             with pytest.raises(ValueError, match=f"^line 2: {message}$"):
                 load_svmlight(path)
 
+    def test_feature_index_too_large_for_its_block_names_line(self, tmp_path, range_counts):
+        # A block this wide has more bytes than numpy allows, and allocating it
+        # failed with numpy's own error, naming no line.
+        text = "1 qid:1 1:0.5\n\n# a comment\n0 qid:1 2:0.25 999999999999999999:0.5\n1 qid:2 3:1\n"
+        path = _write(tmp_path, text)
+        message = "^line 4: feature index 999999999999999999 is too large$"
+        for _ in range_counts:
+            with pytest.raises(ValueError, match=message):
+                load_svmlight(path)
+
     @pytest.mark.parametrize(
         "line, message",
         [

@@ -15,15 +15,18 @@ processes, it
   `cli.load_experiment_data` prepares for each seed's bench corpus and
   ragged file;
 - runs criterion 09's spec, this checkout's `tests/criterion_09_spec.json`,
-  through `python -m fedltr.cli run`, once with FEDLTR_WORKERS unset and
-  once with FEDLTR_WORKERS=2.
+  through `python -m fedltr.cli run` twice: serial, pinned to one processor
+  with FEDLTR_WORKERS unset, and pooled, on every processor this process
+  may use with FEDLTR_WORKERS=2, which a revision that still reads the
+  variable needs to spread its two runs over two processes.
 
 It prints one line per comparison: a workload at a seed (weight digest,
 final_ndcg5, clicks and capped clients), a loaded ragged file or a prepared
 corpus (its digest) or a CLI output directory under `diff -r`. The exit
 status is 0 when every comparison is identical, 1 when any differs and 2
-when a tree cannot be set up or run. It needs git and diff, no network,
-and it changes no file of either tree.
+when a tree cannot be set up or run. On a machine with one processor the
+pooled line says that this checkout ran no pool. It needs Linux, git and
+diff, no network, and it changes no file of either tree.
 """
 
 from __future__ import annotations
@@ -88,8 +91,10 @@ class TreeError(Exception):
     """A tree could not be set up or run."""
 
 
-def _run(cmd: list[str], cwd: Path, env: dict | None = None) -> str:
-    proc = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True)
+def _run(cmd: list[str], cwd: Path, env: dict | None = None, preexec_fn=None) -> str:
+    proc = subprocess.run(
+        cmd, cwd=cwd, env=env, capture_output=True, text=True, preexec_fn=preexec_fn
+    )
     if proc.returncode != 0:
         raise TreeError(f"{' '.join(cmd[:4])} ... in {cwd} exited {proc.returncode}\n{proc.stderr}")
     return proc.stdout
@@ -102,14 +107,19 @@ def one_runs(tree: Path, seeds: list[int]) -> dict:
     return json.loads(out.strip().splitlines()[-1])
 
 
-def cli_run(tree: Path, spec: Path, out: Path, workers: str | None) -> None:
-    """Criterion 09's spec through `tree`'s CLI into `out`."""
+def _pin_to_one_processor() -> None:
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def cli_run(tree: Path, spec: Path, out: Path, pooled: bool) -> None:
+    """Criterion 09's spec through `tree`'s CLI into `out`, pooled or
+    serial as the module docstring says."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     env.pop("FEDLTR_WORKERS", None)
-    if workers is not None:
-        env["FEDLTR_WORKERS"] = workers
+    if pooled:
+        env["FEDLTR_WORKERS"] = "2"
     _run([sys.executable, "-m", "fedltr.cli", "run", "--config", str(spec), "--out", str(out)],
-         tree, env)
+         tree, env, None if pooled else _pin_to_one_processor)
 
 
 def compare(rev: str, seeds: list[int], scratch: Path) -> bool:
@@ -137,18 +147,20 @@ def compare(rev: str, seeds: list[int], scratch: Path) -> bool:
                     if w != g
                 )
                 print(f"{key}: DIFFERS ({detail})")
-        for workers in (None, "2"):
-            label = " unset" if workers is None else f"={workers}"
-            outs = [scratch / f"cli_{name}_{workers}" for name in ("rev", "checkout")]
-            cli_run(base, CRITERION_09_SPEC, outs[0], workers)
-            cli_run(ROOT, CRITERION_09_SPEC, outs[1], workers)
+        for label in ("serial", "pooled"):
+            pooled = label == "pooled"
+            outs = [scratch / f"cli_{name}_{label}" for name in ("rev", "checkout")]
+            cli_run(base, CRITERION_09_SPEC, outs[0], pooled)
+            cli_run(ROOT, CRITERION_09_SPEC, outs[1], pooled)
             diff = subprocess.run(["diff", "-r", *map(str, outs)], capture_output=True, text=True)
-            files = len(list(outs[0].iterdir()))
+            files = f"{len(list(outs[0].iterdir()))} files"
+            if pooled and len(os.sched_getaffinity(0)) == 1:
+                files += "; one processor, so this checkout ran no pool"
             if diff.returncode == 0:
-                print(f"criterion 09 CLI, FEDLTR_WORKERS{label}: identical ({files} files)")
+                print(f"criterion 09 CLI, {label}: identical ({files})")
             else:
                 identical = False
-                print(f"criterion 09 CLI, FEDLTR_WORKERS{label}: DIFFERS "
+                print(f"criterion 09 CLI, {label}: DIFFERS "
                       f"({len(diff.stdout.splitlines())} lines of diff -r)")
         return identical
     finally:
