@@ -85,27 +85,18 @@ def gradient_groups(corpus: Dataset, clicks: Clicks, visit: np.ndarray, step: np
     client.
     """
     order, first = batches(_length_class(corpus.lengths[clicks.row[visit]]), step)
-    size = np.diff(np.append(first, order.size))
     picked = visit[order]
     row, doc = clicks.row[picked], clicks.doc[picked]
-    offset, length = corpus.offsets[row], corpus.lengths[row]
-    width = np.maximum.reduceat(length, first)
-    # Every line's padded documents, line by line within each group.
-    pad = np.repeat(width, size)
-    start = np.cumsum(pad) - pad
-    line = np.repeat(np.arange(pad.size), pad)
-    j = np.arange(line.size) - start[line]
-    valid = j < length[line]
-    index = offset[line] + np.where(valid, j, 0)
+    index, valid = corpus.doc_rows(row)
     # As floats: einsum casts a bool operand in buffers, two to three times slower.
-    eligible = (valid & (j != doc[line])).astype(np.float64)
+    eligible = (valid & (np.arange(index.shape[1]) != doc[:, None])).astype(np.float64)
+    width = np.maximum.reduceat(corpus.lengths[row], first)
     client, propensity = clicks.client[picked], clicks.propensity[picked]
-    groups = []
-    for lo, n, w in zip(first.tolist(), size.tolist(), width.tolist()):
-        lines, docs = slice(lo, lo + n), slice(start[lo], start[lo] + n * w)
-        padded = (index[docs].reshape(n, w).T, eligible[docs].reshape(n, w))
-        groups.append((client[lines], *padded, doc[lines], propensity[lines]))
-    return groups
+    bounds = zip(first.tolist(), [*first[1:].tolist(), order.size], width.tolist())
+    return [
+        (client[lo:hi], index[lo:hi, :w].T, eligible[lo:hi, :w], doc[lo:hi], propensity[lo:hi])
+        for lo, hi, w in bounds
+    ]
 
 
 def hinge_gradients(
