@@ -49,9 +49,10 @@ def round_clicks(impressions: Impressions, propensity: np.ndarray) -> Clicks:
 
 def _length_class(lengths: np.ndarray) -> np.ndarray:
     """ceil(log2(length)), the class a batch of queries is grouped by. A
-    batch padded to its longest query then pads each query to less than
-    twice its length, where padding to the corpus's longest query can cost
-    40 times the work on a skewed corpus."""
+    batch padded to its longest query pads each query to less than twice its
+    length; padding to the corpus's longest can cost 40 times the work on a
+    skewed corpus. Local SGD's index spans the round's widest clicked query,
+    while its gathers and products stay per batch."""
     return np.ceil(np.log2(lengths))
 
 
@@ -79,10 +80,11 @@ def _hinge_sums(scores: np.ndarray, doc: np.ndarray, valid: np.ndarray) -> np.nd
 def gradient_groups(corpus: Dataset, clicks: Clicks, visit: np.ndarray, step: np.ndarray) -> list:
     """Local SGD's lines batched for `hinge_gradients`: line l visits click
     visit[l] at its client's step step[l]. One group per (step, length
-    class of the clicked query), in that order, keeps its lines' order and
-    is padded to its longest query. A group is (client, index, eligible,
-    doc, propensity), the arguments of `hinge_gradients` after each line's
-    client.
+    class of the clicked query), in that order, keeps its lines' order. A
+    group is (client, index, eligible, doc, propensity), the arguments of
+    `hinge_gradients` after each line's client. One `doc_rows` call spans
+    the round's widest clicked query; each group takes its lines cut to its
+    own longest query, so the gathers and products stay per group.
     """
     order, first = batches(_length_class(corpus.lengths[clicks.row[visit]]), step)
     picked = visit[order]

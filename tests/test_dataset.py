@@ -432,6 +432,30 @@ class TestLoadSvmlight:
         assert np.shares_memory(copy.queries[2].features, copy.features)
 
 
+class TestDocRows:
+    def test_rows_are_padded_with_each_querys_first_row(self):
+        # Lengths 3, 1 and 4 at offsets 0, 3 and 4; query 2 asked twice.
+        data = Dataset(
+            queries=tuple(
+                Query(qid=q, features=np.zeros((n, 2)), labels=np.zeros(n, dtype=np.int64))
+                for q, n in ((1, 3), (2, 1), (3, 4))
+            ),
+            feature_dim=2,
+        )
+        index, valid = data.doc_rows(np.array([2, 0, 2, 1]))
+        np.testing.assert_array_equal(
+            index, [[4, 5, 6, 7], [0, 1, 2, 0], [4, 5, 6, 7], [3, 3, 3, 3]]
+        )
+        np.testing.assert_array_equal(valid, np.arange(4) < np.array([4, 3, 4, 1])[:, None])
+        index, valid = data.doc_rows(np.array([1, 0]))
+        np.testing.assert_array_equal(index, [[3, 3, 3], [0, 1, 2]])
+        np.testing.assert_array_equal(valid, [[True, False, False], [True, True, True]])
+
+    def test_no_queries_give_empty_rows(self):
+        index, valid = generate_synthetic(3, 4, 2, seed=1).doc_rows(np.zeros(0, dtype=np.int64))
+        assert index.shape == (0, 0) and valid.shape == (0, 0)
+
+
 class TestQuery:
     @pytest.mark.parametrize(
         "features, n_labels, message",

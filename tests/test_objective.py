@@ -19,6 +19,7 @@ from fedltr.objective import (
     batches,
     click_gradient,
     client_loss,
+    gradient_groups,
     hinge_gradients,
     hinge_sum,
     rank_upper_bound,
@@ -342,6 +343,42 @@ class TestClientLoss:
                 )
                 expected[i] = total / len(set(row[mine].tolist()))
         np.testing.assert_allclose(client_loss(model, ragged, clicks), expected, rtol=1e-12, atol=0)
+
+
+class TestGradientGroups:
+    def test_each_group_is_padded_to_its_own_longest_query(self, ragged):
+        # Clients 0-4 click 9, 0, 1, 5 and 14 times across every length
+        # class; visit and step are laid out as client_opt lays them out.
+        rng = np.random.default_rng(11)
+        client = np.repeat(np.arange(5), [9, 0, 1, 5, 14])
+        row = rng.integers(ragged.n_queries, size=client.size)
+        clicks = Clicks(
+            n_clients=5,
+            client=client,
+            row=row,
+            doc=rng.integers(ragged.lengths[row]),
+            propensity=rng.uniform(0.2, 1.0, size=client.size),
+        )
+        counts = np.bincount(client, minlength=5)
+        first = np.cumsum(counts) - counts
+        visit = np.concatenate([first[i] + rng.permutation(counts[i]) for i in range(5)])
+        step = np.arange(visit.size) - first[client]
+        length_class = np.ceil(np.log2(ragged.lengths[row[visit]]))
+        keys = sorted({(s, c) for s, c in zip(step.tolist(), length_class.tolist())})
+        assert len({c for _, c in keys}) == 4
+        groups = gradient_groups(ragged, clicks, visit, step)
+        assert len(groups) == len(keys)
+        for (s, c), (g_client, index, eligible, doc, propensity) in zip(keys, groups):
+            picked = visit[(step == s) & (length_class == c)]
+            np.testing.assert_array_equal(g_client, client[picked])
+            np.testing.assert_array_equal(doc, clicks.doc[picked])
+            np.testing.assert_array_equal(propensity, clicks.propensity[picked])
+            rows, valid = ragged.doc_rows(row[picked])
+            assert index.shape == rows.T.shape
+            np.testing.assert_array_equal(index.T, rows)
+            others = valid & (np.arange(valid.shape[1]) != doc[:, None])
+            assert eligible.dtype == np.float64
+            np.testing.assert_array_equal(eligible, others)
 
 
 # Impressions drawn per user, and queries in each user's pool.
