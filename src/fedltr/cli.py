@@ -342,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             data = generate_synthetic(**{key: getattr(args, key) for key in _SYNTHETIC_DEFAULTS})
             write_svmlight(data, args.out)
-        except (ValueError, OSError) as exc:
+        except (ValueError, OSError, MemoryError) as exc:
             print(f"gen-data failed: {exc}", file=sys.stderr)
             return 2
         print(f"wrote {data.n_queries} queries to {args.out}")

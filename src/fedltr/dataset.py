@@ -469,17 +469,26 @@ def generate_synthetic(queries: int, docs_per_query: int, feature_dim: int, seed
     # Std of (x - 1/2) @ hidden with x ~ U[0,1]^F, used to put the hidden score
     # on a fixed scale regardless of dimension.
     score_sd = max(np.sqrt(float(hidden @ hidden) / 12.0), 1e-12)
-    features = np.empty((queries * docs_per_query, feature_dim))
-    labels = np.empty(queries * docs_per_query, dtype=np.int64)
-    for start in range(0, features.shape[0], docs_per_query):
-        docs = slice(start, start + docs_per_query)
-        features[docs] = x = rng.uniform(size=(docs_per_query, feature_dim))
-        z = (x - 0.5) @ hidden / score_sd
-        s = _GRADE_SCALE * z + _GRADE_OFFSET + rng.normal(0.0, _NOISE_SD, size=docs_per_query)
-        labels[docs] = np.clip(np.rint(4.0 / (1.0 + np.exp(-s))), 0, 4)
+    features = np.empty((queries, docs_per_query, feature_dim))
+    z = np.empty((queries, docs_per_query))
+    noise = np.empty((queries, docs_per_query))
+    # Query by query, the stream draws its features, then its label noise.
+    for x, z_row, noise_row in zip(features, z, noise):
+        rng.random(out=x)
+        np.matmul(x - 0.5, hidden, out=z_row)
+        noise_row[:] = rng.normal(0.0, _NOISE_SD, size=docs_per_query)
+    # The grade rule over every document in place, in its operations' order.
+    z /= score_sd
+    z *= _GRADE_SCALE
+    z += _GRADE_OFFSET
+    z += noise
+    np.exp(np.negative(z, out=z), out=z)
+    z += 1.0
+    np.divide(4.0, z, out=z)
+    labels = np.clip(np.rint(z, out=z), 0, 4, out=z).astype(np.int64)
     return Dataset.from_arrays(
-        features,
-        labels,
+        features.reshape(-1, feature_dim),
+        labels.ravel(),
         np.arange(1, queries + 1, dtype=np.int64),
         np.full(queries, docs_per_query, dtype=np.int64),
     )

@@ -720,6 +720,14 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("gen-data failed: ") and err.count("\n") == 1
 
+    def test_gen_data_reports_a_corpus_too_large_to_allocate(self, tmp_path, capsys):
+        # 10^11 queries of 20 documents and 50 features would take 728 TiB.
+        path = tmp_path / "synthetic.txt"
+        assert main(["gen-data", "--queries", "100000000000", "--out", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gen-data failed: ") and err.count("\n") == 1
+        assert not path.exists()
+
     def test_gen_data_round_trips(self, tmp_path, capsys):
         path = tmp_path / "synthetic.txt"
         code = main(

@@ -14,6 +14,9 @@ import pytest
 import fedltr
 from fedltr.baseline import train_lambda_linear
 from fedltr.dataset import (
+    _GRADE_OFFSET,
+    _GRADE_SCALE,
+    _NOISE_SD,
     Dataset,
     Query,
     _ranges,
@@ -540,7 +543,39 @@ class TestNormalizeQueryLevel:
             assert q.features.min() >= 0.0 and q.features.max() <= 1.0
 
 
+def _reference_synthetic(queries, docs_per_query, feature_dim, seed):
+    """The generator's features and labels as a per-query loop draws and
+    grades them, one query's features, hidden scores and noise at a time."""
+    rng = np.random.default_rng(seed)
+    hidden = rng.normal(size=feature_dim)
+    score_sd = max(np.sqrt(float(hidden @ hidden) / 12.0), 1e-12)
+    features = np.empty((queries * docs_per_query, feature_dim))
+    labels = np.empty(queries * docs_per_query, dtype=np.int64)
+    for start in range(0, features.shape[0], docs_per_query):
+        docs = slice(start, start + docs_per_query)
+        features[docs] = x = rng.uniform(size=(docs_per_query, feature_dim))
+        z = (x - 0.5) @ hidden / score_sd
+        s = _GRADE_SCALE * z + _GRADE_OFFSET + rng.normal(0.0, _NOISE_SD, size=docs_per_query)
+        labels[docs] = np.clip(np.rint(4.0 / (1.0 + np.exp(-s))), 0, 4)
+    return features, labels
+
+
 class TestGenerateSynthetic:
+    @pytest.mark.parametrize(
+        "queries, docs_per_query, feature_dim, seed",
+        [(500, 20, 50, 7), (37, 7, 3, 5), (10, 1, 1, 1), (200, 200, 50, 9)],
+    )
+    def test_matches_the_per_query_reference(self, queries, docs_per_query, feature_dim, seed):
+        # Byte for byte: the same draws in the same stream order, and every
+        # grade from the same operations in the same order.
+        data = generate_synthetic(queries, docs_per_query, feature_dim, seed)
+        features, labels = _reference_synthetic(queries, docs_per_query, feature_dim, seed)
+        assert data.features.shape == features.shape and data.labels.dtype == labels.dtype
+        assert data.features.tobytes() == features.tobytes()
+        assert data.labels.tobytes() == labels.tobytes()
+        np.testing.assert_array_equal(data.lengths, np.full(queries, docs_per_query))
+        np.testing.assert_array_equal(data.qids, np.arange(1, queries + 1))
+
     def test_deterministic(self):
         a = generate_synthetic(50, 20, 10, seed=7)
         b = generate_synthetic(50, 20, 10, seed=7)

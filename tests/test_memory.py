@@ -32,6 +32,13 @@ def test_preparing_a_corpus_holds_at_most_two_copies():
     assert peak <= 2.5 * (train.features.nbytes + test.features.nbytes)
 
 
+def test_generating_a_corpus_holds_about_one_copy():
+    # The per-query loop writes into the feature block; grading adds three
+    # arrays of one value per document, 2 % of the block each at 50 features.
+    data, peak = _traced_peak(lambda: generate_synthetic(500, 20, 50, seed=7))
+    assert peak <= 1.08 * data.features.nbytes
+
+
 def test_loading_a_dense_file_as_one_range_holds_about_one_copy(tmp_path):
     # Its lines are dense and equally wide, and its queries contiguous: the
     # buffer of token values is the feature matrix.
