@@ -330,14 +330,18 @@ def load_svmlight(path: str) -> Dataset:
     grouped by qid in file order, missing feature indices are filled with 0,
     a repeated index keeps its last value, and the feature dimension is the
     maximal index seen anywhere in the file. A ``_`` outside a comment is an
-    error, not a digit separator. An error names the file's first bad line.
+    error, not a digit separator. An error names the file's first bad line,
+    but for the case below.
 
     The file is split at line ends into one byte range per processor this
     process may run on, each at least 2 MiB, so a smaller file is one range
     parsed in this process. Several ranges are parsed by a pool of worker
     processes, one each, into a dense block of the range's documents; the
     blocks are then copied into place query by query. The result does not
-    depend on the number of ranges, which `worker_count` sets. A range of dense
+    depend on the number of ranges, which `worker_count` sets, but for one
+    case: a feature index too large to allocate shows only once its range's
+    lines parse, so for a file with such an index and a later bad line, which
+    of the two lines the error names can depend on the ranges. A range of dense
     lines (indices 1..n in order, single spaces) of one width is its block's
     value buffer, and the matrix of a one-range file of contiguous queries.
     """

@@ -135,10 +135,8 @@ def client_opt(
     round is planned once: its (client, step) lines are grouped by step,
     then by the length class of the clicked query, and each group is one
     `hinge_gradients` call padded to the group's longest query. This equals
-    running the clients one by one up to the last bits. A score's last bits
-    depend on its group's padded width, which moves a step only when a
-    margin lies within an ulp of the hinge; and on a one-feature corpus, a
-    group of one line sums its documents in another order.
+    running the clients one by one, bit for bit, but on a one-feature
+    corpus, where a group of one line sums its documents in another order.
     """
     counts = np.bincount(clicks.client, minlength=clicks.n_clients)
     first = np.cumsum(counts) - counts

@@ -115,7 +115,9 @@ def hinge_gradients(
     is 1.0 for the query's other documents and 0.0 for the clicked one and
     the padding."""
     feats = features.take(index, axis=0)
-    scores = np.matmul(feats.transpose(1, 0, 2), weights[:, :, None])[:, :, 0]
+    # numpy's own einsum loop sums each score over the features alone, so its
+    # bits depend on neither the batch nor its padding, unlike a BLAS matmul.
+    scores = np.einsum("dnf,nf->nd", feats, weights)
     line = np.arange(doc.size)
     active = (1.0 - (scores[line, doc][:, None] - scores) > 0.0) * eligible
     # Adds each line's active rows in document order, as summing the

@@ -119,28 +119,22 @@ def local_em(
     Returns the fitted weights, one row per client, and each client's
     per-position sums of examination posteriors and impression counts,
     added in record order. Clients are independent, so their SGD passes run
-    in lockstep, planned once: one sort by (step, record length) makes each
-    step's records of one length one batch. There is at least one record,
-    and `theta_prior` is as wide as the display.
+    in lockstep: step t of every client with a t-th record is one batch.
+    There is at least one record, and `theta_prior` is as wide as the
+    display.
     """
     client, length = impressions.client, impressions.length
     n_clients, k = theta_prior.shape
-    # Flat rows of the displayed documents. Both passes score records grouped
-    # by exact length, never zero-padded: a padded np.matmul sums its terms
-    # in another order and changes `features @ w` in its last bits, where one
-    # length's stacked product equals each record's.
-    doc_rows = corpus.offsets[impressions.row][:, None] + impressions.docs
-    # The E-step works element by element, so it runs once on every record;
-    # the padding's neutral relevance prior enters no sum.
-    rel = np.full((client.size, k), 0.5)
-    order, first = batches(length)
-    for group in np.split(order, first)[1:]:
-        n = int(length[group[0]])
-        rel[group, :n] = _sigmoid(np.matmul(corpus.features[doc_rows[group, :n]], weights))
-    # Clipping keeps the relevance prior inside em_e_step's range.
-    rel = np.clip(rel, 1e-6, 1.0 - 1e-6)
-    p_exam, targets = em_e_step(impressions.clicked, theta_prior[client], rel)
     shown = np.arange(k) < length[:, None]
+    # Every record's displayed rows, padded to the display width with its
+    # query's first document: `docs` padding can point past the query. The
+    # einsum scores below sum over the features alone, so the padding
+    # changes no real document's bits, and its posteriors enter no sum.
+    doc_rows = corpus.offsets[impressions.row][:, None] + np.where(shown, impressions.docs, 0)
+    features = corpus.features[doc_rows]
+    # Clipping keeps the relevance prior inside em_e_step's range.
+    rel = np.clip(_sigmoid(np.einsum("ndf,f->nd", features, weights)), 1e-6, 1.0 - 1e-6)
+    p_exam, targets = em_e_step(impressions.clicked, theta_prior[client], rel)
     slot = (client[:, None] * k + np.arange(k))[shown]
     # bincount adds each client's posteriors in record order, as a running
     # sum does.
@@ -148,15 +142,14 @@ def local_em(
     exam_count = np.bincount(slot, minlength=n_clients * k).astype(np.float64)
     counts = np.bincount(client, minlength=n_clients)
     step = np.arange(client.size) - (np.cumsum(counts) - counts)[client]
-    order, first = batches(length, step)
+    order, first = batches(step)
     fitted = np.tile(weights, (n_clients, 1))
     for records in np.split(order, first)[1:]:
-        n, clients = int(length[records[0]]), client[records]
-        features = corpus.features[doc_rows[records, :n]]
-        pred = _sigmoid(np.matmul(features, fitted[clients][:, :, None])[:, :, 0])
-        residual = (pred - targets[records, :n]) * pred * (1.0 - pred)
-        gradient = np.matmul(features.transpose(0, 2, 1), residual[:, :, None])[:, :, 0]
-        fitted[clients] -= FIT_LR * 2.0 * gradient / n
+        clients, x = client[records], features[records]
+        pred = _sigmoid(np.einsum("ndf,nf->nd", x, fitted[clients]))
+        residual = (pred - targets[records]) * pred * (1.0 - pred) * shown[records]
+        gradient = np.einsum("ndf,nd->nf", x, residual)
+        fitted[clients] -= FIT_LR * 2.0 * gradient / length[records, None]
     return fitted, exam_sum.reshape(n_clients, k), exam_count.reshape(n_clients, k)
 
 

@@ -134,6 +134,18 @@ class TestLoadSvmlight:
             with pytest.raises(ValueError, match=message):
                 load_svmlight(path)
 
+    def test_unallocatable_index_then_bad_line_fails_at_every_range_count(
+        self, tmp_path, range_counts
+    ):
+        # The index's block fails only once its range's lines parse: as one
+        # range, line 3's bad label shows first; split, line 2 can. Which of
+        # the two the error names depends on the ranges; that it fails does not.
+        text = "1 qid:1 1:0.5\n0 qid:1 999999999999999999:0.5\nx qid:1 1:0.5\n"
+        path = _write(tmp_path, text)
+        for _ in range_counts:
+            with pytest.raises(ValueError, match="^line [23]: "):
+                load_svmlight(path)
+
     @pytest.mark.parametrize(
         "line, message",
         [

@@ -97,7 +97,7 @@ def _unbatched_gradient(w, query, d, p):
     """The click subgradient computed for one query on its own, summing the
     active documents' rows with np.sum: the arithmetic the batched kernel
     must reproduce bit for bit."""
-    scores = query.features @ w
+    scores = np.einsum("df,f->d", query.features, w)
     active = 1.0 - (scores[d] - scores) > 0.0
     active[d] = False
     n_active = int(np.count_nonzero(active))

@@ -215,6 +215,59 @@ class TestHingeGradients:
                 f"document order (width {width}, {n} lines, {draw} features)"
             )
 
+    @pytest.mark.parametrize("seed", [214, 294, 333])
+    def test_line_at_the_hinge_is_the_same_in_every_padded_group(self, seed):
+        # A line with one pair exactly at the hinge kink, where the pair is
+        # inactive. Padded into a group of every width up to 200, its
+        # gradient must stay its own, bit for bit: a score whose last bits
+        # moved with the padding would make the pair active in some groups.
+        # With BLAS matmul scores (OpenBLAS, 50 features) these seeds did.
+        features, weights, d, j = _line_at_the_hinge(np.random.default_rng(seed), 50)
+        n = features.shape[0]
+        doc, propensity = np.array([d, 0]), np.array([0.5, 0.5])
+        eligible = (np.arange(n) != d) * 1.0
+        alone = hinge_gradients(
+            features, weights[None], np.arange(n)[:, None], eligible[None], doc[:1], propensity[:1]
+        )[0]
+        # The pair at the kink adds nothing: dropping j leaves the gradient.
+        without_j = eligible.copy()
+        without_j[j] = 0.0
+        assert np.array_equal(
+            alone,
+            hinge_gradients(
+                features, weights[None], np.arange(n)[:, None], without_j[None], doc[:1], propensity[:1]
+            )[0],
+        )
+        # The second line's query is as wide as the group.
+        rng = np.random.default_rng(seed)
+        stacked = np.vstack([features, rng.random((200, 50))])
+        lines = np.stack([weights, rng.normal(size=50)])
+        for width in range(n, 201):
+            column = np.arange(width)
+            index = np.stack([np.where(column < n, column, 0), n + column]).T
+            mask = np.stack([(column < n) & (column != d), column != 0]) * 1.0
+            got = hinge_gradients(stacked, lines, index, mask, doc, propensity)[0]
+            assert np.array_equal(got, alone), f"width {width}"
+
+
+def _line_at_the_hinge(rng, dim):
+    """A query's features, weights, a clicked document d and another
+    document j that scores exactly 1 below d: j's largest-weight feature is
+    moved ulp by ulp until it does."""
+    n = int(rng.integers(2, 40))
+    features, weights = rng.random((n, dim)), rng.normal(size=dim)
+    d, j = rng.choice(n, size=2, replace=False)
+    top = np.einsum("df,f->d", features, weights)[d]
+    c = int(np.argmax(np.abs(weights)))
+    features[j, c] += (top - 1.0 - features[j] @ weights) / weights[c]
+    for _ in range(200):
+        margin = 1.0 - (top - np.einsum("df,f->d", features, weights)[j])
+        if margin == 0.0:
+            return features, weights, int(d), int(j)
+        up = (margin < 0.0) == (weights[c] > 0.0)
+        features[j, c] = np.nextafter(features[j, c], np.inf if up else -np.inf)
+    raise AssertionError("no feature value puts the pair at the hinge")
+
 
 def _round_clicks(records, queries, propensity, users=None):
     """round_clicks of records[i], the records of users[i] (default i),

@@ -369,16 +369,16 @@ def _sequential_em_round(state, local_tables, seen, client_records, dataset, dis
             n = len(record.clicks)
             displayed = displays.docs[record.row, :n]
             features = queries[record.row].features[displayed]
-            rel = np.clip(sigmoid(features @ broadcast), 1e-6, 1.0 - 1e-6)
+            rel = np.clip(sigmoid(np.einsum("df,f->d", features, broadcast)), 1e-6, 1.0 - 1e-6)
             p_exam, p_rel = em_e_step(record.clicks, prior[:n], rel)
             exam_sum[:n] += p_exam
             exam_count[:n] += 1.0
             targets.append((features, p_rel))
         w = broadcast.copy()
         for features, p_rel in targets:
-            pred = sigmoid(features @ w)
+            pred = sigmoid(np.einsum("df,f->d", features, w))
             residual = (pred - p_rel) * pred * (1.0 - pred)
-            w = w - FIT_LR * 2.0 * (features.T @ residual) / len(p_rel)
+            w = w - FIT_LR * 2.0 * np.einsum("df,d->f", features, residual) / len(p_rel)
         deltas.append(w - broadcast)
         seen[uid] = True
         state.posterior_sum[uid] += exam_sum

@@ -22,7 +22,10 @@ processes, it
 
 It prints one line per comparison: a workload at a seed (weight digest,
 final_ndcg5, clicks and capped clients), a loaded ragged file or a prepared
-corpus (its digest) or a CLI output directory under `diff -r`. The exit
+corpus (its digest) or a CLI output directory under `diff -r`. A workload
+line that reads DIFFERS also gives the largest absolute and relative
+difference between the two trees' final weights and the difference of
+their final_ndcg5. The exit
 status is 0 when every comparison is identical, 1 when any differs and 2
 when a tree cannot be set up or run. On a machine with one processor the
 pooled line says that this checkout ran no pool. It needs Linux, git and
@@ -38,6 +41,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -61,7 +66,7 @@ def digest(*datasets):
             hashed.update(repr((array.dtype.str, array.shape)).encode())
             hashed.update(np.ascontiguousarray(array).tobytes())
     return hashed.hexdigest()
-rows = {}
+rows, weights = {}, {}
 with tempfile.TemporaryDirectory() as tmp:
     for seed in map(int, sys.argv[1:]):
         for name in ("known", "em", "ragged"):
@@ -78,13 +83,40 @@ with tempfile.TemporaryDirectory() as tmp:
                 rows[f"load_experiment_data {corpus_name} seed {seed}"] = [
                     digest(*cli.load_experiment_data(spec))
                 ]
-            result, _ = workloads.one_run(spec)
+            result, state = workloads.one_run(spec)
             rows[f"{name} seed {seed}"] = [
                 result.digest, result.final_ndcg5, result.total_clicks, result.capped_clients
             ]
-print(json.dumps(rows))
+            weights[f"{name} seed {seed}"] = state.model.weights.tolist()
+print(json.dumps({"rows": rows, "weights": weights}))
 """
 _FIELDS = ("digest", "final_ndcg5", "clicks", "capped")
+
+
+def row_line(key: str, want: list, got: list, want_weights=None, got_weights=None) -> str:
+    """The line of one comparison of `rev`'s row `want` with this
+    checkout's `got`. A workload that differs also shows how far its final
+    weights and its final_ndcg5 moved."""
+    # Digests are compared whole and shown by their first 16 hex digits.
+    shown_want, shown_got = ([v[0][:16], *v[1:]] for v in (want, got))
+    if got == want:
+        detail = ", ".join(f"{f} {v}" for f, v in zip(_FIELDS, shown_got))
+        return f"{key}: identical ({detail})"
+    detail = ", ".join(
+        f"{f} {sw} vs {sg}"
+        for f, w, g, sw, sg in zip(_FIELDS, want, got, shown_want, shown_got)
+        if w != g
+    )
+    if want_weights is not None and got_weights is not None:
+        before, after = np.asarray(want_weights), np.asarray(got_weights)
+        gap = np.abs(after - before)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = np.where(gap > 0, gap / np.abs(before), 0.0)
+        detail += (
+            f"; final weights: largest difference {gap.max():.3g} absolute,"
+            f" {rel.max():.3g} relative; final_ndcg5 difference {got[1] - want[1]:+.3g}"
+        )
+    return f"{key}: DIFFERS ({detail})"
 
 
 class TreeError(Exception):
@@ -101,8 +133,9 @@ def _run(cmd: list[str], cwd: Path, env: dict | None = None, preexec_fn=None) ->
 
 
 def one_runs(tree: Path, seeds: list[int]) -> dict:
-    """Each workload-and-seed's [digest, final_ndcg5, clicks, capped], and
-    each seed's loaded ragged file's [digest], in `tree`."""
+    """In `tree`: under "rows", each workload-and-seed's [digest,
+    final_ndcg5, clicks, capped] and each loaded or prepared corpus's
+    [digest]; under "weights", each workload-and-seed's final weights."""
     out = _run([sys.executable, "-c", _ONE_RUNS, *map(str, seeds)], tree)
     return json.loads(out.strip().splitlines()[-1])
 
@@ -132,21 +165,10 @@ def compare(rev: str, seeds: list[int], scratch: Path) -> bool:
         print(f"comparing {rev} ({commit[:12]}) with {ROOT}", file=sys.stderr)
         identical = True
         theirs, ours = one_runs(base, seeds), one_runs(ROOT, seeds)
-        for key, want in theirs.items():
-            got = ours[key]
-            # Digests are compared whole and shown by their first 16 hex digits.
-            shown_want, shown_got = ([v[0][:16], *v[1:]] for v in (want, got))
-            if got == want:
-                detail = ", ".join(f"{f} {v}" for f, v in zip(_FIELDS, shown_got))
-                print(f"{key}: identical ({detail})")
-            else:
-                identical = False
-                detail = ", ".join(
-                    f"{f} {sw} vs {sg}"
-                    for f, w, g, sw, sg in zip(_FIELDS, want, got, shown_want, shown_got)
-                    if w != g
-                )
-                print(f"{key}: DIFFERS ({detail})")
+        for key, want in theirs["rows"].items():
+            got = ours["rows"][key]
+            identical &= got == want
+            print(row_line(key, want, got, theirs["weights"].get(key), ours["weights"].get(key)))
         for label in ("serial", "pooled"):
             pooled = label == "pooled"
             outs = [scratch / f"cli_{name}_{label}" for name in ("rev", "checkout")]
