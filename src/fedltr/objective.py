@@ -47,15 +47,6 @@ def round_clicks(impressions: Impressions, propensity: np.ndarray) -> Clicks:
     )
 
 
-def _length_class(lengths: np.ndarray) -> np.ndarray:
-    """ceil(log2(length)), the class a batch of queries is grouped by. A
-    batch padded to its longest query pads each query to less than twice its
-    length; padding to the corpus's longest can cost 40 times the work on a
-    skewed corpus. Local SGD's index spans the round's widest clicked query,
-    while its gathers and products stay per batch."""
-    return np.ceil(np.log2(lengths))
-
-
 def batches(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The grouping rule of every batched pass: `order` sorts the lines by
     `keys`, the last primary as in np.lexsort, equal keys in ascending line
@@ -67,14 +58,17 @@ def batches(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, np.flatnonzero(new)
 
 
-def _hinge_sums(scores: np.ndarray, doc: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """Sum of max(0, 1 - (f(d) - f(d'))) over each line's clicked document
-    d and the other documents d' of its query, skipping the padding."""
-    line = np.arange(doc.size)
-    margins = 1.0 - (scores[line, doc][:, None] - scores)
-    margins[line, doc] = 0.0
-    margins[~valid] = 0.0
-    return np.sum(np.maximum(margins, 0.0), axis=1)
+def _hinge_sums(scores, starts, lengths, doc) -> np.ndarray:
+    """Sum of max(0, 1 - (f(d) - f(d'))) over each line i's clicked document
+    d = doc[i] and the other documents d' of its query, scored
+    scores[starts[i]:starts[i] + lengths[i]]: one flat pass over the pairs."""
+    line = np.repeat(np.arange(doc.size), lengths)
+    first = np.cumsum(lengths) - lengths
+    rows = np.repeat(starts - first, lengths) + np.arange(line.size)
+    margins = np.maximum(1.0 - (scores[starts + doc][line] - scores[rows]), 0.0)
+    margins[first + doc] = 0.0
+    # bincount adds each line's terms in document order, whatever the others.
+    return np.bincount(line, weights=margins, minlength=doc.size)
 
 
 def gradient_groups(corpus: Dataset, clicks: Clicks, visit: np.ndarray, step: np.ndarray) -> list:
@@ -86,7 +80,9 @@ def gradient_groups(corpus: Dataset, clicks: Clicks, visit: np.ndarray, step: np
     the round's widest clicked query; each group takes its lines cut to its
     own longest query, so the gathers and products stay per group.
     """
-    order, first = batches(_length_class(corpus.lengths[clicks.row[visit]]), step)
+    # Length class ceil(log2(length)): padded to its group's longest, a query
+    # grows less than twice, against up to 40 times on a skewed corpus.
+    order, first = batches(np.ceil(np.log2(corpus.lengths[clicks.row[visit]])), step)
     picked = visit[order]
     row, doc = clicks.row[picked], clicks.doc[picked]
     index, valid = corpus.doc_rows(row)
@@ -132,11 +128,11 @@ def hinge_gradients(
 def hinge_sum(model: LinearRanker, query: Query, d: int) -> float:
     """Sum over the query's other documents of max(0, 1 - score margin).
 
-    The margin is f(d) - f(d'); the self pair is excluded. Zero when d
-    beats every other document by at least 1.
+    The margin is f(d) - f(d'); the self pair is excluded, the others added
+    in document order. Zero when d beats every other by at least 1.
     """
-    scores = (query.features @ model.weights)[None]
-    return float(_hinge_sums(scores, np.array([d]), np.ones(scores.shape, dtype=bool))[0])
+    scores = query.features @ model.weights
+    return float(_hinge_sums(scores, np.array([0]), np.array([query.n_docs]), np.array([d]))[0])
 
 
 def rank_upper_bound(model: LinearRanker, query: Query, d: int) -> float:
@@ -162,14 +158,12 @@ def client_loss(model: LinearRanker, corpus: Dataset, clicks: Clicks) -> np.ndar
 
     Client i's loss sums hinge_sum / p over its clicks, then divides by the
     number of distinct queries it clicked; zero when it clicked nothing.
-    One product scores the whole corpus at the model's weights.
+    One product scores the whole corpus at the model's weights. A click's
+    hinge adds its terms in document order, whatever the round's other clicks.
     """
     scores = corpus.features @ model.weights
-    hinges = np.empty(clicks.row.size)
-    order, first = batches(_length_class(corpus.lengths[clicks.row]))
-    for group in np.split(order, first)[1:]:
-        index, valid = corpus.doc_rows(clicks.row[group])
-        hinges[group] = _hinge_sums(scores[index], clicks.doc[group], valid)
+    row = clicks.row
+    hinges = _hinge_sums(scores, corpus.offsets[row], corpus.lengths[row], clicks.doc)
     # bincount adds each client's terms in click order, as a running sum does.
     totals = np.bincount(
         clicks.client, weights=hinges / clicks.propensity, minlength=clicks.n_clients

@@ -30,7 +30,7 @@ FIT_LR = 0.5
 # 0.41-0.49 (the criterion needs 0.9) and the mean absolute error against
 # the true curves rises from 0.038 to 0.059.
 POOLING = 0.7
-# Scores are clipped before the sigmoid so relevance stays inside (0, 1).
+# Clipping scores before the sigmoid keeps relevance inside em_e_step's (0, 1).
 _SCORE_CLIP = 30.0
 
 
@@ -132,8 +132,7 @@ def local_em(
     # changes no real document's bits, and its posteriors enter no sum.
     doc_rows = corpus.offsets[impressions.row][:, None] + np.where(shown, impressions.docs, 0)
     features = corpus.features[doc_rows]
-    # Clipping keeps the relevance prior inside em_e_step's range.
-    rel = np.clip(_sigmoid(np.einsum("ndf,f->nd", features, weights)), 1e-6, 1.0 - 1e-6)
+    rel = _sigmoid(np.einsum("ndf,f->nd", features, weights))
     p_exam, targets = em_e_step(impressions.clicked, theta_prior[client], rel)
     slot = (client[:, None] * k + np.arange(k))[shown]
     # bincount adds each client's posteriors in record order, as a running

@@ -373,18 +373,8 @@ class TestClientLoss:
 
     def test_batched_loss_matches_per_click_hinge_sums(self, ragged):
         # Clients 0-3 click 7, 0, 1 and 12 times across every length class.
-        rng = np.random.default_rng(5)
-        client = np.repeat(np.arange(4), [7, 0, 1, 12])
-        row = rng.integers(ragged.n_queries, size=client.size)
-        doc = rng.integers(ragged.lengths[row])
-        clicks = Clicks(
-            n_clients=4,
-            client=client,
-            row=row,
-            doc=doc,
-            propensity=rng.uniform(0.1, 1.0, size=client.size),
-        )
-        model = LinearRanker(rng.normal(size=ragged.feature_dim) * 0.3)
+        clicks, model = _ragged_round(ragged, 5)
+        client, row, doc = clicks.client, clicks.row, clicks.doc
         expected = np.zeros(4)
         queries = ragged.queries
         for i in range(4):
@@ -395,7 +385,50 @@ class TestClientLoss:
                     for j in mine
                 )
                 expected[i] = total / len(set(row[mine].tolist()))
-        np.testing.assert_allclose(client_loss(model, ragged, clicks), expected, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(client_loss(model, ragged, clicks), expected)
+
+    def test_each_click_adds_its_terms_in_document_order(self, ragged):
+        # Whatever the round's other clicks, a click's hinge adds its terms
+        # one document after another, and a client its clicks' terms one
+        # click after another, as this running sum over the corpus's scores
+        # does.
+        starts, lengths = ragged.offsets.tolist(), ragged.lengths.tolist()
+        differs = []
+        for seed in range(50):
+            clicks, model = _ragged_round(ragged, seed)
+            scores = (ragged.features @ model.weights).tolist()
+            totals, queries = [0.0] * 4, [set() for _ in range(4)]
+            for i, r, d, p in zip(
+                clicks.client.tolist(), clicks.row.tolist(), clicks.doc.tolist(),
+                clicks.propensity.tolist(),
+            ):
+                s = scores[starts[r]:starts[r] + lengths[r]]
+                hinge = 0.0
+                for j, s_j in enumerate(s):
+                    if j != d:
+                        hinge += max(0.0, 1.0 - (s[d] - s_j))
+                totals[i] += hinge / p
+                queries[i].add(r)
+            expected = [t / len(q) if q else 0.0 for t, q in zip(totals, queries)]
+            if client_loss(model, ragged, clicks).tolist() != expected:
+                differs.append(seed)
+        assert differs == []
+
+
+def _ragged_round(ragged, seed):
+    """Clicks of clients 0-3, 7, 0, 1 and 12 of them, on random documents
+    of the ragged corpus's queries, and a model to score them with."""
+    rng = np.random.default_rng(seed)
+    client = np.repeat(np.arange(4), [7, 0, 1, 12])
+    row = rng.integers(ragged.n_queries, size=client.size)
+    clicks = Clicks(
+        n_clients=4,
+        client=client,
+        row=row,
+        doc=rng.integers(ragged.lengths[row]),
+        propensity=rng.uniform(0.1, 1.0, size=client.size),
+    )
+    return clicks, LinearRanker(rng.normal(size=ragged.feature_dim) * 0.3)
 
 
 class TestGradientGroups:

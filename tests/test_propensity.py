@@ -152,7 +152,8 @@ class TestEmEStep:
 
     def test_m_step_posteriors_match_e_step(self):
         # A one-record local pass sums exactly that record's examination
-        # posteriors: em_e_step's under the clipped sigmoid prior, bit for bit.
+        # posteriors: em_e_step's under the sigmoid prior of scores clipped
+        # at +-30, bit for bit.
         rng, rel, query = _exact_prior_setup(seed=4)
         theta_prev = np.array([1.0, 0.6, 0.45, 0.3, 0.2])
         weights = np.ones(1)
@@ -160,7 +161,7 @@ class TestEmEStep:
             impressions = _impressions({0: [(displayed, clicks)]})
             _, exam_sum, _ = local_em(_corpus(query), impressions, theta_prev[None], weights)
             features = query.features[displayed]
-            prior = np.clip(1.0 / (1.0 + np.exp(-features @ weights)), 1e-6, 1.0 - 1e-6)
+            prior = 1.0 / (1.0 + np.exp(-np.clip(features @ weights, -30.0, 30.0)))
             expected, _ = em_e_step(clicks, theta_prev, prior)
             np.testing.assert_array_equal(exam_sum[0], expected)
 
@@ -369,7 +370,7 @@ def _sequential_em_round(state, local_tables, seen, client_records, dataset, dis
             n = len(record.clicks)
             displayed = displays.docs[record.row, :n]
             features = queries[record.row].features[displayed]
-            rel = np.clip(sigmoid(np.einsum("df,f->d", features, broadcast)), 1e-6, 1.0 - 1e-6)
+            rel = sigmoid(np.einsum("df,f->d", features, broadcast))
             p_exam, p_rel = em_e_step(record.clicks, prior[:n], rel)
             exam_sum[:n] += p_exam
             exam_count[:n] += 1.0
@@ -464,7 +465,7 @@ def test_tables_under_the_true_relevance_prior_stay_within_error_budget(bench, m
         n_clients, k = theta_prior.shape
         labels = corpus.padded(corpus.labels, 0)[impressions.row]
         grades = np.take_along_axis(labels, impressions.docs, axis=1)
-        # Clipped as local_em clips its relevance prior.
+        # Clipped into em_e_step's (0, 1): a top grade's click probability is exactly 1.
         rel = np.clip(click_given_examination(grades), 1e-6, 1.0 - 1e-6)
         p_exam, _ = em_e_step(impressions.clicked, theta_prior[impressions.client], rel)
         shown = np.arange(k) < impressions.length[:, None]

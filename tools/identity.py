@@ -22,14 +22,16 @@ processes, it
 
 It prints one line per comparison: a workload at a seed (weight digest,
 final_ndcg5, clicks and capped clients), a loaded ragged file or a prepared
-corpus (its digest) or a CLI output directory under `diff -r`. A workload
+corpus (its digest) or a CLI output directory, file by file. A workload
 line that reads DIFFERS also gives the largest absolute and relative
 difference between the two trees' final weights and the difference of
-their final_ndcg5. The exit
+their final_ndcg5. A CLI line that reads DIFFERS is followed by one line
+per file, and per column of a CSV file that differs: identical byte for
+byte, or in how many rows it differs and by how much at most. The exit
 status is 0 when every comparison is identical, 1 when any differs and 2
 when a tree cannot be set up or run. On a machine with one processor the
-pooled line says that this checkout ran no pool. It needs Linux, git and
-diff, no network, and it changes no file of either tree.
+pooled line says that this checkout ran no pool. It needs Linux and git,
+no network, and it changes no file of either tree.
 """
 
 from __future__ import annotations
@@ -108,15 +110,55 @@ def row_line(key: str, want: list, got: list, want_weights=None, got_weights=Non
         if w != g
     )
     if want_weights is not None and got_weights is not None:
-        before, after = np.asarray(want_weights), np.asarray(got_weights)
-        gap = np.abs(after - before)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rel = np.where(gap > 0, gap / np.abs(before), 0.0)
         detail += (
-            f"; final weights: largest difference {gap.max():.3g} absolute,"
-            f" {rel.max():.3g} relative; final_ndcg5 difference {got[1] - want[1]:+.3g}"
+            f"; final weights: {_largest_difference(want_weights, got_weights)};"
+            f" final_ndcg5 difference {got[1] - want[1]:+.3g}"
         )
     return f"{key}: DIFFERS ({detail})"
+
+
+def _largest_difference(want, got) -> str:
+    """The largest absolute and relative difference of `got` from `want`."""
+    before, after = np.asarray(want, dtype=np.float64), np.asarray(got, dtype=np.float64)
+    gap = np.abs(after - before)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(gap > 0, gap / np.abs(before), 0.0)
+    return f"largest difference {gap.max():.3g} absolute, {rel.max():.3g} relative"
+
+
+def output_lines(want: Path, got: Path) -> list[str]:
+    """One line per file of the CLI output directories `want` (of `rev`)
+    and `got` (of this checkout), and one per column of a CSV file that
+    differs: identical byte for byte, or in how many rows it differs and
+    by how much at most."""
+    lines = []
+    for name in sorted({p.name for p in want.iterdir()} | {p.name for p in got.iterdir()}):
+        before, after = want / name, got / name
+        if not (before.exists() and after.exists()):
+            lines.append(f"{name}: only in {'rev' if before.exists() else 'this checkout'}")
+        elif before.read_bytes() == after.read_bytes():
+            lines.append(f"{name}: identical")
+        elif name.endswith(".csv"):
+            lines.extend(_csv_lines(name, before, after))
+        else:
+            lines.append(f"{name}: DIFFERS")
+    return lines
+
+
+def _csv_lines(name: str, want: Path, got: Path) -> list[str]:
+    """One line per column of two CSV files of numbers that differ."""
+    before, after = ([line.split(",") for line in p.read_text().splitlines()] for p in (want, got))
+    if before[0] != after[0] or len(before) != len(after) or before == after:
+        return [f"{name}: DIFFERS in its header, its number of rows or its line ends"]
+    lines = []
+    for column, w, g in zip(before[0], zip(*before[1:]), zip(*after[1:])):
+        changed = [(x, y) for x, y in zip(w, g) if x != y]
+        if not changed:
+            lines.append(f"{name} {column}: identical")
+            continue
+        gaps = _largest_difference(*([float(v) for v in side] for side in zip(*changed)))
+        lines.append(f"{name} {column}: DIFFERS in {len(changed)} of {len(w)} rows; {gaps}")
+    return lines
 
 
 class TreeError(Exception):
@@ -174,16 +216,16 @@ def compare(rev: str, seeds: list[int], scratch: Path) -> bool:
             outs = [scratch / f"cli_{name}_{label}" for name in ("rev", "checkout")]
             cli_run(base, CRITERION_09_SPEC, outs[0], pooled)
             cli_run(ROOT, CRITERION_09_SPEC, outs[1], pooled)
-            diff = subprocess.run(["diff", "-r", *map(str, outs)], capture_output=True, text=True)
+            lines = output_lines(*outs)
             files = f"{len(list(outs[0].iterdir()))} files"
             if pooled and len(os.sched_getaffinity(0)) == 1:
                 files += "; one processor, so this checkout ran no pool"
-            if diff.returncode == 0:
+            if all(line.endswith(": identical") for line in lines):
                 print(f"criterion 09 CLI, {label}: identical ({files})")
             else:
                 identical = False
-                print(f"criterion 09 CLI, {label}: DIFFERS "
-                      f"({len(diff.stdout.splitlines())} lines of diff -r)")
+                print(f"criterion 09 CLI, {label}: DIFFERS ({files})")
+                print("\n".join(f"  {line}" for line in lines))
         return identical
     finally:
         subprocess.run(["git", "worktree", "remove", "--force", str(base)], cwd=ROOT,
