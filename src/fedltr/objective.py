@@ -71,32 +71,6 @@ def _hinge_sums(scores, starts, lengths, doc) -> np.ndarray:
     return np.bincount(line, weights=margins, minlength=doc.size)
 
 
-def gradient_groups(corpus: Dataset, clicks: Clicks, visit: np.ndarray, step: np.ndarray) -> list:
-    """Local SGD's lines batched for `hinge_gradients`: line l visits click
-    visit[l] at its client's step step[l]. One group per (step, length
-    class of the clicked query), in that order, keeps its lines' order. A
-    group is (client, index, eligible, doc, propensity), the arguments of
-    `hinge_gradients` after each line's client. One `doc_rows` call spans
-    the round's widest clicked query; each group takes its lines cut to its
-    own longest query, so the gathers and products stay per group.
-    """
-    # Length class ceil(log2(length)): padded to its group's longest, a query
-    # grows less than twice, against up to 40 times on a skewed corpus.
-    order, first = batches(np.ceil(np.log2(corpus.lengths[clicks.row[visit]])), step)
-    picked = visit[order]
-    row, doc = clicks.row[picked], clicks.doc[picked]
-    index, valid = corpus.doc_rows(row)
-    # As floats: einsum casts a bool operand in buffers, two to three times slower.
-    eligible = (valid & (np.arange(index.shape[1]) != doc[:, None])).astype(np.float64)
-    width = np.maximum.reduceat(corpus.lengths[row], first)
-    client, propensity = clicks.client[picked], clicks.propensity[picked]
-    bounds = zip(first.tolist(), [*first[1:].tolist(), order.size], width.tolist())
-    return [
-        (client[lo:hi], index[lo:hi, :w].T, eligible[lo:hi, :w], doc[lo:hi], propensity[lo:hi])
-        for lo, hi, w in bounds
-    ]
-
-
 def hinge_gradients(
     features: np.ndarray,
     weights: np.ndarray,

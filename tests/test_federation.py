@@ -237,6 +237,60 @@ class TestClientOpt:
             assert np.array_equal(deltas[i], w - w_t.weights)
         assert np.all(deltas[0] == 0.0) and np.all(deltas[1:] != 0.0)
 
+    def test_each_group_is_padded_to_its_own_longest_query(self, ragged, monkeypatch):
+        # Clients 0-4 click 9, 0, 1, 5 and 14 times across every length
+        # class. A spy records each hinge_gradients call of client_opt.
+        rng = np.random.default_rng(11)
+        client = np.repeat(np.arange(5), [9, 0, 1, 5, 14])
+        row = rng.integers(ragged.n_queries, size=client.size)
+        clicks = Clicks(
+            n_clients=5,
+            client=client,
+            row=row,
+            doc=rng.integers(ragged.lengths[row]),
+            propensity=rng.uniform(0.2, 1.0, size=client.size),
+        )
+        w_t = LinearRanker(rng.normal(size=ragged.feature_dim) * 0.1)
+        eta = 0.05
+        calls, real = [], federation.hinge_gradients
+
+        def spy(features, weights, *lines):
+            calls.append((weights.copy(), *lines))
+            return real(features, weights, *lines)
+
+        monkeypatch.setattr(federation, "hinge_gradients", spy)
+        deltas = client_opt(
+            w_t, ragged, clicks, eta, [np.random.default_rng(100 + i) for i in range(5)]
+        )
+        # Line l is step step[l] of its client, which visits click visit[l],
+        # in the order client_opt draws from the same streams.
+        counts = np.bincount(client, minlength=5)
+        first = np.cumsum(counts) - counts
+        visit = np.concatenate(
+            [first[i] + np.random.default_rng(100 + i).permutation(counts[i]) for i in range(5)]
+        )
+        step = np.arange(visit.size) - first[client]
+        length_class = np.ceil(np.log2(ragged.lengths[row[visit]]))
+        keys = sorted({(s, c) for s, c in zip(step.tolist(), length_class.tolist())})
+        assert len({c for _, c in keys}) == 4
+        assert len(calls) == len(keys)
+        local = np.tile(w_t.weights, (5, 1))
+        for (s, c), (weights, index, eligible, doc, propensity) in zip(keys, calls):
+            picked = visit[(step == s) & (length_class == c)]
+            # Each line steps from its own client's local weights.
+            np.testing.assert_array_equal(weights, local[client[picked]])
+            np.testing.assert_array_equal(doc, clicks.doc[picked])
+            np.testing.assert_array_equal(propensity, clicks.propensity[picked])
+            rows, valid = ragged.doc_rows(row[picked])
+            assert index.shape == rows.T.shape
+            np.testing.assert_array_equal(index.T, rows)
+            others = valid & (np.arange(valid.shape[1]) != doc[:, None])
+            assert eligible.dtype == np.float64
+            np.testing.assert_array_equal(eligible, others)
+            step_grad = real(ragged.features, weights, index, eligible, doc, propensity)
+            local[client[picked]] -= eta * step_grad
+        np.testing.assert_array_equal(deltas, local - w_t.weights)
+
 
 class TestServerOpt:
     def test_averages_deltas(self):
@@ -568,11 +622,11 @@ class TestRunExperiment:
 
 class TestFinalNdcg:
     def test_mean_of_trailing_evaluated_rounds(self):
-        trace = [
-            RoundMetrics(i, float(i), 0.0, i) for i in range(1, 6)
-        ]
-        assert final_ndcg(trace, tail=2) == 4.5
-        assert final_ndcg(trace, tail=10) == 3.0
+        # Rounds 3-12 are the last FINAL_ROUNDS = 10; a shorter run averages all.
+        trace = [RoundMetrics(i, float(i), 0.0, i) for i in range(1, 13)]
+        assert federation.FINAL_ROUNDS == 10
+        assert final_ndcg(trace) == 7.5
+        assert final_ndcg(trace[:5]) == 3.0
 
     def test_errors_without_evaluations(self):
         with pytest.raises(ValueError, match="no rounds"):
