@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))  # where abtime.py imports its harness from
 _PATH = ROOT / "tools" / "abtime.py"
 _SPEC = importlib.util.spec_from_file_location("abtime_tool", _PATH)
 abtime = importlib.util.module_from_spec(_SPEC)

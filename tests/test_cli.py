@@ -729,14 +729,17 @@ class TestMain:
         assert not path.exists()
 
     def test_gen_data_round_trips(self, tmp_path, capsys):
-        path = tmp_path / "synthetic.txt"
-        code = main(
-            [
-                "gen-data", "--queries", "10", "--docs", "5", "--features", "4",
-                "--seed", "2", "--out", str(path),
-            ]
-        )
-        assert code == 0
+        path, again = tmp_path / "synthetic.txt", tmp_path / "again.txt"
+        for out in (path, again):
+            code = main(
+                [
+                    "gen-data", "--queries", "10", "--docs", "5", "--features", "4",
+                    "--seed", "2", "--out", str(out),
+                ]
+            )
+            assert code == 0
+        # One seed writes one file, byte for byte.
+        assert path.read_bytes() == again.read_bytes()
         loaded = load_svmlight(str(path))
         reference = generate_synthetic(10, 5, 4, seed=2)
         assert loaded.n_queries == reference.n_queries

@@ -1,9 +1,12 @@
 """The lines tools/identity.py prints for its comparisons."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "identity.py"
+_TOOLS = Path(__file__).resolve().parent.parent / "tools"
+sys.path.insert(0, str(_TOOLS))  # where identity.py imports its harness from
+_PATH = _TOOLS / "identity.py"
 _SPEC = importlib.util.spec_from_file_location("identity_tool", _PATH)
 identity = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(identity)

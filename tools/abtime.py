@@ -35,17 +35,15 @@ import copy
 import importlib
 import importlib.util
 import inspect
-import os
 import statistics
-import subprocess
 import sys
-import tempfile
 from pathlib import Path
 from time import perf_counter
+from unittest import mock
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
+from harness import ROOT, SetupError, exit_status, one_processor, workload_spec, worktree
 
 # Each layer: the fedltr module whose attribute its caller looks up, and
 # the positions of the arguments that every call shares and only reads.
@@ -59,20 +57,8 @@ LAYERS = {
 }
 
 
-class SetupError(Exception):
-    """A tree could not be set up, or the layer cannot be compared."""
-
-
-def _git(*args: str) -> str:
-    proc = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise SetupError(f"git {' '.join(args)} exited {proc.returncode}\n{proc.stderr}")
-    return proc.stdout.strip()
-
-
 def _workloads():
-    """perfbench's workloads module, which puts this checkout's src first
-    on sys.path."""
+    """perfbench's workloads module; it puts this checkout's src first on sys.path."""
     if str(ROOT / "perfbench") not in sys.path:
         sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
@@ -109,20 +95,9 @@ def record(workloads, args, scratch: Path) -> list:
         calls.append(_copy(call, shared))
         return real(*call)
 
-    workload = workloads.WORKLOADS[args.workload]
-    corpus = None
-    if workload.ragged:
-        corpus = scratch / f"ragged_{args.seed}.svmlight"
-        workloads.write_ragged_corpus(corpus, workloads.derive_seeds(args.seed).corpus)
-    spec = workloads.build_spec(workload, args.seed, corpus, args.rounds)
-    affinity = os.sched_getaffinity(0)
-    setattr(module, args.layer, wrapper)
-    try:
-        os.sched_setaffinity(0, {min(affinity)})
+    spec, _ = workload_spec(workloads, args.workload, args.seed, scratch, args.rounds)
+    with one_processor(), mock.patch.object(module, args.layer, wrapper):
         workloads.one_run(spec)
-    finally:
-        os.sched_setaffinity(0, affinity)
-        setattr(module, args.layer, real)
     return calls
 
 
@@ -166,10 +141,7 @@ def compare(args, scratch: Path) -> bool:
     """Print the comparison of `args.rev`'s layer with this checkout's;
     True when both sides agreed on every call."""
     workloads = _workloads()
-    commit = _git("rev-parse", "--verify", f"{args.rev}^{{commit}}")
-    base = scratch / "rev"
-    _git("worktree", "add", "--detach", str(base), commit)
-    try:
+    with worktree(args.rev, scratch) as (commit, base):
         module, shared = LAYERS[args.layer]
         ours = getattr(importlib.import_module(f"fedltr.{module}"), args.layer, None)
         try:
@@ -195,9 +167,6 @@ def compare(args, scratch: Path) -> bool:
                 equal &= same
         except Exception as exc:  # a tree that cannot take the recorded arguments
             raise SetupError(f"{args.layer} failed on a recorded call: {exc!r}") from exc
-    finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(base)], cwd=ROOT,
-                       capture_output=True)
     ratios = [ours_s / theirs_s for ours_s, theirs_s in times]
     print(
         f"{args.layer} on {args.workload}, seed {args.seed}, {args.rounds} rounds:"
@@ -224,13 +193,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.rounds < 1 or args.passes < 1:
         parser.error("--rounds and --passes must be at least 1")
-    with tempfile.TemporaryDirectory(prefix="fedltr-abtime-") as scratch:
-        try:
-            equal = compare(args, Path(scratch))
-        except SetupError as exc:
-            print(f"abtime failed: {exc}", file=sys.stderr)
-            return 2
-    return 0 if equal else 1
+    return exit_status("abtime", lambda scratch: compare(args, scratch))
 
 
 if __name__ == "__main__":

@@ -15,10 +15,8 @@ processes, it
   `cli.load_experiment_data` prepares for each seed's bench corpus and
   ragged file;
 - runs criterion 09's spec, this checkout's `tests/criterion_09_spec.json`,
-  through `python -m fedltr.cli run` twice: serial, pinned to one processor
-  with FEDLTR_WORKERS unset, and pooled, on every processor this process
-  may use with FEDLTR_WORKERS=2, which a revision that still reads the
-  variable needs to spread its two runs over two processes.
+  through `python -m fedltr.cli run` twice: serial, pinned to one
+  processor, and pooled, on every processor this process may use.
 
 It prints one line per comparison: a workload at a seed (weight digest,
 final_ndcg5, clicks and capped clients), a loaded ragged file or a prepared
@@ -37,28 +35,26 @@ no network, and it changes no file of either tree.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
-import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
+from harness import ROOT, exit_status, one_processor, run, worktree
 
 # Criterion 09's spec, the file tests/test_acceptance.py runs.
 CRITERION_09_SPEC = ROOT / "tests" / "criterion_09_spec.json"
 
-# Run from the root of a tree with the seeds as arguments: one perfbench
-# run per workload and seed, printed as one JSON object.
+# Run from the root of a tree with the harness's directory and the seeds as
+# arguments: one perfbench run per workload and seed, printed as one JSON object.
 _ONE_RUNS = """
 import hashlib, json, sys, tempfile
-from pathlib import Path
 import numpy as np
-sys.path.insert(0, "perfbench")
-import workloads
+sys.path[:0] = [sys.argv[1], "perfbench"]
+import harness, workloads
 from fedltr import cli
 from fedltr.dataset import load_svmlight
 def digest(*datasets):
@@ -70,18 +66,14 @@ def digest(*datasets):
     return hashed.hexdigest()
 rows, weights = {}, {}
 with tempfile.TemporaryDirectory() as tmp:
-    for seed in map(int, sys.argv[1:]):
+    for seed in map(int, sys.argv[2:]):
         for name in ("known", "em", "ragged"):
-            workload = workloads.WORKLOADS[name]
-            corpus = None
-            if workload.ragged:
-                corpus = Path(tmp) / f"ragged_{seed}.svmlight"
-                workloads.write_ragged_corpus(corpus, workloads.derive_seeds(seed).corpus)
+            spec, corpus = harness.workload_spec(workloads, name, seed, tmp, 100)
+            if corpus is not None:
                 rows[f"load_svmlight ragged seed {seed}"] = [digest(load_svmlight(str(corpus)))]
-            spec = workloads.build_spec(workload, seed, corpus, 100)
             # em prepares the bench corpus as known does.
             if name != "em":
-                corpus_name = "ragged" if workload.ragged else "bench corpus"
+                corpus_name = "bench corpus" if corpus is None else "ragged"
                 rows[f"load_experiment_data {corpus_name} seed {seed}"] = [
                     digest(*cli.load_experiment_data(spec))
                 ]
@@ -161,49 +153,18 @@ def _csv_lines(name: str, want: Path, got: Path) -> list[str]:
     return lines
 
 
-class TreeError(Exception):
-    """A tree could not be set up or run."""
-
-
-def _run(cmd: list[str], cwd: Path, env: dict | None = None, preexec_fn=None) -> str:
-    proc = subprocess.run(
-        cmd, cwd=cwd, env=env, capture_output=True, text=True, preexec_fn=preexec_fn
-    )
-    if proc.returncode != 0:
-        raise TreeError(f"{' '.join(cmd[:4])} ... in {cwd} exited {proc.returncode}\n{proc.stderr}")
-    return proc.stdout
-
-
 def one_runs(tree: Path, seeds: list[int]) -> dict:
     """In `tree`: under "rows", each workload-and-seed's [digest,
     final_ndcg5, clicks, capped] and each loaded or prepared corpus's
     [digest]; under "weights", each workload-and-seed's final weights."""
-    out = _run([sys.executable, "-c", _ONE_RUNS, *map(str, seeds)], tree)
+    out = run([sys.executable, "-c", _ONE_RUNS, str(ROOT / "tools"), *map(str, seeds)], tree)
     return json.loads(out.strip().splitlines()[-1])
-
-
-def _pin_to_one_processor() -> None:
-    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-
-
-def cli_run(tree: Path, spec: Path, out: Path, pooled: bool) -> None:
-    """Criterion 09's spec through `tree`'s CLI into `out`, pooled or
-    serial as the module docstring says."""
-    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    env.pop("FEDLTR_WORKERS", None)
-    if pooled:
-        env["FEDLTR_WORKERS"] = "2"
-    _run([sys.executable, "-m", "fedltr.cli", "run", "--config", str(spec), "--out", str(out)],
-         tree, env, None if pooled else _pin_to_one_processor)
 
 
 def compare(rev: str, seeds: list[int], scratch: Path) -> bool:
     """Print one line per comparison of `rev` with this checkout; True when
     all are identical."""
-    commit = _run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], ROOT).strip()
-    base = scratch / "rev"
-    _run(["git", "worktree", "add", "--detach", str(base), commit], ROOT)
-    try:
+    with worktree(rev, scratch) as (commit, base):
         print(f"comparing {rev} ({commit[:12]}) with {ROOT}", file=sys.stderr)
         identical = True
         theirs, ours = one_runs(base, seeds), one_runs(ROOT, seeds)
@@ -214,8 +175,12 @@ def compare(rev: str, seeds: list[int], scratch: Path) -> bool:
         for label in ("serial", "pooled"):
             pooled = label == "pooled"
             outs = [scratch / f"cli_{name}_{label}" for name in ("rev", "checkout")]
-            cli_run(base, CRITERION_09_SPEC, outs[0], pooled)
-            cli_run(ROOT, CRITERION_09_SPEC, outs[1], pooled)
+            # Criterion 09's spec through each tree's CLI, as the module docstring says.
+            with contextlib.nullcontext() if pooled else one_processor():
+                for tree, out in zip((base, ROOT), outs):
+                    run([sys.executable, "-m", "fedltr.cli", "run", "--config",
+                         str(CRITERION_09_SPEC), "--out", str(out)],
+                        tree, {**os.environ, "PYTHONPATH": str(tree / "src")})
             lines = output_lines(*outs)
             files = f"{len(list(outs[0].iterdir()))} files"
             if pooled and len(os.sched_getaffinity(0)) == 1:
@@ -227,9 +192,6 @@ def compare(rev: str, seeds: list[int], scratch: Path) -> bool:
                 print(f"criterion 09 CLI, {label}: DIFFERS ({files})")
                 print("\n".join(f"  {line}" for line in lines))
         return identical
-    finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(base)], cwd=ROOT,
-                       capture_output=True)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -237,13 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("rev", help="git revision to compare this checkout with")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 7, 90210])
     args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory(prefix="fedltr-identity-") as scratch:
-        try:
-            identical = compare(args.rev, args.seeds, Path(scratch))
-        except TreeError as exc:
-            print(f"identity check failed: {exc}", file=sys.stderr)
-            return 2
-    return 0 if identical else 1
+    return exit_status("identity check", lambda scratch: compare(args.rev, args.seeds, scratch))
 
 
 if __name__ == "__main__":
